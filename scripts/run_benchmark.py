@@ -8,25 +8,19 @@ Defaults reproduce the desk-scale benchmark on data/blocks135.
 import argparse
 import os
 import sys
-import tempfile
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from pkge.evaluation import evaluate, format_report, write_report_csv
+from pkge.evaluation import format_report, write_report_csv
 from pkge.kg import load_dataset
-from pkge.model import MODEL_KINDS, ModelConfig, build_model
-from pkge.training import TrainConfig, restore_model, seed_streams, train_model
+from pkge.model import MODEL_KINDS, ModelConfig
+from pkge.training import TrainConfig, run_experiment
 
 
-def run_one(store, kind, model_cfg, train_cfg, out_dir):
-    rng = seed_streams(train_cfg.seed)["init"]
-    model = build_model(kind, model_cfg, store.num_entities,
-                        store.num_relations_with_reverse, rng)
+def run_one(store, kind, model_cfg, train_cfg):
     t0 = time.perf_counter()
-    result = train_model(store, model, train_cfg, out_dir=out_dir)
-    best, _ = restore_model(result.checkpoint_path)
-    report = evaluate(store, best, "test", batch_size=train_cfg.eval_batch)
+    result, report = run_experiment(store, kind, model_cfg, train_cfg)
     elapsed = time.perf_counter() - t0
     print(f"\n== {kind} ==  best epoch {result.best_epoch}  "
           f"valid MRR {result.best_valid_mrr:.4f}  {elapsed:.0f}s")
@@ -53,8 +47,7 @@ def main():
 
     summary = []
     for kind in (k.strip() for k in args.models.split(",") if k.strip()):
-        with tempfile.TemporaryDirectory() as tmp:
-            report = run_one(store, kind, model_cfg, train_cfg, tmp)
+        report = run_one(store, kind, model_cfg, train_cfg)
         write_report_csv(report, os.path.join(args.out, f"test_{kind}.csv"))
         summary.append((kind, report.mrr, report.hits))
 

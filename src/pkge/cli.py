@@ -21,9 +21,9 @@ from .evaluation import (evaluate, format_report, sweep_relation_dim,
                          write_report_csv)
 from .kg import (CATEGORIES, category_counts, categorize_relations,
                  dump_stats_json, load_dataset)
-from .model import (ABLATION_VARIANTS, MODEL_KINDS, ModelConfig, build_model)
-from .training import (TrainConfig, check_vocab, restore_model, seed_streams,
-                       train_model)
+from .model import ABLATION_VARIANTS, MODEL_KINDS, ModelConfig
+from .training import (TrainConfig, check_vocab, restore_model,
+                       run_experiment)
 
 _MODEL_DEFAULTS = ModelConfig()
 _TRAIN_DEFAULTS = TrainConfig()
@@ -53,15 +53,18 @@ def parse_config_file(path):
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            values[key] = raw
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                key, raw = (part.strip() for part in line.split("=", 1))
+                values[key] = raw
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from None
     return values
 
 
@@ -108,6 +111,16 @@ def _load_store(data_dir):
     return load_dataset(data_dir)
 
 
+def _make_out_dir(path):
+    """Create an optional ``--out`` directory up front, before any training."""
+    if not path:
+        return
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -125,19 +138,13 @@ def cmd_train(args):
     kind, model_cfg, train_cfg = resolve_run_config(args)
     echo = format_run_config(kind, model_cfg, train_cfg)
     print(echo, end="")
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     with open(os.path.join(args.out, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(echo)
 
-    rng = seed_streams(train_cfg.seed)["init"]
-    model = build_model(kind, model_cfg, store.num_entities,
-                        store.num_relations_with_reverse, rng)
-    result = train_model(store, model, train_cfg, out_dir=args.out,
-                         progress=_print_progress)
+    result, report = run_experiment(store, kind, model_cfg, train_cfg,
+                                    out_dir=args.out, progress=_print_progress)
     print(f"best epoch {result.best_epoch}  valid_mrr {result.best_valid_mrr:.6f}")
-
-    best_model, _ = restore_model(result.checkpoint_path)
-    report = evaluate(store, best_model, "test", batch_size=train_cfg.eval_batch)
     write_report_csv(report, os.path.join(args.out, "eval_test.csv"))
     print(format_report(report))
     return 0
@@ -145,25 +152,16 @@ def cmd_train(args):
 
 def cmd_eval(args):
     store = _load_store(args.data)
+    _make_out_dir(args.out)
     model, _ = restore_model(args.checkpoint)
     check_vocab(model, store)
     report = evaluate(store, model, args.split, batch_size=args.eval_batch,
                       workers=args.workers)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         write_report_csv(report,
                          os.path.join(args.out, f"eval_{args.split}.csv"))
     print(format_report(report))
     return 0
-
-
-def _train_and_test(store, kind, model_cfg, train_cfg):
-    rng = seed_streams(train_cfg.seed)["init"]
-    model = build_model(kind, model_cfg, store.num_entities,
-                        store.num_relations_with_reverse, rng)
-    train_model(store, model, train_cfg)
-    report = evaluate(store, model, "test", batch_size=train_cfg.eval_batch)
-    return report.mrr
 
 
 def cmd_ablate(args):
@@ -172,19 +170,21 @@ def cmd_ablate(args):
     if kind != "patreformer":
         raise ConfigError("ablate applies to the patreformer model only")
     names = list(ABLATION_VARIANTS) if args.variant == "all" else [args.variant]
+    _make_out_dir(args.out)
+
+    def test_mrr(cfg):
+        return run_experiment(store, kind, cfg, train_cfg)[1].mrr
 
     print(format_run_config(kind, base_cfg, train_cfg), end="")
-    base_mrr = _train_and_test(store, kind, base_cfg, train_cfg)
+    base_mrr = test_mrr(base_cfg)
     print(f"base test_mrr {base_mrr:.6f}")
     rows = []
     for name in names:
-        variant_cfg = replace(base_cfg, **ABLATION_VARIANTS[name])
-        mrr = _train_and_test(store, kind, variant_cfg, train_cfg)
+        mrr = test_mrr(replace(base_cfg, **ABLATION_VARIANTS[name]))
         rows.append((name, mrr, mrr - base_mrr))
         print(f"variant {name}  test_mrr {mrr:.6f}  delta {mrr - base_mrr:+.6f}")
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "ablation.csv"), "w",
                   encoding="utf-8") as fh:
             fh.write("variant,test_mrr,delta_vs_base\n")
@@ -207,6 +207,7 @@ def cmd_sweep_dim(args):
     for k in kinds:
         if k not in MODEL_KINDS:
             raise ConfigError(f"unknown model {k!r} in --models")
+    _make_out_dir(args.out)
 
     def progress(row):
         print(f"model {row['model']}  d_r {row['d_r']}  "
@@ -215,7 +216,6 @@ def cmd_sweep_dim(args):
     rows = sweep_relation_dim(store, kinds, base_cfg, train_cfg, dims,
                               progress=progress)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "sweep.csv"), "w",
                   encoding="utf-8") as fh:
             fh.write("model,d_r,best_valid_mrr,test_mrr\n")

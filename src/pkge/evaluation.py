@@ -79,6 +79,12 @@ def _eval_workers(requested):
     return min(requested, cap) if cap else requested
 
 
+def check_split(store, split):
+    """``split`` must hold triples to evaluate."""
+    if len(store.splits[split]) == 0:
+        raise ConfigError(f"split {split!r} has no triples to evaluate")
+
+
 def evaluate(store, model, split, batch_size=512, threshold=1.5,
              category_scope="all", workers=None):
     """Filtered-ranking report for ``split``; both directions of every triple.
@@ -86,10 +92,9 @@ def evaluate(store, model, split, batch_size=512, threshold=1.5,
     ``workers`` defaults to the PKGE_THREADS environment variable (else 1);
     results do not depend on the worker count or batch size.
     """
+    check_split(store, split)
     triples = store.splits[split]
     n = len(triples)
-    if n == 0:
-        raise ConfigError(f"split {split!r} has no triples to evaluate")
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     r_off = store.num_relations
@@ -195,11 +200,9 @@ def sweep_relation_dim(store, model_kinds, base_config, train_config, dims,
                        progress=None):
     """Train each model kind at each relation embedding size; returns rows of
     {model, d_r, best_valid_mrr, test_mrr}, testing the best-validation model."""
-    import tempfile
     from dataclasses import replace
 
-    from .model import build_model
-    from .training import restore_model, seed_streams, train_model
+    from .training import run_experiment
 
     rows = []
     for kind in model_kinds:
@@ -210,14 +213,7 @@ def sweep_relation_dim(store, model_kinds, base_config, train_config, dims,
                 # Baselines have one embedding size for entities and
                 # relations alike, so the sweep moves both.
                 config = replace(base_config, d_e=dim, d_r=dim)
-            rng = seed_streams(train_config.seed)["init"]
-            model = build_model(kind, config, store.num_entities,
-                                store.num_relations_with_reverse, rng)
-            with tempfile.TemporaryDirectory() as tmp:
-                result = train_model(store, model, train_config, out_dir=tmp)
-                best, _ = restore_model(result.checkpoint_path)
-            test = evaluate(store, best, "test",
-                            batch_size=train_config.eval_batch)
+            result, test = run_experiment(store, kind, config, train_config)
             row = {"model": kind, "d_r": dim,
                    "best_valid_mrr": result.best_valid_mrr,
                    "test_mrr": test.mrr}

@@ -23,21 +23,26 @@ def load_tsv(path, split="train"):
     """Parse one split file into (head, relation, tail) string triples.
 
     Order-preserving, no deduplication. Malformed lines raise
-    ``DataFormatError`` naming the line number.
+    ``DataFormatError`` naming the line number; bytes that are not UTF-8
+    raise it naming the file.
     """
     triples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields "
-                    f"({split} split), got {len(fields)}"
-                )
-            triples.append((fields[0], fields[1], fields[2]))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.rstrip("\n").rstrip("\r")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: expected 3 tab-separated fields "
+                        f"({split} split), got {len(fields)}"
+                    )
+                triples.append((fields[0], fields[1], fields[2]))
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: not valid UTF-8 ({split} split): {exc}") from None
     return triples
 
 

@@ -11,7 +11,7 @@ seeded stream, and nothing writes wall-clock time into logs or checkpoints.
 import json
 import os
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from .tensor import as_tensor, clip, log, mul, reduce_mean
 
 CHECKPOINT_MAGIC = b"PKGE"
 CHECKPOINT_VERSION = 1
+
+LOG_NAME = "train_log.csv"
+CKPT_NAME = "best.ckpt"
 
 _STREAMS = ("init", "data", "dropout")
 
@@ -160,7 +163,9 @@ class Adam:
 
 
 def save_checkpoint(path, model, optimizer=None):
-    """Write a binary checkpoint.
+    """Write a binary checkpoint atomically: the bytes go to ``path + ".tmp"``,
+    are synced, and then replace ``path``, so a failed save leaves the
+    previous file intact.
 
     Layout: magic, u32 version, u32 header length, UTF-8 JSON header
     (model kind, config, vocab sizes, tensor manifest with byte offsets),
@@ -198,13 +203,21 @@ def save_checkpoint(path, model, optimizer=None):
 
     payload = b"".join(chunks)
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(np.uint32(CHECKPOINT_VERSION).tobytes())
-        fh.write(np.uint32(len(head)).tobytes())
-        fh.write(head)
-        fh.write(payload)
-        fh.write(np.uint32(zlib.crc32(payload) & 0xFFFFFFFF).tobytes())
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(np.uint32(CHECKPOINT_VERSION).tobytes())
+            fh.write(np.uint32(len(head)).tobytes())
+            fh.write(head)
+            fh.write(payload)
+            fh.write(np.uint32(zlib.crc32(payload) & 0xFFFFFFFF).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read_manifest(entries, payload):
@@ -309,6 +322,7 @@ class TrainResult:
     best_epoch: int
     best_valid_mrr: float
     checkpoint_path: str
+    best_params: dict = field(repr=False)   # {name: array copy} at best_epoch
 
 
 def _query_arrays(store):
@@ -325,16 +339,17 @@ def _query_arrays(store):
     return ents, rels, targets
 
 
-def train_model(store, model, cfg, out_dir=None, log_name="train_log.csv",
-                ckpt_name="best.ckpt", progress=None):
-    """Run the full loop; returns history and the best-validation checkpoint.
+def train_model(store, model, cfg, out_dir=None, progress=None):
+    """Run the full loop; returns history and the best-validation parameters.
 
     Validation MRR is measured every ``eval_every`` epochs (and at the last
-    epoch); the best model by that number is what gets checkpointed.
+    epoch); the best model by that number is kept in ``best_params`` and,
+    with ``out_dir``, checkpointed to ``best.ckpt`` next to ``train_log.csv``.
     """
-    from .evaluation import evaluate
+    from .evaluation import check_split, evaluate
 
     cfg.validate()
+    check_split(store, "valid")
     streams = seed_streams(cfg.seed)
     data_rng = streams["data"]
     drop_rng = streams["dropout"]
@@ -344,13 +359,14 @@ def train_model(store, model, cfg, out_dir=None, log_name="train_log.csv",
     n_entities = store.num_entities
     adam = Adam(model.params, lr=cfg.lr)
 
-    ckpt_path = os.path.join(out_dir, ckpt_name) if out_dir else None
+    ckpt_path = os.path.join(out_dir, CKPT_NAME) if out_dir else None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
     history = []
     best_epoch = 0
     best_mrr = -1.0
+    best_params = None
     for epoch in range(1, cfg.epochs + 1):
         order = data_rng.permutation(n_queries)
         loss_sum = 0.0
@@ -375,6 +391,8 @@ def train_model(store, model, cfg, out_dir=None, log_name="train_log.csv",
             if valid_mrr > best_mrr:
                 best_mrr = valid_mrr
                 best_epoch = epoch
+                best_params = {name: t.data.copy()
+                               for name, t in model.params.items()}
                 if ckpt_path:
                     save_checkpoint(ckpt_path, model)
         history.append((epoch, epoch_loss, valid_mrr))
@@ -382,10 +400,29 @@ def train_model(store, model, cfg, out_dir=None, log_name="train_log.csv",
             progress(epoch, epoch_loss, valid_mrr)
 
     if out_dir:
-        with open(os.path.join(out_dir, log_name), "w", encoding="utf-8") as fh:
+        with open(os.path.join(out_dir, LOG_NAME), "w", encoding="utf-8") as fh:
             fh.write("epoch,loss,valid_mrr\n")
             for epoch, loss, mrr in history:
                 tail = "" if mrr is None else f"{mrr:.6f}"
                 fh.write(f"{epoch},{loss:.6f},{tail}\n")
     return TrainResult(history=history, best_epoch=best_epoch,
-                       best_valid_mrr=best_mrr, checkpoint_path=ckpt_path)
+                       best_valid_mrr=best_mrr, checkpoint_path=ckpt_path,
+                       best_params=best_params)
+
+
+def run_experiment(store, kind, model_cfg, train_cfg, out_dir=None,
+                   progress=None):
+    """Build a ``kind`` model from the seed's init stream, train it, and test
+    the parameters with the best validation MRR; returns the TrainResult and
+    the test-split EvalReport."""
+    from .evaluation import check_split, evaluate
+
+    check_split(store, "test")
+    model = build_model(kind, model_cfg, store.num_entities,
+                        store.num_relations_with_reverse,
+                        seed_streams(train_cfg.seed)["init"])
+    result = train_model(store, model, train_cfg, out_dir=out_dir,
+                         progress=progress)
+    model.params.load_arrays(result.best_params)
+    report = evaluate(store, model, "test", batch_size=train_cfg.eval_batch)
+    return result, report

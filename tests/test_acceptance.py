@@ -28,7 +28,8 @@ from pkge.segmentation import (build_frozen_basis, build_trainable_basis,
 from pkge.tensor import (Tensor, layer_norm, matmul, mul, reduce_sum, sigmoid,
                          softmax_lastdim)
 from pkge.training import (Adam, TrainConfig, bce_smoothed_loss, restore_model,
-                           save_checkpoint, seed_streams, train_model)
+                           run_experiment, save_checkpoint, seed_streams,
+                           train_model)
 
 from test_evaluation import TableModel, oracle_ranks, random_store_and_table
 from test_gradients import model_loss_fn
@@ -224,25 +225,17 @@ def test_p05_memorization(announce):
     assert ok
 
 
-def _train_and_test_best(store, kind, model_cfg, train_cfg, tmp):
-    rng = seed_streams(train_cfg.seed)["init"]
-    model = build_model(kind, model_cfg, store.num_entities,
-                        store.num_relations_with_reverse, rng)
-    out = os.path.join(tmp, kind)
-    result = train_model(store, model, train_cfg, out_dir=out)
-    best, _ = restore_model(result.checkpoint_path)
-    return evaluate(store, best, "test", batch_size=train_cfg.eval_batch).mrr
+def _train_and_test_best(store, kind, model_cfg, train_cfg):
+    return run_experiment(store, kind, model_cfg, train_cfg)[1].mrr
 
 
-def test_p06_benchmark_parity(announce, tmp_path):
+def test_p06_benchmark_parity(announce):
     t0 = time.perf_counter()
     store = load_dataset(os.path.join(DATA, "blocks135"))
     train_cfg = TrainConfig(epochs=200, eval_every=50, seed=0)
     model_cfg = ModelConfig()
-    ours = _train_and_test_best(store, "patreformer", model_cfg, train_cfg,
-                                str(tmp_path))
-    ref = _train_and_test_best(store, "distmult", model_cfg, train_cfg,
-                               str(tmp_path))
+    ours = _train_and_test_best(store, "patreformer", model_cfg, train_cfg)
+    ref = _train_and_test_best(store, "distmult", model_cfg, train_cfg)
     elapsed = time.perf_counter() - t0
     ok = ours >= ref - 0.01 and elapsed < 1800
     announce("P6 benchmark parity", ok,

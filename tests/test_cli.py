@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -29,6 +30,16 @@ def memo_dir(data_dir):
 @pytest.fixture
 def blocks_dir(data_dir):
     return os.path.join(data_dir, "blocks135")
+
+
+def copy_dataset(src, dst, **replace_files):
+    """Copy a dataset directory, overwriting the named split files
+    (``valid=b""`` empties valid.txt)."""
+    shutil.copytree(src, dst)
+    for split, content in replace_files.items():
+        with open(os.path.join(dst, f"{split}.txt"), "wb") as fh:
+            fh.write(content)
+    return str(dst)
 
 
 def tiny_memo_model(seed=0):
@@ -121,6 +132,42 @@ class TestExitCodes:
         rc = main(["eval", "--data", memo_dir, "--checkpoint", path])
         assert rc == 4
         assert "error:" in capsys.readouterr().err
+
+    def test_invalid_utf8_split_file(self, memo_dir, tmp_path, capsys):
+        data = copy_dataset(memo_dir, tmp_path / "d",
+                            valid=b"e1\tr\xff\te2\n")
+        rc = main(["stats", "--data", data])
+        assert rc == 3
+        assert "valid.txt" in capsys.readouterr().err
+
+    def test_invalid_utf8_config_file(self, memo_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"lr=0.1\n\xfe\xff=1\n")
+        rc = main(["train", "--data", memo_dir, "--out", str(tmp_path / "o"),
+                   "--config", str(cfg)])
+        assert rc == 2
+
+    def test_out_is_a_regular_file(self, memo_dir, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main(["train", "--data", memo_dir, "--out", str(out)]
+                  + TINY_MODEL + schedule(1))
+        assert rc == 2
+
+    @pytest.mark.parametrize("split", ["valid", "test"])
+    def test_empty_eval_split_fails_before_training(self, memo_dir, tmp_path,
+                                                    capsys, split):
+        data = copy_dataset(memo_dir, tmp_path / "d", **{split: b""})
+        rc = main(["train", "--data", data, "--out", str(tmp_path / "o"),
+                   "--epochs", "20", "--eval-every", "10"] + TINY_MODEL)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"split {split!r} has no triples" in captured.err
+        assert not any(line.startswith("epoch ")
+                       for line in captured.out.splitlines())
+        # the dataset is still fine for commands that do not evaluate
+        assert main(["stats", "--data", data]) == 0
+        assert main(["categorize", "--data", data, "--split", "train"]) == 0
 
 
 class TestStatsAndCategorize:
@@ -218,6 +265,26 @@ class TestAblateCommand:
         assert len(rows) == 3
         assert rows[1].startswith("base,")
         assert rows[2].startswith("sep-self-attn,")
+
+    def test_base_row_matches_train(self, memo_dir, tmp_path):
+        # this run peaks on validation at epoch 6 of 8: both commands must
+        # test the best-validation model, not the last one
+        flags = ["--d-e", "16", "--d-r", "16", "--d", "4", "--heads", "2",
+                 "--layers", "1", "--d-f", "16", "--lr", "0.1",
+                 "--epochs", "8", "--eval-every", "2", "--seed", "2"]
+        train_out, ablate_out = str(tmp_path / "t"), str(tmp_path / "a")
+        assert main(["train", "--data", memo_dir, "--out", train_out]
+                    + flags) == 0
+        assert main(["ablate", "--data", memo_dir, "--variant", "folding",
+                     "--out", ablate_out] + flags) == 0
+
+        log = open(os.path.join(train_out, "train_log.csv")).read().splitlines()
+        valid = {int(row.split(",")[0]): float(row.split(",")[2])
+                 for row in log[1:] if row.split(",")[2]}
+        assert max(valid, key=valid.get) != 8
+        overall = open(os.path.join(train_out, "eval_test.csv")).readlines()[1]
+        base = open(os.path.join(ablate_out, "ablation.csv")).readlines()[1]
+        assert base.split(",")[1] == overall.split(",")[4]
 
     def test_baselines_rejected(self, memo_dir):
         rc = main(["ablate", "--data", memo_dir, "--variant", "folding",

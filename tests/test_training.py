@@ -7,9 +7,12 @@ from pkge.kg import build_store
 from pkge.model import ModelConfig, PatReFormer
 from pkge.params import ParamStore
 from pkge.tensor import Tensor
+from pkge import training
+from pkge.evaluation import evaluate
 from pkge.training import (Adam, TrainConfig, bce_smoothed_loss, check_vocab,
-                           load_checkpoint, restore_model, save_checkpoint,
-                           seed_streams, smooth_targets, train_model)
+                           load_checkpoint, restore_model, run_experiment,
+                           save_checkpoint, seed_streams, smooth_targets,
+                           train_model)
 
 
 def tiny_model(seed=0, n_ent=6, n_rel2=8, **over):
@@ -220,6 +223,30 @@ class TestCheckpointRoundtrip:
             check_vocab(model, store)
 
 
+class TestAtomicCheckpoint:
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        model = tiny_model(seed=5)
+        path = str(tmp_path / "best.ckpt")
+        save_checkpoint(path, model)
+        saved = {name: t.data.copy() for name, t in model.params.items()}
+
+        def failing_crc32(data):
+            raise OSError("disk full")
+
+        # the second save dies after the header and payload are written
+        monkeypatch.setattr(training.zlib, "crc32", failing_crc32)
+        model.params["entity.embedding"].data = (
+            model.params["entity.embedding"].data + 1.0)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model)
+        monkeypatch.undo()
+
+        restored, _ = restore_model(path)
+        for name, arr in saved.items():
+            assert np.array_equal(restored.params[name].data, arr)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt"]
+
+
 class TestCheckpointValidation:
     @pytest.fixture
     def ckpt(self, tmp_path):
@@ -320,3 +347,20 @@ class TestTrainLoop:
         other = TrainConfig(**{**tcfg.to_dict(), "seed": 2})
         _, b = self.run(store, mcfg, other)
         assert a.history != b.history
+
+
+class TestRunExperiment:
+    def test_tests_the_checkpointed_best_model(self, memo_store, tmp_path):
+        # this run peaks on validation before its last epoch, so the best
+        # parameters are not the final ones
+        mcfg = ModelConfig(d_e=16, d_r=16, d=4, heads=2, layers=1, d_f=16)
+        tcfg = TrainConfig(lr=0.1, epochs=8, eval_every=2, seed=2)
+        result, report = run_experiment(memo_store, "patreformer", mcfg, tcfg,
+                                        out_dir=str(tmp_path))
+        assert result.best_epoch < tcfg.epochs
+        restored, _ = restore_model(result.checkpoint_path)
+        for name, arr in result.best_params.items():
+            assert np.array_equal(restored.params[name].data, arr)
+        again = evaluate(memo_store, restored, "test",
+                         batch_size=tcfg.eval_batch)
+        assert np.array_equal(report.ranks, again.ranks)
