@@ -163,22 +163,22 @@ def categorize_relations(store, threshold=1.5, scope="all"):
     computed on ``scope`` ("all" = union of splits, "train" = train only)
     using original (non-reversed) relations.
     """
-    if threshold <= 0:
-        raise ConfigError("categorization threshold must be > 0")
+    if not np.isfinite(threshold) or threshold <= 0:
+        raise ConfigError(
+            f"categorization threshold must be finite and > 0, got {threshold}")
     if scope not in ("all", "train"):
         raise ConfigError(f"unknown categorization scope {scope!r}")
-    counts, heads, tails = {}, {}, {}
     split_names = ("train", "valid", "test") if scope == "all" else ("train",)
-    for split in split_names:
-        for h, r, t in store.splits[split]:
-            r = int(r)
-            counts[r] = counts.get(r, 0) + 1
-            heads.setdefault(r, set()).add(int(h))
-            tails.setdefault(r, set()).add(int(t))
+    h, r, t = np.concatenate([store.splits[s] for s in split_names]).T
+    n_rel, n_ent = store.num_relations, store.num_entities
+    counts = np.bincount(r, minlength=n_rel)
+    # distinct (relation, head) and (relation, tail) pairs, counted per relation
+    heads = np.bincount(np.unique(r * n_ent + h) // n_ent, minlength=n_rel)
+    tails = np.bincount(np.unique(r * n_ent + t) // n_ent, minlength=n_rel)
     out = {}
-    for r, n in counts.items():
-        tph = n / len(heads[r])
-        hpt = n / len(tails[r])
+    for rel in np.flatnonzero(counts).tolist():
+        tph = float(counts[rel] / heads[rel])
+        hpt = float(counts[rel] / tails[rel])
         if tph <= threshold and hpt <= threshold:
             cat = "1-1"
         elif tph > threshold and hpt <= threshold:
@@ -187,7 +187,7 @@ def categorize_relations(store, threshold=1.5, scope="all"):
             cat = "N-1"
         else:
             cat = "N-N"
-        out[r] = RelationCategory(cat, tph, hpt)
+        out[rel] = RelationCategory(cat, tph, hpt)
     return out
 
 

@@ -5,8 +5,9 @@ Four schemes:
 
 * folding    - pure reshape, no parameters.
 * trainable  - learned square mapping matrix applied before the reshape.
-* frozen     - fixed random orthonormal mapping (rows taken from the left
-  singular basis of a random square matrix), excluded from optimization.
+* frozen     - fixed random orthonormal mapping (each patch's rows are a
+  Haar-random orthonormal frame from a thin QR of a Gaussian matrix),
+  excluded from optimization.
 * none       - a single learned projection producing one patch.
 
 Every scheme is linear in the embedding.
@@ -17,11 +18,6 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .tensor import Tensor, matmul, reshape, transpose
 
-# Above this mapping size the exact square-SVD construction gets replaced by
-# a thin QR draw, which samples the same (Haar) distribution of orthonormal
-# row sets without the O(n^3) cost on n in the thousands.
-SVD_SIZE_LIMIT = 1024
-
 
 def validate_patch_shape(dim, k, d, what="embedding"):
     if k <= 0 or d <= 0:
@@ -31,19 +27,11 @@ def validate_patch_shape(dim, k, d, what="embedding"):
             f"{what} size {dim} does not factor into {k} patches of size {d}")
 
 
-def _orthonormal_rows_svd(rng, n, d):
-    # Left singular vectors of a dense Gaussian square matrix; rows of U are
-    # orthonormal. Rank deficiency has probability zero but is cheap to guard:
-    # drawing again advances the generator state deterministically.
-    for _ in range(4):
-        m = rng.standard_normal((n, n))
-        u, s, _ = np.linalg.svd(m)
-        if s[-1] > n * np.finfo(np.float64).eps * s[0]:
-            return u[:d].copy()
-    raise NumericError("could not draw a full-rank basis matrix")
-
-
 def _orthonormal_rows_qr(rng, n, d):
+    # Q of a thin QR of an n x d Gaussian matrix, with the signs of R's
+    # diagonal moved into Q, is a Haar-random orthonormal d-frame (Mezzadri,
+    # arXiv:math-ph/0609050). Rank deficiency has probability zero but is
+    # cheap to guard: drawing again advances the generator deterministically.
     for _ in range(4):
         a = rng.standard_normal((n, d))
         q, r = np.linalg.qr(a)
@@ -58,16 +46,12 @@ def build_frozen_basis(k, d, rng):
 
     Row block i holds d orthonormal vectors of length k*d; patches are the
     inner products of the embedding with these rows. Each block is drawn
-    independently.
+    independently, from a [k*d, d] standard-normal sample of ``rng``.
     """
     n = k * d
     rows = np.empty((k, d, n), dtype=np.float32)
     for i in range(k):
-        if n <= SVD_SIZE_LIMIT:
-            block = _orthonormal_rows_svd(rng, n, d)
-        else:
-            block = _orthonormal_rows_qr(rng, n, d)
-        rows[i] = block.astype(np.float32)
+        rows[i] = _orthonormal_rows_qr(rng, n, d).astype(np.float32)
     dev = orthonormality_deviation(rows)
     if dev > 1e-6:
         raise NumericError(f"frozen basis failed orthonormality check: {dev:.3e}")

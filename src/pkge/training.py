@@ -48,8 +48,8 @@ class TrainConfig:
         self.validate()
 
     def validate(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not np.isfinite(self.lr) or self.lr <= 0:
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if self.batch_size < 1 or self.epochs < 1 or self.eval_every < 1:
             raise ConfigError("batch_size, epochs, eval_every must be >= 1")
         if not 0.0 <= self.label_smoothing < 0.5:

@@ -154,6 +154,28 @@ class TestExitCodes:
                   + TINY_MODEL + schedule(1))
         assert rc == 2
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_nonfinite_lr(self, memo_dir, tmp_path, capsys, lr):
+        out = tmp_path / "o"
+        rc = main(["train", "--data", memo_dir, "--out", str(out)]
+                  + TINY_MODEL + schedule(1) + ["--lr", lr])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "lr must be finite" in captured.err
+        assert not any(line.startswith("epoch ")
+                       for line in captured.out.splitlines())
+        assert not (out / "config.txt").exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_nonfinite_categorize_threshold(self, memo_dir, capsys, threshold):
+        rc = main(["categorize", "--data", memo_dir, "--threshold", threshold])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "threshold must be finite" in captured.err
+        assert not any(line.startswith("epoch ")
+                       for line in captured.out.splitlines())
+        assert "N-N" not in captured.out
+
     @pytest.mark.parametrize("split", ["valid", "test"])
     def test_empty_eval_split_fails_before_training(self, memo_dir, tmp_path,
                                                     capsys, split):

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pkge.errors import ConfigError, DataFormatError
-from pkge.kg import (CATEGORIES, build_store, categorize_relations,
-                     category_counts, dump_stats_json, load_dataset, load_tsv)
+from pkge.kg import (CATEGORIES, RelationCategory, build_store,
+                     categorize_relations, category_counts, dump_stats_json,
+                     load_dataset, load_tsv)
 from pkge.synth import random_kg, write_dataset
 
 
@@ -144,6 +145,43 @@ class TestCategorization:
         assert sum(counts.values()) == 0
         counts_all = category_counts(store, split="test", scope="all")
         assert sum(counts_all.values()) == 1
+
+
+def loop_categories(store, threshold, scope):
+    """Per-triple reference for ``categorize_relations``."""
+    counts, heads, tails = {}, {}, {}
+    split_names = ("train", "valid", "test") if scope == "all" else ("train",)
+    for split in split_names:
+        for h, r, t in store.splits[split]:
+            r = int(r)
+            counts[r] = counts.get(r, 0) + 1
+            heads.setdefault(r, set()).add(int(h))
+            tails.setdefault(r, set()).add(int(t))
+    out = {}
+    for r, n in counts.items():
+        tph, hpt = n / len(heads[r]), n / len(tails[r])
+        many_tails, many_heads = tph > threshold, hpt > threshold
+        cat = {(False, False): "1-1", (True, False): "1-N",
+               (False, True): "N-1", (True, True): "N-N"}[many_tails, many_heads]
+        out[r] = RelationCategory(cat, tph, hpt)
+    return out
+
+
+@pytest.mark.parametrize("scope", ["all", "train"])
+@pytest.mark.parametrize("seed", range(6))
+def test_categorize_matches_loop_reference(seed, scope):
+    # Few triples over many relations, so with scope="train" some relations
+    # occur only in valid/test and must be left out.
+    rng = np.random.default_rng(seed)
+    splits = random_kg(rng, n_entities=int(rng.integers(6, 30)),
+                       n_relations=int(rng.integers(1, 12)),
+                       n_triples=int(rng.integers(10, 31)))
+    store = build_store(splits["train"], splits["valid"], splits["test"])
+    threshold = float(rng.choice([1.0, 1.5, 2.5]))
+    got = categorize_relations(store, threshold=threshold, scope=scope)
+    want = loop_categories(store, threshold, scope)
+    assert got == want
+    assert list(got) == list(want)
 
 
 class TestDatasetIO:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import pkge.segmentation as seg
 from pkge.errors import ConfigError
+from pkge.model import ModelConfig, build_model
 from pkge.params import glorot_uniform
 from pkge.tensor import Tensor
 
@@ -127,12 +128,28 @@ class TestFrozenBasis:
         basis = seg.build_frozen_basis(k, d, np.random.default_rng(seed))
         assert seg.orthonormality_deviation(basis) <= 1e-6
 
-    def test_large_mapping_uses_qr_and_stays_orthonormal(self, monkeypatch):
-        monkeypatch.setattr(seg, "SVD_SIZE_LIMIT", 8)
-        basis = seg.build_frozen_basis(2, 5, np.random.default_rng(10))
+    def test_large_model_builds_without_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("frozen basis must not be built by SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        model = build_model("patreformer", ModelConfig(d_r=1000), 10, 4,
+                            np.random.default_rng(10))
+        basis = model.params["seg.relation.basis"].data
+        assert basis.shape == (20, 50, 1000)
         assert seg.orthonormality_deviation(basis) <= 1e-6
-        again = seg.build_frozen_basis(2, 5, np.random.default_rng(10))
-        assert np.array_equal(basis, again)
+
+    @pytest.mark.parametrize("k,d", [(3, 4), (20, 50)])
+    def test_draws_one_thin_gaussian_block_per_patch(self, k, d):
+        # Pins the init stream's cost: each block takes exactly one
+        # [k*d, d] standard-normal draw, so the parameters drawn after the
+        # basis are fixed for a given seed.
+        rng = np.random.default_rng(12)
+        seg.build_frozen_basis(k, d, rng)
+        ref = np.random.default_rng(12)
+        for _ in range(k):
+            ref.standard_normal((k * d, d))
+        assert rng.random() == ref.random()
 
     def test_deviation_detects_scaling(self):
         basis = seg.build_frozen_basis(2, 3, np.random.default_rng(11))
