@@ -8,8 +8,8 @@ every entity, with reverse relations handled as extra relation rows.
 import numpy as np
 
 from .params import ParamStore, glorot_uniform
-from .tensor import (absolute, gather_rows, matmul, mul, reduce_sum, reshape,
-                     sigmoid, sqrt, transpose)
+from .tensor import (absolute, gather_rows, matmul, mul, no_grad, reduce_sum,
+                     reshape, sigmoid, sqrt, transpose)
 
 
 class _BaselineBase:
@@ -31,7 +31,8 @@ class _BaselineBase:
         self.params.add("relation.embedding", init((n_relations, d)))
 
     def score_against_all(self, entity, relation):
-        return self.score_all([entity], [relation]).data[0]
+        with no_grad():
+            return self.score_all([entity], [relation]).data[0]
 
 
 class TransE(_BaselineBase):

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kg import CATEGORIES, categorize_relations
+from .tensor import no_grad
 
 HITS_AT = (1, 3, 10)
 
@@ -107,7 +108,8 @@ def evaluate(store, model, split, batch_size=512, threshold=1.5,
 
     def run_chunk(lo):
         hi = min(lo + batch_size, total)
-        scores = model.score_all(q_ent[lo:hi], q_rel[lo:hi]).data
+        with no_grad():
+            scores = model.score_all(q_ent[lo:hi], q_rel[lo:hi]).data
         for i in range(hi - lo):
             key = (int(q_ent[lo + i]), int(q_rel[lo + i]))
             ranks[lo + i] = filtered_rank(scores[i], int(q_target[lo + i]),
@@ -128,12 +130,14 @@ def evaluate(store, model, split, batch_size=512, threshold=1.5,
         m, h = metrics_from_ranks(part)
         directions[name] = GroupMetrics(n_queries=n, mrr=m, hits=h)
 
+    # Relations outside the categorization scope (possible with
+    # scope="train") belong to no category, as in kg.category_counts.
     cats = categorize_relations(store, threshold=threshold, scope=category_scope)
+    rel_cat = [cats[r].category if r in cats else None
+               for r in triples[:, 1].tolist()]
     categories = {}
-    rel_col = triples[:, 1]
     for cat in CATEGORIES:
-        sel = np.fromiter((cats[int(r)].category == cat for r in rel_col),
-                          dtype=bool, count=n)
+        sel = np.fromiter((c == cat for c in rel_cat), dtype=bool, count=n)
         cat_ranks = np.concatenate([ranks[:n][sel], ranks[n:][sel]])
         if len(cat_ranks) == 0:
             categories[cat] = GroupMetrics(n_queries=0)

@@ -27,7 +27,7 @@ from .segmentation import (build_frozen_basis, build_trainable_basis,
                            segment_folding, segment_mapped, segment_none,
                            validate_patch_shape)
 from .tensor import (concat, dropout, gather_rows, layer_norm, matmul, mul,
-                     narrow, relu, reshape, sigmoid, softmax_lastdim,
+                     narrow, no_grad, relu, reshape, sigmoid, softmax_lastdim,
                      transpose)
 
 ATTENTION_VARIANTS = ("cross", "full_self", "separate_self")
@@ -342,7 +342,8 @@ class PatReFormer:
 
     def score_against_all(self, entity, relation):
         """Eval-mode scores for one query, as a 1-d numpy array."""
-        return self.score_all([entity], [relation]).data[0]
+        with no_grad():
+            return self.score_all([entity], [relation]).data[0]
 
 
 def build_model(kind, config, n_entities, n_relations, rng):

@@ -2,14 +2,23 @@
 
 The graph is define-by-run: every op closes over its inputs and registers a
 backward rule on the output node; ``Tensor.backward()`` replays the tape in
-reverse topological order. Data is float32 by default (float64 graphs are
-accepted so gradient checks can run at full precision). Reductions that feed
-normalizations (softmax denominator, layer-norm moments) accumulate in
-float64 regardless of the storage dtype.
+reverse topological order. A rule takes the output gradient as its argument
+and reaches its own node only through a weak reference, so the graph holds no
+reference cycle: it is freed by refcounting as soon as its root is dropped,
+without waiting for the cyclic garbage collector. Inside ``with no_grad():``
+ops record no tape at all, which is what inference uses.
+
+Data is float32 by default (float64 graphs are accepted so gradient checks
+can run at full precision). Reductions that feed normalizations (softmax
+denominator, layer-norm moments) accumulate in float64 regardless of the
+storage dtype.
 
 Every forward op verifies its result is finite; overflow raises
 ``NumericError`` instead of propagating NaN/inf through the graph.
 """
+
+import threading
+import weakref
 
 import numpy as np
 
@@ -26,7 +35,8 @@ class Tensor:
     trainable parameters; everything else propagates the flag from its inputs.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "op")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "op",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad=False, _prev=(), op="leaf"):
         arr = np.asarray(data)
@@ -119,11 +129,46 @@ def _finite_or_raise(arr, op):
         raise NumericError(f"{op}: produced non-finite values")
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+class no_grad:
+    """Context manager under which ops record no tape: their outputs have no
+    parents, no backward rule and ``requires_grad=False``. The flag is per
+    thread, and leaving the block restores the state it was entered from."""
+
+    def __init__(self):
+        self._prev = []
+
+    def __enter__(self):
+        self._prev.append(_grad_mode.enabled)
+        _grad_mode.enabled = False
+
+    def __exit__(self, *exc):
+        _grad_mode.enabled = self._prev.pop()
+
+
 def _make(data, prev, op):
     _finite_or_raise(data, op)
+    if not _grad_mode.enabled:
+        return Tensor(data, op=op)
     out = Tensor(data, _prev=tuple(prev), op=op)
     out.requires_grad = any(p.requires_grad for p in prev)
     return out
+
+
+def _set_backward(out, rule):
+    """Make ``out._backward`` call ``rule(out.grad)``; it holds ``out`` only
+    weakly, so no node is reachable from its own backward closure."""
+    ref = weakref.ref(out)
+
+    def _backward():
+        rule(ref().grad)
+    out._backward = _backward
 
 
 def _accum(t, g):
@@ -162,10 +207,10 @@ def add(a, b):
     b = as_tensor(b, dtype=a.dtype) if not isinstance(b, Tensor) else b
     out = _make(a.data + b.data, (a, b), "add")
     if out.requires_grad:
-        def _bw():
-            _accum(a, _unbroadcast(out.grad, a.data.shape))
-            _accum(b, _unbroadcast(out.grad, b.data.shape))
-        out._backward = _bw
+        def _bw(g):
+            _accum(a, _unbroadcast(g, a.data.shape))
+            _accum(b, _unbroadcast(g, b.data.shape))
+        _set_backward(out, _bw)
     return out
 
 
@@ -174,10 +219,10 @@ def mul(a, b):
     b = as_tensor(b, dtype=a.dtype) if not isinstance(b, Tensor) else b
     out = _make(a.data * b.data, (a, b), "mul")
     if out.requires_grad:
-        def _bw():
-            _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
-            _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
-        out._backward = _bw
+        def _bw(g):
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        _set_backward(out, _bw)
     return out
 
 
@@ -194,13 +239,12 @@ def matmul(a, b):
         )
     out = _make(a.data @ b.data, (a, b), "matmul")
     if out.requires_grad:
-        def _bw():
-            g = out.grad
+        def _bw(g):
             if a.requires_grad:
                 _accum(a, _unbroadcast(g @ _swapaxes(b.data), a.data.shape))
             if b.requires_grad:
                 _accum(b, _unbroadcast(_swapaxes(a.data) @ g, b.data.shape))
-        out._backward = _bw
+        _set_backward(out, _bw)
     return out
 
 
@@ -212,9 +256,9 @@ def reshape(x, shape):
         raise ShapeError(f"cannot reshape {x.data.shape} to {shape}: {exc}") from None
     out = _make(data, (x,), "reshape")
     if out.requires_grad:
-        def _bw():
-            _accum(x, out.grad.reshape(x.data.shape))
-        out._backward = _bw
+        def _bw(g):
+            _accum(x, g.reshape(x.data.shape))
+        _set_backward(out, _bw)
     return out
 
 
@@ -223,9 +267,9 @@ def transpose(x, axes=None):
     out = _make(np.transpose(x.data, axes), (x,), "transpose")
     if out.requires_grad:
         inv = None if axes is None else np.argsort(axes)
-        def _bw():
-            _accum(x, np.transpose(out.grad, inv))
-        out._backward = _bw
+        def _bw(g):
+            _accum(x, np.transpose(g, inv))
+        _set_backward(out, _bw)
     return out
 
 
@@ -237,10 +281,10 @@ def concat(parts, axis=-1):
     if out.requires_grad:
         sizes = [p.data.shape[axis] for p in parts]
         splits = np.cumsum(sizes)[:-1]
-        def _bw():
-            for p, g in zip(parts, np.split(out.grad, splits, axis=axis)):
-                _accum(p, g)
-        out._backward = _bw
+        def _bw(g):
+            for p, part in zip(parts, np.split(g, splits, axis=axis)):
+                _accum(p, part)
+        _set_backward(out, _bw)
     return out
 
 
@@ -257,11 +301,11 @@ def narrow(x, axis, start, length):
                 for i in range(x.data.ndim))
     out = _make(x.data[idx], (x,), "narrow")
     if out.requires_grad:
-        def _bw():
-            g = np.zeros_like(x.data)
-            g[idx] = out.grad
-            _accum(x, g)
-        out._backward = _bw
+        def _bw(g):
+            gx = np.zeros_like(x.data)
+            gx[idx] = g
+            _accum(x, gx)
+        _set_backward(out, _bw)
     return out
 
 
@@ -275,11 +319,11 @@ def gather_rows(table, ids):
         )
     out = _make(table.data[ids], (table,), "gather_rows")
     if out.requires_grad:
-        def _bw():
-            g = np.zeros_like(table.data)
-            np.add.at(g, ids, out.grad)
-            _accum(table, g)
-        out._backward = _bw
+        def _bw(g):
+            gt = np.zeros_like(table.data)
+            np.add.at(gt, ids, g)
+            _accum(table, gt)
+        _set_backward(out, _bw)
     return out
 
 
@@ -289,12 +333,11 @@ def reduce_sum(x, axis=None, keepdims=False):
     data = x.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64)
     out = _make(np.asarray(data, dtype=x.dtype), (x,), "sum")
     if out.requires_grad:
-        def _bw():
-            g = out.grad
+        def _bw(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             _accum(x, np.broadcast_to(g, x.data.shape))
-        out._backward = _bw
+        _set_backward(out, _bw)
     return out
 
 
@@ -310,9 +353,9 @@ def log(x):
         data = np.log(x.data)
     out = _make(data, (x,), "log")
     if out.requires_grad:
-        def _bw():
-            _accum(x, out.grad / x.data)
-        out._backward = _bw
+        def _bw(g):
+            _accum(x, g / x.data)
+        _set_backward(out, _bw)
     return out
 
 
@@ -321,9 +364,9 @@ def sqrt(x):
     data = np.sqrt(x.data)
     out = _make(data, (x,), "sqrt")
     if out.requires_grad:
-        def _bw():
-            _accum(x, out.grad * (0.5 / np.maximum(data, np.finfo(data.dtype).tiny)))
-        out._backward = _bw
+        def _bw(g):
+            _accum(x, g * (0.5 / np.maximum(data, np.finfo(data.dtype).tiny)))
+        _set_backward(out, _bw)
     return out
 
 
@@ -332,9 +375,9 @@ def absolute(x):
     x = as_tensor(x)
     out = _make(np.abs(x.data), (x,), "abs")
     if out.requires_grad:
-        def _bw():
-            _accum(x, out.grad * np.sign(x.data))
-        out._backward = _bw
+        def _bw(g):
+            _accum(x, g * np.sign(x.data))
+        _set_backward(out, _bw)
     return out
 
 
@@ -344,9 +387,9 @@ def clip(x, lo, hi):
     out = _make(np.clip(x.data, lo, hi), (x,), "clip")
     if out.requires_grad:
         mask = ((x.data > lo) & (x.data < hi)).astype(x.dtype)
-        def _bw():
-            _accum(x, out.grad * mask)
-        out._backward = _bw
+        def _bw(g):
+            _accum(x, g * mask)
+        _set_backward(out, _bw)
     return out
 
 
@@ -361,23 +404,24 @@ def relu(x):
     out = _make(np.maximum(x.data, 0), (x,), "relu")
     if out.requires_grad:
         mask = (x.data > 0).astype(x.dtype)
-        def _bw():
-            _accum(x, out.grad * mask)
-        out._backward = _bw
+        def _bw(g):
+            _accum(x, g * mask)
+        _set_backward(out, _bw)
     return out
 
 
 def sigmoid(x):
     x = as_tensor(x)
     z = x.data
-    data = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                    np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-    data = data.astype(x.dtype)
+    # 1/(1+e) for z >= 0 and e/(1+e) below, with e = exp(-|z|) <= 1 so
+    # neither branch overflows; the max picks the numerator.
+    e = np.exp(-np.abs(z))
+    data = np.maximum(e, (z >= 0).astype(z.dtype)) / (1.0 + e)
     out = _make(data, (x,), "sigmoid")
     if out.requires_grad:
-        def _bw():
-            _accum(x, out.grad * data * (1.0 - data))
-        out._backward = _bw
+        def _bw(g):
+            _accum(x, g * data * (1.0 - data))
+        _set_backward(out, _bw)
     return out
 
 
@@ -392,11 +436,10 @@ def softmax_lastdim(x):
     y = (ex / denom).astype(x.dtype)
     out = _make(y, (x,), "softmax")
     if out.requires_grad:
-        def _bw():
-            g = out.grad
+        def _bw(g):
             inner = (g * y).sum(axis=-1, keepdims=True)
             _accum(x, y * (g - inner))
-        out._backward = _bw
+        _set_backward(out, _bw)
     return out
 
 
@@ -423,8 +466,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     y = gamma.data * xhat + beta.data
     out = _make(y.astype(x.dtype), (x, gamma, beta), "layer_norm")
     if out.requires_grad:
-        def _bw():
-            g = out.grad
+        def _bw(g):
             if gamma.requires_grad:
                 _accum(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
             if beta.requires_grad:
@@ -434,7 +476,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
                 m1 = gx.mean(axis=-1, keepdims=True)
                 m2 = (gx * xhat).mean(axis=-1, keepdims=True)
                 _accum(x, inv * (gx - m1 - xhat * m2))
-        out._backward = _bw
+        _set_backward(out, _bw)
     return out
 
 
@@ -452,7 +494,7 @@ def dropout(x, p, training, rng):
     scale = np.asarray(1.0 / (1.0 - p), dtype=x.dtype)
     out = _make(x.data * keep * scale, (x,), "dropout")
     if out.requires_grad:
-        def _bw():
-            _accum(x, out.grad * keep * scale)
-        out._backward = _bw
+        def _bw(g):
+            _accum(x, g * keep * scale)
+        _set_backward(out, _bw)
     return out

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from pkge.errors import ConfigError
 from pkge.evaluation import (EvalReport, evaluate, filtered_rank,
                              format_report, metrics_from_ranks, report_rows,
                              sweep_relation_dim, write_report_csv)
-from pkge.kg import build_store
-from pkge.model import ModelConfig
+from pkge.kg import build_store, category_counts
+from pkge.model import ModelConfig, PatReFormer
 from pkge.synth import random_kg
 from pkge.training import TrainConfig
 
@@ -238,3 +240,45 @@ class TestEvalWithRealModel:
         assert len(report.ranks) == 2 * len(tiny_store.splits["valid"])
         assert np.all(report.ranks >= 1.0)
         assert np.all(report.ranks <= tiny_store.num_entities)
+
+    def test_train_scope_skips_relations_unseen_in_train(self):
+        # "q" occurs only in valid/test, so scope="train" cannot categorize it.
+        store = build_store([("a", "r", "b"), ("b", "r", "c")],
+                            [("a", "q", "c")],
+                            [("a", "q", "b"), ("b", "r", "a")])
+        cfg = ModelConfig(d_e=8, d_r=8, d=4, heads=2, layers=1, d_f=8)
+        model = DistMult(cfg, store.num_entities,
+                         store.num_relations_with_reverse,
+                         np.random.default_rng(0))
+        report = evaluate(store, model, "test", category_scope="train")
+        assert sum(g.n_queries for g in report.categories.values()) == 2
+        counts = category_counts(store, split="test", scope="train")
+        for cat, g in report.categories.items():
+            assert g.n_queries == 2 * counts[cat]
+        full = evaluate(store, model, "test", category_scope="all")
+        np.testing.assert_array_equal(report.ranks, full.ranks)
+        assert sum(g.n_queries for g in full.categories.values()) == 4
+
+    def test_patreformer_eval_builds_no_tape_in_any_worker(self, tiny_store,
+                                                           tiny_config):
+        model = PatReFormer(tiny_config, tiny_store.num_entities,
+                            tiny_store.num_relations_with_reverse,
+                            np.random.default_rng(0))
+        seen = []
+        score_all = model.score_all
+
+        def recording_score_all(*args, **kwargs):
+            out = score_all(*args, **kwargs)
+            seen.append((threading.get_ident(), out.requires_grad,
+                         out._backward, out._prev))
+            return out
+
+        model.score_all = recording_score_all
+        one = evaluate(tiny_store, model, "test", batch_size=3, workers=1)
+        four = evaluate(tiny_store, model, "test", batch_size=3, workers=4)
+        np.testing.assert_array_equal(one.ranks, four.ranks)
+        assert len({ident for ident, *_ in seen}) > 1
+        assert all(not rg and bw is None and prev == ()
+                   for _, rg, bw, prev in seen)
+        # grad mode is back on once evaluate returns
+        assert model.score_all([0], [0]).requires_grad

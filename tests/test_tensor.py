@@ -183,6 +183,22 @@ class TestNonlinearities:
         rhs = 1.0 - sigmoid(Tensor(-x)).data
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bits_match_three_exp_formula(self, dtype):
+        # Reference: the np.where form with exp(-|z|) evaluated per branch.
+        special = [0.0, -0.0, 1e-8, -1e-8, 1.0, -1.0, 20.0, -20.0, 88.7,
+                   -88.7, 100.0, -100.0, np.finfo(dtype).smallest_subnormal,
+                   -np.finfo(dtype).smallest_subnormal]
+        rng = np.random.default_rng(3)
+        z = np.concatenate([special, 30.0 * rng.standard_normal(10_000)])
+        z = z.astype(dtype)
+        want = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
+                        np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+        want = want.astype(dtype)
+        got = sigmoid(Tensor(z)).data
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
     @given(hnp.arrays(np.float64, (3, 6),
                       elements=st.floats(-50, 50, allow_nan=False)))
     @settings(max_examples=50, deadline=None)
