@@ -2,8 +2,9 @@
 
 Every triple yields two queries: predict the tail from (head, relation) and
 predict the head from (tail, reverse relation). A query's candidates are
-all entities except the other answers already known to be true anywhere in
-the dataset; the rank of the target among the remaining candidates is
+all entities except the other answers known to be true anywhere in the
+dataset (``TripleStore.filter_index``). Counted over the whole score row,
+less the counts over those known answers, the rank of the target is
 
     rank = 1 + #{strictly higher scores} + #{tied scores} / 2.
 
@@ -18,23 +19,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .kg import CATEGORIES, categorize_relations
+from .kg import CATEGORIES, triple_categories
 from .tensor import no_grad
 
 HITS_AT = (1, 3, 10)
 
 
-def filtered_rank(scores, target, known_true):
-    """Mean-of-ties rank of ``target`` after masking other true answers."""
-    scores = np.asarray(scores)
-    target_score = scores[target]
-    mask = np.ones(scores.shape[0], dtype=bool)
-    if known_true:
-        mask[np.fromiter(known_true, dtype=np.int64, count=len(known_true))] = False
-    mask[target] = False
-    rivals = scores[mask]
-    greater = int(np.count_nonzero(rivals > target_score))
-    ties = int(np.count_nonzero(rivals == target_score))
+def filtered_rank(scores, targets, known_rows, known_answers):
+    """Mean-of-ties rank of each row's target among ``scores[row]`` after
+    masking the row's other true answers, given as distinct flat
+    (row, answer) pairs."""
+    n = len(targets)
+    target_score = scores[np.arange(n), targets][:, None]
+    rival = known_answers != targets[known_rows]
+    rows = known_rows[rival]
+    known = scores[rows, known_answers[rival]]
+    greater = (np.count_nonzero(scores > target_score, axis=1)
+               - np.bincount(rows[known > target_score[rows, 0]], minlength=n))
+    # less the target's tie with itself
+    ties = (np.count_nonzero(scores == target_score, axis=1) - 1
+            - np.bincount(rows[known == target_score[rows, 0]], minlength=n))
     return 1.0 + greater + 0.5 * ties
 
 
@@ -110,10 +114,9 @@ def evaluate(store, model, split, batch_size=512, threshold=1.5,
         hi = min(lo + batch_size, total)
         with no_grad():
             scores = model.score_all(q_ent[lo:hi], q_rel[lo:hi]).data
-        for i in range(hi - lo):
-            key = (int(q_ent[lo + i]), int(q_rel[lo + i]))
-            ranks[lo + i] = filtered_rank(scores[i], int(q_target[lo + i]),
-                                          store.filter_index.get(key, ()))
+        ranks[lo:hi] = filtered_rank(
+            scores, q_target[lo:hi],
+            *store.filter_index.lookup(q_ent[lo:hi], q_rel[lo:hi]))
 
     starts = range(0, total, batch_size)
     n_workers = _eval_workers(workers)
@@ -130,15 +133,10 @@ def evaluate(store, model, split, batch_size=512, threshold=1.5,
         m, h = metrics_from_ranks(part)
         directions[name] = GroupMetrics(n_queries=n, mrr=m, hits=h)
 
-    # Relations outside the categorization scope (possible with
-    # scope="train") belong to no category, as in kg.category_counts.
-    cats = categorize_relations(store, threshold=threshold, scope=category_scope)
-    rel_cat = [cats[r].category if r in cats else None
-               for r in triples[:, 1].tolist()]
+    query_cat = np.tile(triple_categories(store, split, threshold, category_scope), 2)
     categories = {}
-    for cat in CATEGORIES:
-        sel = np.fromiter((c == cat for c in rel_cat), dtype=bool, count=n)
-        cat_ranks = np.concatenate([ranks[:n][sel], ranks[n:][sel]])
+    for i, cat in enumerate(CATEGORIES):
+        cat_ranks = ranks[query_cat == i]
         if len(cat_ranks) == 0:
             categories[cat] = GroupMetrics(n_queries=0)
         else:

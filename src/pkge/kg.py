@@ -1,4 +1,4 @@
-"""Triple-store construction: vocabularies, reverse relations, filter index.
+"""Triple-store construction: vocabularies, reverse relations, query indexes.
 
 Datasets are directories with tab-separated ``train.txt`` / ``valid.txt`` /
 ``test.txt`` files, one ``head<TAB>relation<TAB>tail`` triple per line.
@@ -46,12 +46,49 @@ def load_tsv(path, split="train"):
     return triples
 
 
+class QueryIndex:
+    """Each (entity, relation) query of a non-empty int64 [n, 3] array of
+    (h, r, t) ids with its answers: (h, r) -> t and, reversed, (t, r + R) -> h.
+    Each (query, answer) pair is the code ``(entity * 2R + relation) * N +
+    answer``; the codes are sorted and distinct, so one query's answers are
+    one ``searchsorted`` range. ``entities`` and ``relations`` list the
+    distinct queries by first occurrence: each triple's tail query, then its
+    reverse query."""
+
+    def __init__(self, triples, num_entities, num_relations):
+        self.num_entities, self.num_relations = num_entities, num_relations
+        h, r, t = triples.T
+        entities = np.stack([h, t], axis=1).ravel()
+        relations = np.stack([r, r + num_relations], axis=1).ravel()
+        codes = ((entities * 2 * num_relations + relations) * num_entities
+                 + np.stack([t, h], axis=1).ravel())
+        order = np.argsort(codes)
+        codes = codes[order]
+        starts = np.flatnonzero(np.diff(codes // num_entities, prepend=-1))
+        first = np.sort(np.minimum.reduceat(order, starts))  # each query's first pair
+        self.codes = codes[np.diff(codes, prepend=-1) != 0]
+        self.entities, self.relations = entities[first], relations[first]
+
+    def __len__(self):
+        return len(self.entities)
+
+    def lookup(self, entities, relations):
+        """(rows, answers): every answer of each of the int64 queries, as flat
+        pairs, rows ascending and answers ascending within a row."""
+        base = (entities * 2 * self.num_relations + relations) * self.num_entities
+        lo = np.searchsorted(self.codes, base)
+        counts = np.searchsorted(self.codes, base + self.num_entities) - lo
+        rows = np.repeat(np.arange(len(base)), counts)
+        pos = np.arange(len(rows)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        return rows, self.codes[pos] - base[rows]
+
+
 @dataclass
 class TripleStore:
     """Immutable integer-id view of a dataset plus the filtered-ranking index.
 
-    ``filter_index`` maps (entity, relation-or-reverse id) to the set of all
-    true answers across every split; relation ids in [R, 2R) are reverses.
+    ``filter_index`` is the QueryIndex of every split: each query with all
+    its true answers in the dataset.
     """
 
     entity_ids: dict
@@ -59,9 +96,9 @@ class TripleStore:
     entity_names: list
     relation_names: list
     splits: dict            # split name -> int64 array [n, 3] of (h, r, t)
-    filter_index: dict      # (entity id, relation id incl. reverses) -> set
+    filter_index: QueryIndex
     num_relations: int      # original relation count, before reversal
-    _train_queries: dict = field(default=None, repr=False)
+    _train_queries: QueryIndex = field(default=None, repr=False)
 
     @property
     def num_entities(self):
@@ -84,15 +121,10 @@ class TripleStore:
         }
 
     def train_query_targets(self):
-        """Distinct training queries (entity, relation incl. reverses) with
-        the set of train-split answers for each; built once, cached."""
+        """QueryIndex of the train split; built once, cached."""
         if self._train_queries is None:
-            queries = {}
-            r_off = self.num_relations
-            for h, r, t in self.splits["train"]:
-                queries.setdefault((int(h), int(r)), set()).add(int(t))
-                queries.setdefault((int(t), int(r) + r_off), set()).add(int(h))
-            self._train_queries = queries
+            self._train_queries = QueryIndex(
+                self.splits["train"], self.num_entities, self.num_relations)
         return self._train_queries
 
 
@@ -110,39 +142,26 @@ def build_store(train, valid, test):
     if not train:
         raise ConfigError("empty train split")
     entity_ids, relation_ids = {}, {}
-    entity_names, relation_names = [], []
-
-    def intern(name, table, names):
-        i = table.get(name)
-        if i is None:
-            i = len(names)
-            table[name] = i
-            names.append(name)
-        return i
-
     splits = {}
     for split, raw in (("train", train), ("valid", valid), ("test", test)):
         ids = np.empty((len(raw), 3), dtype=np.int64)
-        for row, (h, r, t) in enumerate(raw):
-            ids[row, 0] = intern(h, entity_ids, entity_names)
-            ids[row, 1] = intern(r, relation_ids, relation_names)
-            ids[row, 2] = intern(t, entity_ids, entity_names)
+        # heads before tails, row by row: ids by first occurrence
+        ids[:, [0, 2]] = np.array(
+            [entity_ids.setdefault(e, len(entity_ids))
+             for h, _, t in raw for e in (h, t)], dtype=np.int64).reshape(-1, 2)
+        ids[:, 1] = [relation_ids.setdefault(r, len(relation_ids))
+                     for _, r, _ in raw]
         splits[split] = ids
 
-    n_rel = len(relation_names)
-    filter_index = {}
-    for ids in splits.values():
-        for h, r, t in ids:
-            filter_index.setdefault((int(h), int(r)), set()).add(int(t))
-            filter_index.setdefault((int(t), int(r) + n_rel), set()).add(int(h))
-
+    n_rel = len(relation_ids)
     return TripleStore(
         entity_ids=entity_ids,
         relation_ids=relation_ids,
-        entity_names=entity_names,
-        relation_names=relation_names,
+        entity_names=list(entity_ids),
+        relation_names=list(relation_ids),
         splits=splits,
-        filter_index=filter_index,
+        filter_index=QueryIndex(np.concatenate(list(splits.values())),
+                                len(entity_ids), n_rel),
         num_relations=n_rel,
     )
 
@@ -179,31 +198,28 @@ def categorize_relations(store, threshold=1.5, scope="all"):
     for rel in np.flatnonzero(counts).tolist():
         tph = float(counts[rel] / heads[rel])
         hpt = float(counts[rel] / tails[rel])
-        if tph <= threshold and hpt <= threshold:
-            cat = "1-1"
-        elif tph > threshold and hpt <= threshold:
-            cat = "1-N"
-        elif tph <= threshold and hpt > threshold:
-            cat = "N-1"
-        else:
-            cat = "N-N"
+        # CATEGORIES is ordered 1-1, 1-N, N-1, N-N
+        cat = CATEGORIES[(tph > threshold) + 2 * (hpt > threshold)]
         out[rel] = RelationCategory(cat, tph, hpt)
     return out
 
 
-def category_counts(store, split="test", threshold=1.5, scope="all"):
-    """Number of ``split`` triples per relation category.
-
-    Relations that never occur inside the categorization scope (possible
-    when scope="train") are left out of the counts.
-    """
+def triple_categories(store, split, threshold=1.5, scope="all"):
+    """Index into CATEGORIES of each ``split`` triple's category; -1 when its
+    relation never occurs inside the scope (possible when scope="train")."""
     cats = categorize_relations(store, threshold=threshold, scope=scope)
-    counts = {c: 0 for c in CATEGORIES}
-    for _, r, _ in store.splits[split]:
-        rc = cats.get(int(r))
-        if rc is not None:
-            counts[rc.category] += 1
-    return counts
+    by_relation = np.full(store.num_relations, -1, dtype=np.int64)
+    for rel, rc in cats.items():
+        by_relation[rel] = CATEGORIES.index(rc.category)
+    return by_relation[store.splits[split][:, 1]]
+
+
+def category_counts(store, split="test", threshold=1.5, scope="all"):
+    """Number of ``split`` triples per relation category; a relation outside
+    the categorization scope counts in none (see triple_categories)."""
+    cats = triple_categories(store, split, threshold, scope)
+    counts = np.bincount(cats[cats >= 0], minlength=len(CATEGORIES))
+    return dict(zip(CATEGORIES, counts.tolist()))
 
 
 def dump_stats_json(store, path):

@@ -325,20 +325,6 @@ class TrainResult:
     best_params: dict = field(repr=False)   # {name: array copy} at best_epoch
 
 
-def _query_arrays(store):
-    queries = store.train_query_targets()
-    n = len(queries)
-    ents = np.empty(n, dtype=np.int64)
-    rels = np.empty(n, dtype=np.int64)
-    targets = []
-    for i, ((e, r), answers) in enumerate(queries.items()):
-        ents[i] = e
-        rels[i] = r
-        targets.append(np.fromiter(sorted(answers), dtype=np.int64,
-                                   count=len(answers)))
-    return ents, rels, targets
-
-
 def train_model(store, model, cfg, out_dir=None, progress=None):
     """Run the full loop; returns history and the best-validation parameters.
 
@@ -354,8 +340,8 @@ def train_model(store, model, cfg, out_dir=None, progress=None):
     data_rng = streams["data"]
     drop_rng = streams["dropout"]
 
-    ents, rels, target_lists = _query_arrays(store)
-    n_queries = len(ents)
+    queries = store.train_query_targets()
+    n_queries = len(queries)
     n_entities = store.num_entities
     adam = Adam(model.params, lr=cfg.lr)
 
@@ -372,12 +358,11 @@ def train_model(store, model, cfg, out_dir=None, progress=None):
         loss_sum = 0.0
         for start in range(0, n_queries, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
+            ents, rels = queries.entities[idx], queries.relations[idx]
             batch_targets = np.zeros((len(idx), n_entities), dtype=np.float32)
-            for row, qi in enumerate(idx):
-                batch_targets[row, target_lists[qi]] = 1.0
+            batch_targets[queries.lookup(ents, rels)] = 1.0
             model.params.zero_grad()
-            scores = model.score_all(ents[idx], rels[idx], training=True,
-                                     rng=drop_rng)
+            scores = model.score_all(ents, rels, training=True, rng=drop_rng)
             loss = bce_smoothed_loss(scores, batch_targets, cfg.label_smoothing)
             loss.backward()
             adam.step()

@@ -123,15 +123,14 @@ def test_p02_frozen_basis_immutability(announce, memo_store):
     before = {side: model.params[f"seg.{side}.basis"].data.copy()
               for side in ("entity", "relation")}
     adam = Adam(model.params, lr=1e-3)
-    queries = list(memo_store.train_query_targets().items())
+    queries = memo_store.train_query_targets()
     rng = np.random.default_rng(1)
     for _ in range(100):
         picks = rng.integers(len(queries), size=8)
-        ents = np.array([queries[i][0][0] for i in picks])
-        rels = np.array([queries[i][0][1] for i in picks])
+        ents = queries.entities[picks]
+        rels = queries.relations[picks]
         targets = np.zeros((8, memo_store.num_entities), dtype=np.float32)
-        for row, i in enumerate(picks):
-            targets[row, sorted(queries[i][1])] = 1.0
+        targets[queries.lookup(ents, rels)] = 1.0
         model.params.zero_grad()
         loss = bce_smoothed_loss(model.score_all(ents, rels), targets, 0.1)
         loss.backward()

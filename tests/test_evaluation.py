@@ -14,28 +14,52 @@ from pkge.synth import random_kg
 from pkge.training import TrainConfig
 
 
+def rank_one(scores, target, known=()):
+    """filtered_rank of a chunk of one query with the given known answers."""
+    known = np.array(sorted(known), dtype=np.int64)
+    ranks = filtered_rank(np.array([scores]), np.array([target]),
+                          np.zeros(len(known), dtype=np.int64), known)
+    return float(ranks[0])
+
+
 class TestFilteredRank:
     def test_no_filter_no_ties(self):
-        scores = np.array([0.9, 0.5, 0.7, 0.1])
-        assert filtered_rank(scores, 1, set()) == 3.0
-        assert filtered_rank(scores, 0, set()) == 1.0
-        assert filtered_rank(scores, 3, set()) == 4.0
+        scores = [0.9, 0.5, 0.7, 0.1]
+        assert rank_one(scores, 1) == 3.0
+        assert rank_one(scores, 0) == 1.0
+        assert rank_one(scores, 3) == 4.0
 
     def test_ties_count_half(self):
-        scores = np.array([0.9, 0.5, 0.7, 0.5])
+        scores = [0.9, 0.5, 0.7, 0.5]
         # one rival above, one tied at 0.5
-        assert filtered_rank(scores, 1, set()) == 3.5
-        scores = np.array([0.5, 0.5, 0.5])
-        assert filtered_rank(scores, 0, set()) == 2.0
+        assert rank_one(scores, 1) == 3.5
+        scores = [0.5, 0.5, 0.5]
+        assert rank_one(scores, 0) == 2.0
 
     def test_known_true_removed_from_rivals(self):
-        scores = np.array([0.9, 0.5, 0.7, 0.1])
-        assert filtered_rank(scores, 1, {0}) == 2.0
-        assert filtered_rank(scores, 1, {0, 2}) == 1.0
+        scores = [0.9, 0.5, 0.7, 0.1]
+        assert rank_one(scores, 1, {0}) == 2.0
+        assert rank_one(scores, 1, {0, 2}) == 1.0
 
     def test_target_inside_known_true_is_fine(self):
-        scores = np.array([0.9, 0.5, 0.7])
-        assert filtered_rank(scores, 1, {1, 0}) == 2.0
+        scores = [0.9, 0.5, 0.7]
+        assert rank_one(scores, 1, {1, 0}) == 2.0
+
+    def test_chunk_of_mixed_queries(self):
+        scores = np.array([
+            [0.9, 0.5, 0.7, 0.5],     # no known answers, one tie
+            [0.2, 0.8, 0.8, 0.1],     # target in its own known set, tie masked
+            [0.5, 0.5, 0.5, 0.5],     # all tied, one of them known
+            [0.3, 0.9, 0.6, 0.6],     # the only higher score is known
+        ])
+        targets = np.array([1, 2, 0, 3])
+        known_rows = np.array([1, 1, 2, 3])
+        known_answers = np.array([1, 2, 3, 1])
+        ranks = filtered_rank(scores, targets, known_rows, known_answers)
+        assert ranks.tolist() == [3.5, 1.0, 2.0, 1.5]
+        for i, target in enumerate(targets):
+            known = set(known_answers[known_rows == i].tolist())
+            assert rank_one(scores[i], target, known) == ranks[i]
 
     def test_metrics_hand_case(self):
         mrr, hits = metrics_from_ranks([1.0, 2.0, 4.0, 12.0])

@@ -27,6 +27,31 @@ class TestLoadTsv:
             load_tsv(str(p))
 
 
+def answers(index, entity, relation):
+    """Set of the answers ``index`` holds for one query."""
+    _, found = index.lookup(np.array([entity]), np.array([relation]))
+    return set(found.tolist())
+
+
+def index_as_dict(index, queries):
+    """{query: set of answers} that ``index`` holds for a list of queries."""
+    rows, found = index.lookup(*np.array(queries, dtype=np.int64).T)
+    got = {}
+    for row, answer in zip(rows.tolist(), found.tolist()):
+        got.setdefault(queries[row], set()).add(answer)
+    return got
+
+
+def queries_and_answers(triples, num_relations):
+    """Reference {(entity, relation incl. reverses): set of answers} of an
+    [n, 3] id array, keys in first-occurrence order."""
+    want = {}
+    for h, r, t in triples.tolist():
+        want.setdefault((h, r), set()).add(t)
+        want.setdefault((t, r + num_relations), set()).add(h)
+    return want
+
+
 class TestBuildStore:
     def test_first_occurrence_interning(self):
         store = build_store([("b", "r", "a"), ("a", "s", "c")], [], [])
@@ -54,9 +79,19 @@ class TestBuildStore:
         store = build_store([("a", "r", "b"), ("a", "r", "c")],
                             [("d", "r", "b")], [])
         a, b, c, d = (store.entity_ids[x] for x in "abcd")
-        assert store.filter_index[(a, 0)] == {b, c}
-        assert store.filter_index[(b, 1)] == {a, d}
-        assert store.filter_index[(d, 0)] == {b}
+        assert answers(store.filter_index, a, 0) == {b, c}
+        assert answers(store.filter_index, b, 1) == {a, d}
+        assert answers(store.filter_index, d, 0) == {b}
+
+    def test_lookup_pairs_follow_query_rows(self):
+        store = build_store([("a", "r", "b"), ("a", "r", "c")],
+                            [("d", "r", "b")], [])
+        a, b, c, d = (store.entity_ids[x] for x in "abcd")
+        # an unknown query yields no pairs; a repeated one yields its own
+        rows, found = store.filter_index.lookup(np.array([a, c, a]),
+                                                np.array([0, 0, 0]))
+        assert rows.tolist() == [0, 0, 2, 2]
+        assert found.tolist() == sorted([b, c]) * 2
 
     def test_duplicates_kept_in_split(self):
         store = build_store([("a", "r", "b"), ("a", "r", "b")], [], [])
@@ -74,19 +109,33 @@ class TestBuildStore:
         ids = store.splits["train"]
         assert ids.shape == (len(triples), 3)
         assert ids[:, [0, 2]].max() < n and ids[:, 1].max() < m
-        for h, r, t in ids:
-            assert int(t) in store.filter_index[(int(h), int(r))]
-            assert int(h) in store.filter_index[(int(t), int(r) + m)]
+        # every triple's answer in both directions, and nothing else
+        want = queries_and_answers(ids, m)
+        assert index_as_dict(store.filter_index, list(want)) == want
+        assert len(store.filter_index.codes) == sum(map(len, want.values()))
+
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 2),
+                              st.integers(0, 8)), min_size=2, max_size=60))
+    @settings(max_examples=40, deadline=None)
+    def test_train_queries_in_first_occurrence_order(self, raw):
+        triples = [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in raw]
+        cut = len(triples) // 2
+        store = build_store(triples[:cut], triples[cut:], [])
+        want = queries_and_answers(store.splits["train"], store.num_relations)
+        q = store.train_query_targets()
+        assert len(q) == len(want)
+        assert list(zip(q.entities.tolist(), q.relations.tolist())) == list(want)
+        assert index_as_dict(q, list(want)) == want
 
     def test_train_query_targets(self):
         store = build_store([("a", "r", "b"), ("a", "r", "c"), ("b", "r", "a")],
                             [], [])
         q = store.train_query_targets()
         a, b, c = (store.entity_ids[x] for x in "abc")
-        assert q[(a, 0)] == {b, c}
-        assert q[(b, 1)] == {a}      # reverse direction
-        assert q[(b, 0)] == {a}
-        assert q[(a, 1)] == {b}
+        assert answers(q, a, 0) == {b, c}
+        assert answers(q, b, 1) == {a}      # reverse direction
+        assert answers(q, b, 0) == {a}
+        assert answers(q, a, 1) == {b}
         assert len(q) == 5
 
 

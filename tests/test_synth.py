@@ -1,6 +1,12 @@
-import numpy as np
+import os
 
-from pkge.synth import clustered_kg, memorization_kg, random_kg
+import numpy as np
+import pytest
+
+from pkge.synth import clustered_kg, memorization_kg, random_kg, write_dataset
+
+DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "data")
 
 
 class TestRandomKg:
@@ -44,3 +50,17 @@ class TestClusteredKg:
         a = clustered_kg(np.random.default_rng(2))
         b = clustered_kg(np.random.default_rng(2))
         assert a == b
+
+
+@pytest.mark.parametrize("name, generate", [
+    ("memo30", lambda: memorization_kg(np.random.default_rng(7))),
+    ("blocks135", lambda: clustered_kg(np.random.default_rng(11))),
+])
+def test_bundled_datasets_match_their_draws(tmp_path, name, generate):
+    """data/ holds the draws scripts/make_datasets.py makes, byte for byte."""
+    write_dataset(str(tmp_path), generate())
+    for split in ("train", "valid", "test"):
+        with open(tmp_path / f"{split}.txt", "rb") as fh:
+            drawn = fh.read()
+        with open(os.path.join(DATA, name, f"{split}.txt"), "rb") as fh:
+            assert drawn == fh.read(), f"data/{name}/{split}.txt"
