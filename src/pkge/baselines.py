@@ -1,15 +1,16 @@
 """Translational and bilinear baseline scorers.
 
 Both share the training and evaluation pipeline with the patch model: they
-expose ``score_all(entities, relations)`` returning sigmoid scores against
-every entity, with reverse relations handled as extra relation rows.
+expose ``score_all(entities, relations)`` returning logits against every
+entity, with reverse relations handled as extra relation rows. The sigmoid
+lives only in the training loss.
 """
 
 import numpy as np
 
 from .params import ParamStore, glorot_uniform
-from .tensor import (absolute, gather_rows, matmul, mul, no_grad, reduce_sum,
-                     reshape, sigmoid, sqrt, transpose)
+from .tensor import (absolute, gather_rows, matmul, mul, reduce_sum, reshape,
+                     sqrt, transpose)
 
 
 class _BaselineBase:
@@ -30,13 +31,9 @@ class _BaselineBase:
         self.params.add("entity.embedding", init((n_entities, d)))
         self.params.add("relation.embedding", init((n_relations, d)))
 
-    def score_against_all(self, entity, relation):
-        with no_grad():
-            return self.score_all([entity], [relation]).data[0]
-
 
 class TransE(_BaselineBase):
-    """score(h, r, t) = sigmoid(gamma - ||e_h + e_r - e_t||)."""
+    """Logit(h, r, t) = gamma - ||e_h + e_r - e_t||."""
 
     kind = "transe"
 
@@ -52,16 +49,15 @@ class TransE(_BaselineBase):
             dist = reduce_sum(absolute(diff), axis=-1)
         else:
             dist = sqrt(reduce_sum(mul(diff, diff), axis=-1))
-        return sigmoid(cfg.transe_gamma - dist)
+        return cfg.transe_gamma - dist
 
 
 class DistMult(_BaselineBase):
-    """score(h, r, t) = sigmoid(sum_i e_h[i] * e_r[i] * e_t[i])."""
+    """Logit(h, r, t) = sum_i e_h[i] * e_r[i] * e_t[i]."""
 
     kind = "distmult"
 
     def score_all(self, entities, relations, training=False, rng=None):
         e = gather_rows(self.params["entity.embedding"], np.asarray(entities))
         r = gather_rows(self.params["relation.embedding"], np.asarray(relations))
-        logits = matmul(mul(e, r), transpose(self.params["entity.embedding"]))
-        return sigmoid(logits)
+        return matmul(mul(e, r), transpose(self.params["entity.embedding"]))

@@ -2,8 +2,9 @@
 
 An entity embedding and a relation embedding are each segmented into
 fixed-size patches, refined by a stack of residual attention layers, then
-flattened and projected back to entity space; scores against every entity
-are sigmoid dot products with the entity table.
+flattened and projected back to entity space; the scores against every
+entity are logits, the dot products with the entity table. The sigmoid lives
+only in the training loss, since ranking depends on order alone.
 
 Attention variants:
 
@@ -27,8 +28,7 @@ from .segmentation import (build_frozen_basis, build_trainable_basis,
                            segment_folding, segment_mapped, segment_none,
                            validate_patch_shape)
 from .tensor import (concat, dropout, gather_rows, layer_norm, matmul, mul,
-                     narrow, no_grad, relu, reshape, sigmoid, softmax_lastdim,
-                     transpose)
+                     narrow, relu, reshape, softmax_lastdim, transpose)
 
 ATTENTION_VARIANTS = ("cross", "full_self", "separate_self")
 PE_VARIANTS = ("none", "trainable", "sinusoidal")
@@ -177,7 +177,8 @@ def multi_head_attention(x_q, x_kv, wq, wk, wv, wo, heads, denom,
 
 
 class PatReFormer:
-    """Two-tower patch encoder with a shared-entity-table sigmoid scorer."""
+    """Two-tower patch encoder scored by logits against the shared entity
+    table."""
 
     kind = "patreformer"
 
@@ -323,7 +324,7 @@ class PatReFormer:
         return xe, xr
 
     def score_from_embeddings(self, e_emb, r_emb, training=False, rng=None):
-        """Scores [B, n_entities] from explicit embedding tensors [B, d_e]/[B, d_r]."""
+        """Logits [B, n_entities] from explicit embedding tensors [B, d_e]/[B, d_r]."""
         cfg = self.config
         xe, xr = self.encode(e_emb, r_emb, training, rng)
         lead = xe.shape[:-2]
@@ -331,19 +332,13 @@ class PatReFormer:
                        reshape(xr, lead + (cfg.k_r * cfg.d,))], axis=-1)
         flat = dropout(flat, cfg.p3, training, rng)
         out = matmul(flat, self.params["scorer.weight"]) + self.params["scorer.bias"]
-        logits = matmul(out, transpose(self.params["entity.embedding"]))
-        return sigmoid(logits)
+        return matmul(out, transpose(self.params["entity.embedding"]))
 
     def score_all(self, entities, relations, training=False, rng=None):
-        """Scores [B, n_entities] for query pairs given as integer id arrays."""
+        """Logits [B, n_entities] for query pairs given as integer id arrays."""
         e_emb = gather_rows(self.params["entity.embedding"], np.asarray(entities))
         r_emb = gather_rows(self.params["relation.embedding"], np.asarray(relations))
         return self.score_from_embeddings(e_emb, r_emb, training, rng)
-
-    def score_against_all(self, entity, relation):
-        """Eval-mode scores for one query, as a 1-d numpy array."""
-        with no_grad():
-            return self.score_all([entity], [relation]).data[0]
 
 
 def build_model(kind, config, n_entities, n_relations, rng):

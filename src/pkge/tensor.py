@@ -13,6 +13,9 @@ can run at full precision). Reductions that feed normalizations (softmax
 denominator, layer-norm moments) accumulate in float64 regardless of the
 storage dtype.
 
+Models produce logits. The sigmoid appears only inside the fused loss
+``bce_with_logits``, which evaluates it without overflow for any finite logit.
+
 Every forward op verifies its result is finite; overflow raises
 ``NumericError`` instead of propagating NaN/inf through the graph.
 """
@@ -347,18 +350,6 @@ def reduce_mean(x, axis=None, keepdims=False):
     return mul(reduce_sum(x, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
-def log(x):
-    x = as_tensor(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(x.data)
-    out = _make(data, (x,), "log")
-    if out.requires_grad:
-        def _bw(g):
-            _accum(x, g / x.data)
-        _set_backward(out, _bw)
-    return out
-
-
 def sqrt(x):
     x = as_tensor(x)
     data = np.sqrt(x.data)
@@ -381,18 +372,6 @@ def absolute(x):
     return out
 
 
-def clip(x, lo, hi):
-    """Clamp values to [lo, hi]; gradient passes only where x was inside."""
-    x = as_tensor(x)
-    out = _make(np.clip(x.data, lo, hi), (x,), "clip")
-    if out.requires_grad:
-        mask = ((x.data > lo) & (x.data < hi)).astype(x.dtype)
-        def _bw(g):
-            _accum(x, g * mask)
-        _set_backward(out, _bw)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities and normalization
 # ---------------------------------------------------------------------------
@@ -406,21 +385,6 @@ def relu(x):
         mask = (x.data > 0).astype(x.dtype)
         def _bw(g):
             _accum(x, g * mask)
-        _set_backward(out, _bw)
-    return out
-
-
-def sigmoid(x):
-    x = as_tensor(x)
-    z = x.data
-    # 1/(1+e) for z >= 0 and e/(1+e) below, with e = exp(-|z|) <= 1 so
-    # neither branch overflows; the max picks the numerator.
-    e = np.exp(-np.abs(z))
-    data = np.maximum(e, (z >= 0).astype(z.dtype)) / (1.0 + e)
-    out = _make(data, (x,), "sigmoid")
-    if out.requires_grad:
-        def _bw(g):
-            _accum(x, g * data * (1.0 - data))
         _set_backward(out, _bw)
     return out
 
@@ -496,5 +460,39 @@ def dropout(x, p, training, rng):
     if out.requires_grad:
         def _bw(g):
             _accum(x, g * keep * scale)
+        _set_backward(out, _bw)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# loss
+# ---------------------------------------------------------------------------
+
+
+def bce_with_logits(z, y):
+    """Mean binary cross-entropy between targets ``y`` and sigmoid(``z``).
+
+    One node: each cell is max(z, 0) + log1p(exp(-|z|)) - y·z, finite for
+    every finite logit, and the cells are summed in float64. ``y`` is a
+    constant array of ``z``'s shape. The gradient is (sigmoid(z) - y) / count,
+    so a saturated but wrong logit still learns.
+    """
+    z = as_tensor(z)
+    y = np.asarray(y, dtype=z.dtype)
+    if y.shape != z.data.shape:
+        raise ShapeError(
+            f"bce_with_logits: targets {y.shape} do not match logits {z.data.shape}")
+    x = z.data
+    e = np.exp(-np.abs(x))
+    cells = np.maximum(x, 0) + np.log1p(e) - y * x
+    count = x.size
+    out = _make(np.asarray(cells.sum(dtype=np.float64) / count, dtype=z.dtype),
+                (z,), "bce_with_logits")
+    if out.requires_grad:
+        def _bw(g):
+            # sigmoid: 1/(1+e) for z >= 0 and e/(1+e) below; e <= 1, so
+            # neither branch overflows, and the max picks the numerator.
+            sig = np.maximum(e, (x >= 0).astype(x.dtype)) / (1.0 + e)
+            _accum(z, (sig - y) * (g / count))
         _set_backward(out, _bw)
     return out

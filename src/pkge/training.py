@@ -3,9 +3,11 @@ Adam, and binary checkpoints.
 
 Queries are the distinct (entity, relation) pairs of the training split in
 both directions; each is scored against every entity and pushed toward the
-smoothed multi-hot answer vector. Runs are bit-reproducible for a fixed
-seed: parameter init, batch shuffling, and dropout each draw from their own
-seeded stream, and nothing writes wall-clock time into logs or checkpoints.
+smoothed multi-hot answer vector. Models return logits; the loss applies the
+sigmoid inside one fused op (``tensor.bce_with_logits``). Runs are
+bit-reproducible for a fixed seed: parameter init, batch shuffling, and
+dropout each draw from their own seeded stream, and nothing writes
+wall-clock time into logs or checkpoints.
 """
 
 import json
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericError, VocabMismatchError
 from .model import ModelConfig, build_model
-from .tensor import as_tensor, clip, log, mul, reduce_mean
+from .tensor import bce_with_logits
 
 CHECKPOINT_MAGIC = b"PKGE"
 CHECKPOINT_VERSION = 1
@@ -75,27 +77,14 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def smooth_targets(targets, label_smoothing):
-    """Map {0,1} targets to {eps, 1-eps} as a graph tensor.
-
-    Computed as (1-eps)*y + eps*(1-y) so the two values are exactly the
-    float32 representations of eps and 1-eps.
-    """
-    y = as_tensor(np.ascontiguousarray(targets, dtype=np.float32))
-    if label_smoothing == 0.0:
-        return y
-    return mul(y, 1.0 - label_smoothing) + mul(1.0 - y, label_smoothing)
-
-
-def bce_smoothed_loss(scores, targets, label_smoothing=0.1):
-    """Mean binary cross-entropy over every (query, entity) score.
-
-    Scores are clamped to [1e-7, 1-1e-7] before the logs.
-    """
-    y = smooth_targets(targets, label_smoothing)
-    s = clip(scores, 1e-7, 1.0 - 1e-7)
-    ll = mul(y, log(s)) + mul(1.0 - y, log(1.0 - s))
-    return mul(reduce_mean(ll), -1.0)
+def bce_smoothed_loss(logits, targets, label_smoothing=0.1):
+    """Mean binary cross-entropy over every (query, entity) cell of the
+    ``logits`` a model returns, against {0,1} ``targets`` smoothed to exactly
+    the float32 values of eps and 1-eps; the sigmoid is applied only here,
+    inside ``bce_with_logits``."""
+    y = np.asarray(targets, dtype=np.float32)
+    hi, lo = np.float32(1.0 - label_smoothing), np.float32(label_smoothing)
+    return bce_with_logits(logits, y * hi + (1 - y) * lo)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +319,8 @@ def train_model(store, model, cfg, out_dir=None, progress=None):
 
     Validation MRR is measured every ``eval_every`` epochs (and at the last
     epoch); the best model by that number is kept in ``best_params`` and,
-    with ``out_dir``, checkpointed to ``best.ckpt`` next to ``train_log.csv``.
+    with ``out_dir``, checkpointed to ``best.ckpt`` next to ``train_log.csv``,
+    which gains one row per epoch as the epoch ends.
     """
     from .evaluation import check_split, evaluate
 
@@ -346,8 +336,11 @@ def train_model(store, model, cfg, out_dir=None, progress=None):
     adam = Adam(model.params, lr=cfg.lr)
 
     ckpt_path = os.path.join(out_dir, CKPT_NAME) if out_dir else None
+    log_path = os.path.join(out_dir, LOG_NAME) if out_dir else None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+        with open(log_path, "w", encoding="utf-8") as fh:
+            fh.write("epoch,loss,valid_mrr\n")
 
     history = []
     best_epoch = 0
@@ -381,15 +374,14 @@ def train_model(store, model, cfg, out_dir=None, progress=None):
                 if ckpt_path:
                     save_checkpoint(ckpt_path, model)
         history.append((epoch, epoch_loss, valid_mrr))
+        if log_path:
+            # Appended and closed every epoch, so a crash keeps the rows so far.
+            tail = "" if valid_mrr is None else f"{valid_mrr:.6f}"
+            with open(log_path, "a", encoding="utf-8") as fh:
+                fh.write(f"{epoch},{epoch_loss:.6f},{tail}\n")
         if progress:
             progress(epoch, epoch_loss, valid_mrr)
 
-    if out_dir:
-        with open(os.path.join(out_dir, LOG_NAME), "w", encoding="utf-8") as fh:
-            fh.write("epoch,loss,valid_mrr\n")
-            for epoch, loss, mrr in history:
-                tail = "" if mrr is None else f"{mrr:.6f}"
-                fh.write(f"{epoch},{loss:.6f},{tail}\n")
     return TrainResult(history=history, best_epoch=best_epoch,
                        best_valid_mrr=best_mrr, checkpoint_path=ckpt_path,
                        best_params=best_params)

@@ -12,8 +12,9 @@ def cfg(**over):
     return ModelConfig(**base)
 
 
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+def scores(model, entity, relation):
+    """Logits of one query against every entity, as a 1-d array."""
+    return model.score_all([entity], [relation]).data[0]
 
 
 def plant(model, entities, relations):
@@ -28,27 +29,24 @@ class TestTransE:
         m = TransE(cfg(), 3, 2, np.random.default_rng(0))
         plant(m, [[0, 0], [1, 0], [0, 1]], [[1, 0], [0, -1]])
         # h=0, r=0: translated point is [1, 0]
-        got = m.score_against_all(0, 0)
+        got = scores(m, 0, 0)
         d = [1.0, 0.0, 2.0]   # L1 distances to each entity row
-        np.testing.assert_allclose(got, sigmoid(12.0 - np.array(d)),
-                                   rtol=1e-6)
+        np.testing.assert_allclose(got, 12.0 - np.array(d), rtol=1e-6)
 
     def test_l2_hand_example(self):
         m = TransE(cfg(transe_norm="l2", transe_gamma=2.0), 3, 2,
                    np.random.default_rng(0))
         plant(m, [[0, 0], [1, 0], [0, 1]], [[1, 0], [0, -1]])
-        got = m.score_against_all(0, 0)
+        got = scores(m, 0, 0)
         d = [1.0, 0.0, np.sqrt(2.0)]
-        np.testing.assert_allclose(got, sigmoid(2.0 - np.array(d)),
-                                   rtol=1e-6)
+        np.testing.assert_allclose(got, 2.0 - np.array(d), rtol=1e-6)
 
     def test_reverse_relation_row_used(self):
         m = TransE(cfg(), 3, 2, np.random.default_rng(0))
         plant(m, [[0, 0], [1, 0], [0, 1]], [[1, 0], [0, -1]])
-        got = m.score_against_all(1, 1)   # [1,0] + [0,-1] = [1,-1]
+        got = scores(m, 1, 1)   # [1,0] + [0,-1] = [1,-1]
         d = [2.0, 1.0, 3.0]
-        np.testing.assert_allclose(got, sigmoid(12.0 - np.array(d)),
-                                   rtol=1e-6)
+        np.testing.assert_allclose(got, 12.0 - np.array(d), rtol=1e-6)
 
     def test_exact_match_scores_highest(self):
         rng = np.random.default_rng(1)
@@ -57,9 +55,9 @@ class TestTransE:
         rel = m.params["relation.embedding"].data
         # make entity 7 sit exactly at e_2 + r_3
         emb[7] = emb[2] + rel[3]
-        scores = m.score_against_all(2, 3)
-        assert scores.argmax() == 7
-        np.testing.assert_allclose(scores[7], sigmoid(12.0), rtol=1e-6)
+        got = scores(m, 2, 3)
+        assert got.argmax() == 7
+        np.testing.assert_allclose(got[7], 12.0, rtol=1e-6)
 
     def test_batch_oracle(self):
         rng = np.random.default_rng(2)
@@ -70,17 +68,16 @@ class TestTransE:
         R = m.params["relation.embedding"].data.astype(np.float64)
         q = E[ents] + R[rels]
         dist = np.abs(q[:, None, :] - E[None]).sum(axis=-1)
-        np.testing.assert_allclose(got, sigmoid(12.0 - dist),
-                                   rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(got, 12.0 - dist, rtol=1e-5, atol=1e-6)
 
 
 class TestDistMult:
     def test_hand_example(self):
         m = DistMult(cfg(), 3, 2, np.random.default_rng(0))
         plant(m, [[1, 2], [0, 1], [2, 0]], [[3, 4], [1, 1]])
-        got = m.score_against_all(0, 0)   # query vector e*r = [3, 8]
+        got = scores(m, 0, 0)   # query vector e*r = [3, 8]
         logits = [3 * 1 + 8 * 2, 3 * 0 + 8 * 1, 3 * 2 + 8 * 0]
-        np.testing.assert_allclose(got, sigmoid(logits), rtol=1e-6)
+        np.testing.assert_allclose(got, logits, rtol=1e-6)
 
     def test_batch_oracle(self):
         rng = np.random.default_rng(3)
@@ -89,7 +86,7 @@ class TestDistMult:
         got = m.score_all(ents, rels).data
         E = m.params["entity.embedding"].data.astype(np.float64)
         R = m.params["relation.embedding"].data.astype(np.float64)
-        want = sigmoid((E[ents] * R[rels]) @ E.T)
+        want = (E[ents] * R[rels]) @ E.T
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
 
     def test_symmetric_in_head_and_tail(self):
@@ -97,8 +94,8 @@ class TestDistMult:
         # bilinear-diagonal form
         rng = np.random.default_rng(4)
         m = DistMult(cfg(d_e=6), 5, 2, rng)
-        s_ht = m.score_against_all(1, 0)[3]
-        s_th = m.score_against_all(3, 0)[1]
+        s_ht = scores(m, 1, 0)[3]
+        s_th = scores(m, 3, 0)[1]
         np.testing.assert_allclose(s_ht, s_th, rtol=1e-6)
 
 
@@ -111,8 +108,17 @@ class TestCommon:
         assert np.all(m.params["entity.embedding"].data == 0)
 
     @pytest.mark.parametrize("cls", [TransE, DistMult])
-    def test_scores_in_unit_interval(self, cls):
-        m = cls(cfg(d_e=4), 5, 6, np.random.default_rng(5))
-        s = m.score_all([0, 4], [5, 2]).data
-        assert s.shape == (2, 5)
-        assert np.all((s > 0) & (s < 1))
+    def test_scores_are_oracle_logits(self, cls):
+        # TransE with the L2 norm here; test_batch_oracle covers L1
+        m = cls(cfg(d_e=4, transe_norm="l2"), 5, 6, np.random.default_rng(5))
+        ents, rels = np.array([0, 4]), np.array([5, 2])
+        E = m.params["entity.embedding"].data.astype(np.float64)
+        R = m.params["relation.embedding"].data.astype(np.float64)
+        if cls is TransE:
+            q = E[ents] + R[rels]
+            want = 12.0 - np.linalg.norm(q[:, None, :] - E[None], axis=-1)
+        else:
+            want = (E[ents] * R[rels]) @ E.T
+        got = m.score_all(ents, rels).data
+        assert got.shape == (2, 5)
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)

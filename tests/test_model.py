@@ -184,8 +184,8 @@ class TestParamInventory:
 # -- straight-line forward oracle --------------------------------------------
 
 def oracle_scores(model, ents, rels):
-    """Recompute score_all in plain float64 numpy, mirroring the layer
-    algebra directly rather than going through the tensor graph."""
+    """Recompute score_all's logits in plain float64 numpy, mirroring the
+    layer algebra directly rather than going through the tensor graph."""
     cfg = model.config
     P = {n: model.params[n].data.astype(np.float64)
          for n in model.params.names()}
@@ -248,8 +248,7 @@ def oracle_scores(model, ents, rels):
     flat = np.concatenate([xe.reshape(len(ents), -1),
                            xr.reshape(len(rels), -1)], axis=-1)
     out = flat @ P["scorer.weight"] + P["scorer.bias"]
-    logits = out @ P["entity.embedding"].T
-    return 1.0 / (1.0 + np.exp(-logits))
+    return out @ P["entity.embedding"].T
 
 
 ORACLE_CASES = {
@@ -285,20 +284,24 @@ class TestForwardOracle:
         assert got.shape == (3, N_ENT)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
-    def test_score_against_all_matches_batch(self):
+    def test_single_query_matches_batch(self):
         # BLAS may re-block a batch-of-one matmul, so equality is only
         # up to accumulation order.
         model = make(tiny_cfg(), seed=4)
         batch = model.score_all([2, 4], [0, 7]).data
-        np.testing.assert_allclose(model.score_against_all(2, 0), batch[0],
+        np.testing.assert_allclose(model.score_all([2], [0]).data[0], batch[0],
                                    rtol=1e-6, atol=1e-7)
-        np.testing.assert_allclose(model.score_against_all(4, 7), batch[1],
+        np.testing.assert_allclose(model.score_all([4], [7]).data[0], batch[1],
                                    rtol=1e-6, atol=1e-7)
 
-    def test_scores_are_probabilities(self):
+    def test_scores_are_oracle_logits(self):
+        # every entity as a query head, so logits of both signs occur
         model = make(tiny_cfg(), seed=5)
-        s = model.score_all(np.arange(N_ENT), np.zeros(N_ENT, int)).data
-        assert np.all((s > 0) & (s < 1))
+        ents, rels = np.arange(N_ENT), np.zeros(N_ENT, int)
+        got = model.score_all(ents, rels).data
+        want = oracle_scores(model, ents, rels)
+        assert (want < 0).any() and (want > 0).any()
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
 
 class TestVariantBehavior:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pkge.errors import (CheckpointError, ConfigError, NumericError,
-                         VocabMismatchError)
+                         ShapeError, VocabMismatchError)
 from pkge.kg import build_store
 from pkge.model import ModelConfig, PatReFormer
 from pkge.params import ParamStore
@@ -11,8 +11,7 @@ from pkge import training
 from pkge.evaluation import evaluate
 from pkge.training import (Adam, TrainConfig, bce_smoothed_loss, check_vocab,
                            load_checkpoint, restore_model, run_experiment,
-                           save_checkpoint, seed_streams, smooth_targets,
-                           train_model)
+                           save_checkpoint, seed_streams, train_model)
 
 
 def tiny_model(seed=0, n_ent=6, n_rel2=8, **over):
@@ -49,42 +48,86 @@ class TestTrainConfig:
             TrainConfig.from_dict({"momentum": 0.9})
 
 
+def reference_bce(z, y):
+    """-mean(y·log σ(z) + (1-y)·log(1-σ(z))) and its gradient, in float64."""
+    z, y = np.asarray(z, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    sig = 1.0 / (1.0 + np.exp(-z))
+    loss = -np.mean(y * np.log(sig) + (1.0 - y) * np.log(1.0 - sig))
+    return loss, (sig - y) / z.size
+
+
 class TestSmoothedLoss:
-    def test_targets_take_exact_float32_values(self):
+    def test_targets_take_exact_float32_values(self, monkeypatch):
+        seen = []
+        real = training.bce_with_logits
+
+        def spy(z, y):
+            seen.append(y)
+            return real(z, y)
+
+        monkeypatch.setattr(training, "bce_with_logits", spy)
         y = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        out = smooth_targets(y, 0.1).data
-        assert out.dtype == np.float32
-        assert set(np.unique(out)) == {np.float32(0.1), np.float32(0.9)}
-        plain = smooth_targets(y, 0.0).data
+        logits = Tensor(np.zeros((2, 3), dtype=np.float32))
+        bce_smoothed_loss(logits, y, 0.1)
+        bce_smoothed_loss(logits, y, 0.0)
+        smoothed, plain = seen
+        assert smoothed.dtype == np.float32
+        assert set(np.unique(smoothed)) == {np.float32(0.1), np.float32(0.9)}
         assert set(np.unique(plain)) == {np.float32(0.0), np.float32(1.0)}
 
     def test_hand_value_no_smoothing(self):
-        scores = Tensor(np.array([[0.9, 0.1]], dtype=np.float32))
+        # sigmoid(ln 9) = 0.9 and sigmoid(-ln 9) = 0.1
+        logits = Tensor(np.array([[np.log(9.0), -np.log(9.0)]], dtype=np.float32))
         targets = np.array([[1.0, 0.0]])
-        loss = bce_smoothed_loss(scores, targets, 0.0)
-        assert loss.item() == pytest.approx(-np.log(0.9), rel=1e-5)
+        loss = bce_smoothed_loss(logits, targets, 0.0)
+        assert loss.item() == pytest.approx(-np.log(0.9), rel=1e-6)
 
     def test_hand_value_with_smoothing(self):
-        scores = Tensor(np.array([[0.9, 0.1]], dtype=np.float32))
+        logits = Tensor(np.array([[np.log(9.0), -np.log(9.0)]], dtype=np.float32))
         targets = np.array([[1.0, 0.0]])
-        loss = bce_smoothed_loss(scores, targets, 0.1)
+        loss = bce_smoothed_loss(logits, targets, 0.1)
         want = -(0.9 * np.log(0.9) + 0.1 * np.log(0.1))
-        assert loss.item() == pytest.approx(want, rel=1e-5)
+        assert loss.item() == pytest.approx(want, rel=1e-6)
 
     def test_saturated_scores_stay_finite(self):
-        scores = Tensor(np.array([[0.0, 1.0]], dtype=np.float32))
-        loss = bce_smoothed_loss(scores, np.array([[1.0, 0.0]]), 0.0)
+        # confidently wrong in row 0, confidently right in row 1
+        z = np.array([[-100.0, 100.0], [100.0, -100.0]], dtype=np.float32)
+        targets = np.array([[1.0, 0.0], [1.0, 0.0]])
+        logits = Tensor(z, requires_grad=True)
+        loss = bce_smoothed_loss(logits, targets, 0.0)
+        loss.backward()
+        softplus = np.logaddexp(0.0, z.astype(np.float64)) - targets * z
         assert np.isfinite(loss.item())
-        # terms are -log of the float32 clamp bounds
-        lo = np.float32(1e-7)
-        hi = np.float32(1.0) - np.float32(1.0 - 1e-7)
-        want = -(np.log(lo) + np.log(hi)) / 2.0
-        assert loss.item() == pytest.approx(want, rel=1e-5)
+        assert loss.item() == pytest.approx(softplus.mean(), rel=1e-6)
+        # the wrong cells still learn, at the full rate (sigmoid - y) / count
+        np.testing.assert_allclose(logits.grad[0], [-0.25, 0.25], rtol=1e-6)
+        np.testing.assert_allclose(logits.grad[1], [0.0, 0.0], atol=1e-30)
 
     def test_mean_over_all_cells(self):
-        scores = Tensor(np.full((2, 4), 0.5, dtype=np.float32))
-        loss = bce_smoothed_loss(scores, np.zeros((2, 4)), 0.0)
-        assert loss.item() == pytest.approx(-np.log(0.5), rel=1e-5)
+        logits = Tensor(np.zeros((2, 4), dtype=np.float32))
+        loss = bce_smoothed_loss(logits, np.zeros((2, 4)), 0.0)
+        assert loss.item() == pytest.approx(np.log(2.0), rel=1e-6)
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    def test_matches_float64_reference(self, smoothing):
+        rng = np.random.default_rng(7)
+        z = rng.uniform(-15.0, 15.0, size=(6, 40))
+        targets = (rng.random((6, 40)) < 0.2).astype(np.float32)
+        y = np.where(targets > 0, np.float32(1.0 - smoothing),
+                     np.float32(smoothing))
+        want_loss, want_grad = reference_bce(z, y)
+        logits = Tensor(z, requires_grad=True)
+        loss = bce_smoothed_loss(logits, targets, smoothing)
+        loss.backward()
+        assert loss.item() == pytest.approx(want_loss, rel=1e-6)
+        np.testing.assert_allclose(logits.grad, want_grad, rtol=1e-6, atol=1e-15)
+        # float32 logits give the same loss to float32 accuracy
+        loss32 = bce_smoothed_loss(Tensor(z.astype(np.float32)), targets, smoothing)
+        assert loss32.item() == pytest.approx(want_loss, rel=1e-6)
+
+    def test_target_shape_must_match(self):
+        with pytest.raises(ShapeError):
+            bce_smoothed_loss(Tensor(np.zeros((2, 3))), np.zeros((2, 4)))
 
 
 class TestParamStore:
@@ -303,11 +346,12 @@ class TestTrainLoop:
                            seed=1, eval_batch=256)
         return memo_store, mcfg, tcfg
 
-    def run(self, store, mcfg, tcfg, out_dir=None):
+    def run(self, store, mcfg, tcfg, out_dir=None, progress=None):
         model = PatReFormer(ModelConfig(**mcfg), store.num_entities,
                             store.num_relations_with_reverse,
                             seed_streams(tcfg.seed)["init"])
-        return model, train_model(store, model, tcfg, out_dir=out_dir)
+        return model, train_model(store, model, tcfg, out_dir=out_dir,
+                                  progress=progress)
 
     def test_history_shape_and_eval_schedule(self, train_setup, tmp_path):
         store, mcfg, tcfg = train_setup
@@ -334,6 +378,23 @@ class TestTrainLoop:
         assert log[1].endswith(",")          # epoch 1: no validation column
         restored, _ = restore_model(result.checkpoint_path)
         check_vocab(restored, store)
+
+    def test_log_keeps_the_epochs_before_a_crash(self, train_setup, tmp_path):
+        store, mcfg, tcfg = train_setup
+
+        def crash_at_epoch_3(epoch, loss, mrr):
+            if epoch == 3:
+                raise RuntimeError("crash")
+
+        with pytest.raises(RuntimeError):
+            self.run(store, mcfg, tcfg, out_dir=str(tmp_path / "crashed"),
+                     progress=crash_at_epoch_3)
+        self.run(store, mcfg, tcfg, out_dir=str(tmp_path / "full"))
+        crashed = (tmp_path / "crashed" / "train_log.csv").read_bytes()
+        full = (tmp_path / "full" / "train_log.csv").read_bytes()
+        assert crashed.decode().splitlines()[0] == "epoch,loss,valid_mrr"
+        assert len(crashed.splitlines()) == 4        # header and epochs 1-3
+        assert full.startswith(crashed)
 
     def test_same_seed_reproduces_exactly(self, train_setup):
         store, mcfg, tcfg = train_setup
