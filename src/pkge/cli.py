@@ -17,16 +17,14 @@ from dataclasses import fields, replace
 
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      NumericError)
-from .evaluation import (evaluate, format_report, sweep_relation_dim,
-                         write_report_csv)
-from .kg import (CATEGORIES, category_counts, categorize_relations,
-                 dump_stats_json, load_dataset)
-from .model import ABLATION_VARIANTS, MODEL_KINDS, ModelConfig
+from .evaluation import (EVAL_BATCH, evaluate, format_report,
+                         sweep_relation_dim, write_report_csv)
+from .kg import (CATEGORIES, SCOPES, SPLIT_FILES, THRESHOLD, category_counts,
+                 categorize_relations, dump_stats_json, load_dataset)
+from .model import ABLATION_VARIANTS, CHOICES, MODEL_KINDS, ModelConfig
 from .training import (TrainConfig, check_vocab, restore_model,
                        run_experiment)
 
-_MODEL_DEFAULTS = ModelConfig()
-_TRAIN_DEFAULTS = TrainConfig()
 _MODEL_KEYS = [f.name for f in fields(ModelConfig)]
 _TRAIN_KEYS = [f.name for f in fields(TrainConfig)]
 
@@ -39,13 +37,9 @@ _TRAIN_KEYS = [f.name for f in fields(TrainConfig)]
 def _coerce(key, raw, proto):
     kind = type(proto)
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"config key {key}: cannot parse {raw!r} as {kind.__name__}") from None
-    return raw
 
 
 def parse_config_file(path):
@@ -70,17 +64,14 @@ def parse_config_file(path):
 
 def resolve_run_config(args):
     """Merge defaults, config file, and flags into concrete config objects."""
-    values = {"model": "patreformer"}
-    for key in _MODEL_KEYS:
-        values[key] = getattr(_MODEL_DEFAULTS, key)
-    for key in _TRAIN_KEYS:
-        values[key] = getattr(_TRAIN_DEFAULTS, key)
+    values = {"model": "patreformer", **ModelConfig().to_dict(),
+              **TrainConfig().to_dict()}
 
     if getattr(args, "config", None):
         for key, raw in parse_config_file(args.config).items():
             if key not in values:
                 raise ConfigError(f"unknown config key {key!r}")
-            values[key] = raw if key == "model" else _coerce(key, raw, values[key])
+            values[key] = _coerce(key, raw, values[key])
 
     for key in values:
         flag = getattr(args, key, None)
@@ -105,7 +96,7 @@ def format_run_config(kind, model_cfg, train_cfg):
 def _load_store(data_dir):
     if not os.path.isdir(data_dir):
         raise ConfigError(f"dataset directory not found: {data_dir}")
-    for fname in ("train.txt", "valid.txt", "test.txt"):
+    for fname in SPLIT_FILES.values():
         if not os.path.isfile(os.path.join(data_dir, fname)):
             raise ConfigError(f"dataset directory {data_dir} is missing {fname}")
     return load_dataset(data_dir)
@@ -227,9 +218,8 @@ def cmd_sweep_dim(args):
 
 def cmd_stats(args):
     store = _load_store(args.data)
-    stats = store.stats()
-    for key in ("entities", "relations", "train", "valid", "test"):
-        print(f"{key}: {stats[key]}")
+    for key, value in store.stats().items():
+        print(f"{key}: {value}")
     if args.json:
         dump_stats_json(store, args.json)
     return 0
@@ -237,7 +227,7 @@ def cmd_stats(args):
 
 def cmd_categorize(args):
     store = _load_store(args.data)
-    scopes = ("all", "train") if args.scope == "both" else (args.scope,)
+    scopes = tuple(SCOPES) if args.scope == "both" else (args.scope,)
     for scope in scopes:
         cats = categorize_relations(store, threshold=args.threshold, scope=scope)
         rel_counts = {c: 0 for c in CATEGORIES}
@@ -258,35 +248,16 @@ def cmd_categorize(args):
 
 
 def _add_config_flags(sub):
+    """One ``--flag`` per ModelConfig and TrainConfig field, named like the
+    config-file key with dashes and typed like the field's default."""
     sub.add_argument("--config", help="key=value option file")
     sub.add_argument("--model", choices=MODEL_KINDS)
-    g = sub.add_argument_group("model options")
-    g.add_argument("--d-e", dest="d_e", type=int)
-    g.add_argument("--d-r", dest="d_r", type=int)
-    g.add_argument("--d", dest="d", type=int)
-    g.add_argument("--heads", type=int)
-    g.add_argument("--layers", type=int)
-    g.add_argument("--d-f", dest="d_f", type=int)
-    g.add_argument("--p1", type=float)
-    g.add_argument("--p2", type=float)
-    g.add_argument("--p3", type=float)
-    g.add_argument("--attention", choices=("cross", "full_self", "separate_self"))
-    g.add_argument("--pe", choices=("none", "trainable", "sinusoidal"))
-    g.add_argument("--segmentation", choices=("frozen", "folding", "trainable", "none"))
-    g.add_argument("--update-order", dest="update_order",
-                   choices=("sequential", "simultaneous"))
-    g.add_argument("--attn-scale", dest="attn_scale",
-                   choices=("model_dim", "head_dim"))
-    g.add_argument("--transe-gamma", dest="transe_gamma", type=float)
-    g.add_argument("--transe-norm", dest="transe_norm", choices=("l1", "l2"))
-    t = sub.add_argument_group("training options")
-    t.add_argument("--lr", type=float)
-    t.add_argument("--batch-size", dest="batch_size", type=int)
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--label-smoothing", dest="label_smoothing", type=float)
-    t.add_argument("--seed", type=int)
-    t.add_argument("--eval-every", dest="eval_every", type=int)
-    t.add_argument("--eval-batch", dest="eval_batch", type=int)
+    for title, cls in (("model options", ModelConfig),
+                       ("training options", TrainConfig)):
+        group = sub.add_argument_group(title)
+        for f in fields(cls):
+            group.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                               type=type(f.default), choices=CHOICES.get(f.name))
 
 
 def _parser():
@@ -303,9 +274,10 @@ def _parser():
     p = subs.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=("train", "valid", "test"), default="test")
+    p.add_argument("--split", choices=tuple(SPLIT_FILES), default="test")
     p.add_argument("--out", help="directory for the report CSV")
-    p.add_argument("--eval-batch", dest="eval_batch", type=int, default=512)
+    p.add_argument("--eval-batch", dest="eval_batch", type=int,
+                   default=EVAL_BATCH)
     p.add_argument("--workers", type=int, default=None,
                    help="scoring threads (capped by PKGE_THREADS)")
     p.set_defaults(func=cmd_eval)
@@ -335,9 +307,9 @@ def _parser():
 
     p = subs.add_parser("categorize", help="relation category breakdown")
     p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=("train", "valid", "test"), default="test")
-    p.add_argument("--scope", choices=("all", "train", "both"), default="all")
-    p.add_argument("--threshold", type=float, default=1.5)
+    p.add_argument("--split", choices=tuple(SPLIT_FILES), default="test")
+    p.add_argument("--scope", choices=(*SCOPES, "both"), default="all")
+    p.add_argument("--threshold", type=float, default=THRESHOLD)
     p.set_defaults(func=cmd_categorize)
     return parser
 

@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: configuration and shape problems exit 2,
+The CLI maps these onto exit codes: configuration problems exit 2,
 data/checkpoint mismatches exit 3, numeric failures (NaN/overflow) exit 4.
+ShapeError and GraphError are mapped to none: validated input cannot raise
+them, so they signal a program fault and end the CLI with a traceback.
 """
 
 

@@ -14,15 +14,16 @@ category (1-1, 1-N, N-1, N-N).
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .kg import CATEGORIES, triple_categories
+from .kg import CATEGORIES, THRESHOLD, triple_categories
 from .tensor import no_grad
 
 HITS_AT = (1, 3, 10)
+EVAL_BATCH = 512        # queries scored per chunk
 
 
 def filtered_rank(scores, targets, known_rows, known_answers):
@@ -90,7 +91,7 @@ def check_split(store, split):
         raise ConfigError(f"split {split!r} has no triples to evaluate")
 
 
-def evaluate(store, model, split, batch_size=512, threshold=1.5,
+def evaluate(store, model, split, batch_size=EVAL_BATCH, threshold=THRESHOLD,
              category_scope="all", workers=None):
     """Filtered-ranking report for ``split``; both directions of every triple.
 
@@ -202,9 +203,7 @@ def sweep_relation_dim(store, model_kinds, base_config, train_config, dims,
                        progress=None):
     """Train each model kind at each relation embedding size; returns rows of
     {model, d_r, best_valid_mrr, test_mrr}, testing the best-validation model."""
-    from dataclasses import replace
-
-    from .training import run_experiment
+    from .training import run_experiment  # training imports this module
 
     rows = []
     for kind in model_kinds:

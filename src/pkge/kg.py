@@ -17,6 +17,10 @@ from .errors import ConfigError, DataFormatError
 SPLIT_FILES = {"train": "train.txt", "valid": "valid.txt", "test": "test.txt"}
 
 CATEGORIES = ("1-1", "1-N", "N-1", "N-N")
+# tph/hpt above which a relation side counts as "N" (Bordes et al., 2013).
+THRESHOLD = 1.5
+# The splits each categorization scope measures tph/hpt over.
+SCOPES = {"all": tuple(SPLIT_FILES), "train": ("train",)}
 
 
 def load_tsv(path, split="train"):
@@ -175,7 +179,7 @@ class RelationCategory:
     hpt: float      # average heads per tail
 
 
-def categorize_relations(store, threshold=1.5, scope="all"):
+def categorize_relations(store, threshold=THRESHOLD, scope="all"):
     """Classify original relations as 1-1 / 1-N / N-1 / N-N.
 
     tph(r) = #triples(r) / #distinct heads(r), hpt analogously over tails,
@@ -185,10 +189,9 @@ def categorize_relations(store, threshold=1.5, scope="all"):
     if not np.isfinite(threshold) or threshold <= 0:
         raise ConfigError(
             f"categorization threshold must be finite and > 0, got {threshold}")
-    if scope not in ("all", "train"):
+    if scope not in SCOPES:
         raise ConfigError(f"unknown categorization scope {scope!r}")
-    split_names = ("train", "valid", "test") if scope == "all" else ("train",)
-    h, r, t = np.concatenate([store.splits[s] for s in split_names]).T
+    h, r, t = np.concatenate([store.splits[s] for s in SCOPES[scope]]).T
     n_rel, n_ent = store.num_relations, store.num_entities
     counts = np.bincount(r, minlength=n_rel)
     # distinct (relation, head) and (relation, tail) pairs, counted per relation
@@ -204,7 +207,7 @@ def categorize_relations(store, threshold=1.5, scope="all"):
     return out
 
 
-def triple_categories(store, split, threshold=1.5, scope="all"):
+def triple_categories(store, split, threshold=THRESHOLD, scope="all"):
     """Index into CATEGORIES of each ``split`` triple's category; -1 when its
     relation never occurs inside the scope (possible when scope="train")."""
     cats = categorize_relations(store, threshold=threshold, scope=scope)
@@ -214,7 +217,7 @@ def triple_categories(store, split, threshold=1.5, scope="all"):
     return by_relation[store.splits[split][:, 1]]
 
 
-def category_counts(store, split="test", threshold=1.5, scope="all"):
+def category_counts(store, split="test", threshold=THRESHOLD, scope="all"):
     """Number of ``split`` triples per relation category; a relation outside
     the categorization scope counts in none (see triple_categories)."""
     cats = triple_categories(store, split, threshold, scope)

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .baselines import DistMult, TransE
 from .errors import ConfigError
 from .params import ParamStore, glorot_uniform
 from .segmentation import (build_frozen_basis, build_trainable_basis,
@@ -30,12 +31,16 @@ from .segmentation import (build_frozen_basis, build_trainable_basis,
 from .tensor import (concat, dropout, gather_rows, layer_norm, matmul, mul,
                      narrow, relu, reshape, softmax_lastdim, transpose)
 
-ATTENTION_VARIANTS = ("cross", "full_self", "separate_self")
-PE_VARIANTS = ("none", "trainable", "sinusoidal")
-SEGMENTATION_VARIANTS = ("frozen", "folding", "trainable", "none")
-UPDATE_ORDERS = ("sequential", "simultaneous")
-ATTN_SCALES = ("model_dim", "head_dim")
-MODEL_KINDS = ("patreformer", "transe", "distmult")
+# Allowed values of each ModelConfig field that names a choice, read by
+# ModelConfig.validate and by the command-line flags.
+CHOICES = {
+    "attention": ("cross", "full_self", "separate_self"),
+    "pe": ("none", "trainable", "sinusoidal"),
+    "segmentation": ("frozen", "folding", "trainable", "none"),
+    "update_order": ("sequential", "simultaneous"),
+    "attn_scale": ("model_dim", "head_dim"),
+    "transe_norm": ("l1", "l2"),
+}
 
 # Named single-field deviations from a base configuration, for ablation runs.
 ABLATION_VARIANTS = {
@@ -52,8 +57,26 @@ ABLATION_VARIANTS = {
 }
 
 
+class Config:
+    """Base of the option dataclasses: validated on construction, and
+    round-tripped through a plain dict for checkpoint headers."""
+
+    def __post_init__(self):
+        self.validate()
+
+    def to_dict(self):
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d):
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        return cls(**d)
+
+
 @dataclass
-class ModelConfig:
+class ModelConfig(Config):
     d_e: int = 100          # entity embedding size
     d_r: int = 200          # relation embedding size
     d: int = 50             # patch size (model width)
@@ -71,17 +94,9 @@ class ModelConfig:
     transe_gamma: float = 12.0
     transe_norm: str = "l1"
 
-    def __post_init__(self):
-        self.validate()
-
     def validate(self):
-        for name, value, allowed in (
-            ("attention", self.attention, ATTENTION_VARIANTS),
-            ("pe", self.pe, PE_VARIANTS),
-            ("segmentation", self.segmentation, SEGMENTATION_VARIANTS),
-            ("update_order", self.update_order, UPDATE_ORDERS),
-            ("attn_scale", self.attn_scale, ATTN_SCALES),
-        ):
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
             if value not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
         if self.d <= 0 or self.heads <= 0 or self.layers < 1 or self.d_f < 1:
@@ -96,8 +111,6 @@ class ModelConfig:
         for name, p in (("p1", self.p1), ("p2", self.p2), ("p3", self.p3)):
             if not 0.0 <= p < 1.0:
                 raise ConfigError(f"{name} must satisfy 0 <= p < 1, got {p}")
-        if self.transe_norm not in ("l1", "l2"):
-            raise ConfigError(f"transe_norm must be 'l1' or 'l2', got {self.transe_norm!r}")
         if not np.isfinite(self.transe_gamma):
             raise ConfigError("transe_gamma must be finite")
 
@@ -108,17 +121,6 @@ class ModelConfig:
     @property
     def k_r(self):
         return 1 if self.segmentation == "none" else self.d_r // self.d
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 def sinusoidal_table(k, d):
@@ -341,13 +343,11 @@ class PatReFormer:
         return self.score_from_embeddings(e_emb, r_emb, training, rng)
 
 
-def build_model(kind, config, n_entities, n_relations, rng):
-    from . import baselines
+MODELS = {cls.kind: cls for cls in (PatReFormer, TransE, DistMult)}
+MODEL_KINDS = tuple(MODELS)
 
-    if kind == "patreformer":
-        return PatReFormer(config, n_entities, n_relations, rng)
-    if kind == "transe":
-        return baselines.TransE(config, n_entities, n_relations, rng)
-    if kind == "distmult":
-        return baselines.DistMult(config, n_entities, n_relations, rng)
-    raise ConfigError(f"model must be one of {MODEL_KINDS}, got {kind!r}")
+
+def build_model(kind, config, n_entities, n_relations, rng):
+    if kind not in MODELS:
+        raise ConfigError(f"model must be one of {MODEL_KINDS}, got {kind!r}")
+    return MODELS[kind](config, n_entities, n_relations, rng)

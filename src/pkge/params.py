@@ -60,11 +60,8 @@ class ParamStore:
             t.data = arr
 
 
-def glorot_uniform(rng, shape, fan_in=None, fan_out=None):
-    """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
-    if fan_in is None:
-        fan_in = shape[0] if len(shape) > 1 else shape[0]
-    if fan_out is None:
-        fan_out = shape[-1]
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+def glorot_uniform(rng, shape):
+    """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out)), where fan_in is
+    ``shape[0]`` and fan_out ``shape[-1]``."""
+    limit = np.sqrt(6.0 / (shape[0] + shape[-1]))
     return rng.uniform(-limit, limit, size=shape).astype(np.float32)

@@ -17,6 +17,8 @@ import os
 
 import numpy as np
 
+from .kg import SPLIT_FILES
+
 
 def _name_triples(triples):
     return [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in triples]
@@ -34,8 +36,9 @@ def _split_triples(triples, rng, valid_frac=0.1, test_frac=0.1):
     return {"train": pick(train_idx), "valid": pick(valid_idx), "test": pick(test_idx)}
 
 
-def random_kg(rng, n_entities=20, n_relations=4, n_triples=120):
-    """Uniform random distinct triples split 80/10/10."""
+def _distinct_triples(rng, n_entities, n_relations, n_triples):
+    """``n_triples`` distinct (h, r, t) with h != t, each drawn uniformly as
+    h, r, t in turn until it is new."""
     seen = set()
     triples = []
     while len(triples) < n_triples:
@@ -45,22 +48,20 @@ def random_kg(rng, n_entities=20, n_relations=4, n_triples=120):
         if h != t and (h, r, t) not in seen:
             seen.add((h, r, t))
             triples.append((h, r, t))
+    return triples
+
+
+def random_kg(rng, n_entities=20, n_relations=4, n_triples=120):
+    """Uniform random distinct triples split 80/10/10."""
+    triples = _distinct_triples(rng, n_entities, n_relations, n_triples)
     return _split_triples(_name_triples(triples), rng)
 
 
 def memorization_kg(rng, n_entities=30, n_relations=4, n_triples=200):
     """Random distinct triples with train == valid == test."""
-    seen = set()
-    triples = []
-    while len(triples) < n_triples:
-        h = int(rng.integers(n_entities))
-        r = int(rng.integers(n_relations))
-        t = int(rng.integers(n_entities))
-        if h != t and (h, r, t) not in seen:
-            seen.add((h, r, t))
-            triples.append((h, r, t))
-    named = _name_triples(triples)
-    return {"train": list(named), "valid": list(named), "test": list(named)}
+    named = _name_triples(
+        _distinct_triples(rng, n_entities, n_relations, n_triples))
+    return {split: list(named) for split in SPLIT_FILES}
 
 
 def clustered_kg(rng, n_entities=135, n_clusters=15, n_relations=46,
@@ -89,8 +90,8 @@ def clustered_kg(rng, n_entities=135, n_clusters=15, n_relations=46,
 def write_dataset(directory, splits):
     """Write train/valid/test .txt files in head<TAB>relation<TAB>tail form."""
     os.makedirs(directory, exist_ok=True)
-    for split in ("train", "valid", "test"):
-        path = os.path.join(directory, f"{split}.txt")
+    for split, fname in SPLIT_FILES.items():
+        path = os.path.join(directory, fname)
         with open(path, "w", encoding="utf-8") as fh:
             for h, r, t in splits[split]:
                 fh.write(f"{h}\t{r}\t{t}\n")

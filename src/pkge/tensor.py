@@ -344,12 +344,6 @@ def reduce_sum(x, axis=None, keepdims=False):
     return out
 
 
-def reduce_mean(x, axis=None, keepdims=False):
-    x = as_tensor(x)
-    n = x.data.size if axis is None else x.data.shape[axis]
-    return mul(reduce_sum(x, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def sqrt(x):
     x = as_tensor(x)
     data = np.sqrt(x.data)

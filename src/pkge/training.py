@@ -11,14 +11,16 @@ wall-clock time into logs or checkpoints.
 """
 
 import json
+import math
 import os
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericError, VocabMismatchError
-from .model import ModelConfig, build_model
+from .evaluation import EVAL_BATCH, check_split, evaluate
+from .model import MODEL_KINDS, Config, ModelConfig, build_model
 from .tensor import bce_with_logits
 
 CHECKPOINT_MAGIC = b"PKGE"
@@ -37,17 +39,14 @@ def seed_streams(seed):
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Config):
     lr: float = 1e-3
     batch_size: int = 256
     epochs: int = 100
     label_smoothing: float = 0.1
     seed: int = 0
     eval_every: int = 10
-    eval_batch: int = 512
-
-    def __post_init__(self):
-        self.validate()
+    eval_batch: int = EVAL_BATCH
 
     def validate(self):
         if not np.isfinite(self.lr) or self.lr <= 0:
@@ -59,17 +58,8 @@ class TrainConfig:
                 f"label_smoothing must be in [0, 0.5), got {self.label_smoothing}")
         if self.eval_batch < 1:
             raise ConfigError("eval_batch must be >= 1")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**d)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +199,30 @@ def save_checkpoint(path, model, optimizer=None):
             os.remove(tmp)
 
 
+def _is_count(value):
+    """A JSON integer >= 0 (``true``/``false`` are not counts)."""
+    return type(value) is int and value >= 0
+
+
 def _read_manifest(entries, payload):
+    if not isinstance(entries, list):
+        raise CheckpointError(f"tensor manifest {entries!r} is not a list")
     arrays = {}
     for entry in entries:
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = int(entry["offset"])
-        nbytes = count * 4
-        if start < 0 or start + nbytes > len(payload):
+        try:
+            name, shape, start = entry["name"], entry["shape"], entry["offset"]
+        except (KeyError, TypeError):
             raise CheckpointError(
-                f"tensor {entry['name']!r} extends past the payload")
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
-        arrays[entry["name"]] = arr.reshape(shape).copy()
+                f"tensor entry {entry!r} lacks a name, shape or offset") from None
+        if (not isinstance(name, str) or not isinstance(shape, list)
+                or not all(map(_is_count, shape + [start]))):
+            raise CheckpointError(f"tensor entry {entry!r} is malformed")
+        shape = tuple(shape)
+        nbytes = 4 * math.prod(shape)
+        if start + nbytes > len(payload):
+            raise CheckpointError(f"tensor {name!r} extends past the payload")
+        arr = np.frombuffer(payload, dtype="<f4", count=nbytes // 4, offset=start)
+        arrays[name] = arr.reshape(shape).copy()
     return arrays
 
 
@@ -248,22 +250,36 @@ def load_checkpoint(path):
     stored_crc = int(np.frombuffer(blob, dtype="<u4", count=1, offset=len(blob) - 4)[0])
     if (zlib.crc32(payload) & 0xFFFFFFFF) != stored_crc:
         raise CheckpointError(f"{path}: payload checksum mismatch")
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: checkpoint header is not a JSON object")
     for key in ("model", "config", "n_entities", "n_relations", "tensors"):
         if key not in header:
             raise CheckpointError(f"{path}: header missing field {key!r}")
+    if header["model"] not in MODEL_KINDS:
+        raise CheckpointError(f"{path}: unknown model kind {header['model']!r}")
     arrays = _read_manifest(header["tensors"], payload)
+    # The vocab sizes set the model skeleton's shape, so they must be the
+    # row counts of the embedding tables the payload holds.
+    for key, table in (("n_entities", "entity.embedding"),
+                       ("n_relations", "relation.embedding")):
+        n = header[key]
+        rows = arrays[table].shape[:1] if table in arrays else None
+        if not _is_count(n) or n == 0 or rows != (n,):
+            raise CheckpointError(
+                f"{path}: {key}={n!r} is not the row count of {table!r}")
     trainable = {e["name"]: bool(e.get("trainable", True)) for e in header["tensors"]}
     optimizer = None
-    if header.get("optimizer"):
-        optimizer = {
-            "step": int(header["optimizer"]["step"]),
-            "arrays": _read_manifest(header["optimizer"]["tensors"], payload),
-        }
+    state = header.get("optimizer")
+    if state:
+        if not isinstance(state, dict) or not _is_count(state.get("step")):
+            raise CheckpointError(f"{path}: malformed optimizer state")
+        optimizer = {"step": state["step"],
+                     "arrays": _read_manifest(state.get("tensors"), payload)}
     return {
         "model": header["model"],
         "config": header["config"],
-        "n_entities": int(header["n_entities"]),
-        "n_relations": int(header["n_relations"]),
+        "n_entities": header["n_entities"],
+        "n_relations": header["n_relations"],
         "arrays": arrays,
         "trainable": trainable,
         "optimizer": optimizer,
@@ -322,8 +338,6 @@ def train_model(store, model, cfg, out_dir=None, progress=None):
     with ``out_dir``, checkpointed to ``best.ckpt`` next to ``train_log.csv``,
     which gains one row per epoch as the epoch ends.
     """
-    from .evaluation import check_split, evaluate
-
     cfg.validate()
     check_split(store, "valid")
     streams = seed_streams(cfg.seed)
@@ -392,8 +406,6 @@ def run_experiment(store, kind, model_cfg, train_cfg, out_dir=None,
     """Build a ``kind`` model from the seed's init stream, train it, and test
     the parameters with the best validation MRR; returns the TrainResult and
     the test-split EvalReport."""
-    from .evaluation import check_split, evaluate
-
     check_split(store, "test")
     model = build_model(kind, model_cfg, store.num_entities,
                         store.num_relations_with_reverse,

@@ -1,15 +1,17 @@
 import json
 import os
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from pkge.baselines import DistMult
 from pkge.cli import (_parser, format_run_config, main, parse_config_file,
                       resolve_run_config)
 from pkge.errors import ConfigError
-from pkge.model import ModelConfig, PatReFormer
-from pkge.training import save_checkpoint
+from pkge.model import CHOICES, ModelConfig, PatReFormer
+from pkge.training import TrainConfig, save_checkpoint
 
 TINY_MODEL = [
     "--d-e", "8", "--d-r", "8", "--d", "4", "--heads", "2", "--layers", "1",
@@ -166,6 +168,17 @@ class TestExitCodes:
                        for line in captured.out.splitlines())
         assert not (out / "config.txt").exists()
 
+    def test_negative_seed(self, memo_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["train", "--data", memo_dir, "--out", str(out)]
+                  + TINY_MODEL + schedule(1) + ["--seed", "-1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "seed must be >= 0" in captured.err
+        assert not any(line.startswith("epoch ")
+                       for line in captured.out.splitlines())
+        assert not (out / "config.txt").exists()
+
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_nonfinite_categorize_threshold(self, memo_dir, capsys, threshold):
         rc = main(["categorize", "--data", memo_dir, "--threshold", threshold])
@@ -190,6 +203,93 @@ class TestExitCodes:
         # the dataset is still fine for commands that do not evaluate
         assert main(["stats", "--data", data]) == 0
         assert main(["categorize", "--data", data, "--split", "train"]) == 0
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to a checkpoint's JSON header in place; the payload and
+    its CRC stay as they were."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    n = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + n])
+    edit(header)
+    head = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(blob[:8] + len(head).to_bytes(4, "little") + head
+                 + blob[12 + n:])
+
+
+HEADER_FAULTS = {
+    "negative-entities": lambda h: h.update(n_entities=-3),
+    "string-entities": lambda h: h.update(n_entities="x"),
+    "missing-offset": lambda h: h["tensors"][0].pop("offset"),
+    "unknown-model": lambda h: h.update(model="foo"),
+}
+
+
+@pytest.mark.parametrize("fault", list(HEADER_FAULTS))
+def test_bad_checkpoint_header_exits_3(memo_dir, tmp_path, capsys, fault):
+    cfg = ModelConfig(d_e=8, d_r=8, d=4, heads=2, layers=1, d_f=8)
+    path = str(tmp_path / "distmult.ckpt")
+    save_checkpoint(path, DistMult(cfg, 30, 8, np.random.default_rng(0)))
+    rewrite_header(path, HEADER_FAULTS[fault])
+    rc = main(["eval", "--data", memo_dir, "--checkpoint", path])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+# Each command that takes the option set, with its other required flags.
+OPTION_COMMANDS = {
+    "train": ["train", "--data", "d", "--out", "o"],
+    "ablate": ["ablate", "--data", "d", "--variant", "all"],
+    "sweep-dim": ["sweep-dim", "--data", "d", "--dims", "8"],
+}
+OPTION_FIELDS = [f for cls in (ModelConfig, TrainConfig) for f in fields(cls)]
+
+
+def resolve_options(command, *extra):
+    """Every option value ``command`` resolves from its flags, as one dict."""
+    args = _parser().parse_args(OPTION_COMMANDS[command] + list(extra))
+    model_cfg, train_cfg = resolve_run_config(args)[1:]
+    return {**model_cfg.to_dict(), **train_cfg.to_dict()}
+
+
+def flag_of(name):
+    return "--" + name.replace("_", "-")
+
+
+@pytest.mark.parametrize("command", list(OPTION_COMMANDS))
+@pytest.mark.parametrize("field", OPTION_FIELDS, ids=lambda f: f.name)
+class TestOptionSurface:
+    """Every config field is a ``--flag`` and a config-file key of the same
+    type; a value the field cannot take is a usage error."""
+
+    def test_flag_has_the_field_type(self, command, field):
+        args = _parser().parse_args(OPTION_COMMANDS[command]
+                                    + [flag_of(field.name), str(field.default)])
+        value = getattr(args, field.name)
+        assert type(value) is type(field.default) and value == field.default
+
+    def test_bad_value_exits_2(self, command, field, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(OPTION_COMMANDS[command] + [flag_of(field.name), "bogus"])
+        assert exc.value.code == 2
+        assert flag_of(field.name) in capsys.readouterr().err
+
+    def test_config_file_takes_the_key(self, command, field, tmp_path):
+        value = CHOICES.get(field.name, (field.default,))[-1]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{field.name}={value}\n")
+        got = resolve_options(command, "--config", str(path))[field.name]
+        assert type(got) is type(field.default) and got == value
+
+
+@pytest.mark.parametrize("command", list(OPTION_COMMANDS))
+@pytest.mark.parametrize("name", list(CHOICES))
+def test_every_choice_passes(command, name):
+    for choice in CHOICES[name]:
+        assert resolve_options(command, flag_of(name), choice)[name] == choice
 
 
 class TestStatsAndCategorize:

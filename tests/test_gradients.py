@@ -11,7 +11,7 @@ from pkge.gradcheck import check_gradients, numeric_grad
 from pkge.model import ModelConfig, build_model, multi_head_attention, scaled_dot_attention
 from pkge.tensor import (absolute, add, bce_with_logits, concat, dropout,
                          gather_rows, layer_norm, matmul, mul, narrow,
-                         reduce_mean, reduce_sum, relu, reshape,
+                         reduce_sum, relu, reshape,
                          softmax_lastdim, sqrt, transpose)
 from pkge.training import bce_smoothed_loss, seed_streams
 
@@ -112,10 +112,10 @@ class TestStructuralGrads:
         w = RNG.standard_normal((4, 3))
         check(lambda t: reduce_sum(mul(gather_rows(t, ids), w)), [table])
 
-    @covers("reduce_mean", "reduce_sum")
+    @covers("reduce_sum")
     def test_reductions(self):
         x = RNG.standard_normal((3, 4))
-        check(lambda t: reduce_sum(mul(reduce_mean(t, axis=1), 2.0)), [x])
+        check(lambda t: reduce_sum(mul(reduce_sum(t, axis=1), 2.0)), [x])
         check(lambda t: reduce_sum(reduce_sum(t, axis=0, keepdims=True)), [x])
 
 

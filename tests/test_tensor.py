@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 from pkge.errors import ConfigError, GraphError, NumericError, ShapeError
 from pkge.tensor import (Tensor, absolute, add, as_tensor, bce_with_logits,
                          concat, dropout, gather_rows, layer_norm, matmul, mul,
-                         narrow, reduce_mean, reduce_sum, relu, reshape,
+                         narrow, reduce_sum, relu, reshape,
                          softmax_lastdim, sqrt, transpose)
 
 
@@ -159,11 +159,6 @@ class TestReductions:
         out = reduce_sum(x, axis=1, keepdims=True)
         np.testing.assert_array_equal(out.data, [[3.0], [12.0]])
         assert out.dtype == np.float32
-
-    def test_mean_gradient(self):
-        x = Tensor(np.zeros((4, 5), np.float32), requires_grad=True)
-        reduce_mean(x).backward()
-        np.testing.assert_allclose(x.grad, np.full((4, 5), 1.0 / 20), rtol=1e-6)
 
     def test_sum_accumulates_in_float64(self):
         x = np.full(1_000_000, 0.1, dtype=np.float32)
