@@ -69,9 +69,19 @@ class Config:
 
     @classmethod
     def from_dict(cls, d):
-        unknown = set(d) - {f.name for f in fields(cls)}
+        """Build from a JSON object. Each value must have its field's type:
+        an int field takes an integer but not true/false, a float field an
+        integer or a float, a str field a string."""
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(d) - set(types)
         if unknown:
             raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        for name, value in d.items():
+            accepted = (int, float) if types[name] is float else types[name]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigError(
+                    f"{cls.__name__}.{name} must be {types[name].__name__}, "
+                    f"got {value!r}")
         return cls(**d)
 
 

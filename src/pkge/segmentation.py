@@ -16,7 +16,7 @@ Every scheme is linear in the embedding.
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .tensor import Tensor, matmul, reshape, transpose
+from .tensor import matmul, reshape, transpose
 
 
 def validate_patch_shape(dim, k, d, what="embedding"):
@@ -96,6 +96,8 @@ def segment_mapped(e, basis):
             f"embedding size {e.shape[-1]} does not match basis input size {n}")
     flat = reshape(basis, (k * d, n))
     lead = e.shape[:-1]
+    # As a stack of single rows, each embedding gets its own product in the
+    # matmul forward, so its patches do not depend on the batch size.
     out = matmul(reshape(e, lead + (1, n)), transpose(flat))
     return reshape(out, lead + (k, d))
 

@@ -16,10 +16,15 @@ storage dtype.
 Models produce logits. The sigmoid appears only inside the fused loss
 ``bce_with_logits``, which evaluates it without overflow for any finite logit.
 
-Every forward op verifies its result is finite; overflow raises
-``NumericError`` instead of propagating NaN/inf through the graph.
+The forward ops that can turn finite inputs into inf or NaN (``add``,
+``mul``, ``matmul``, ``reduce_sum``, ``sqrt``, ``layer_norm``, ``dropout``
+and ``bce_with_logits``) verify their result is finite; overflow raises
+``NumericError`` instead of propagating NaN/inf through the graph. The others
+only move, select, clamp or normalize finite values, so they skip the sweep;
+a non-finite value they pass on is caught by the next checking op.
 """
 
+import math
 import threading
 import weakref
 
@@ -156,7 +161,6 @@ class no_grad:
 
 
 def _make(data, prev, op):
-    _finite_or_raise(data, op)
     if not _grad_mode.enabled:
         return Tensor(data, op=op)
     out = Tensor(data, _prev=tuple(prev), op=op)
@@ -208,7 +212,9 @@ def _swapaxes(a):
 def add(a, b):
     a = as_tensor(a)
     b = as_tensor(b, dtype=a.dtype) if not isinstance(b, Tensor) else b
-    out = _make(a.data + b.data, (a, b), "add")
+    data = a.data + b.data
+    _finite_or_raise(data, "add")
+    out = _make(data, (a, b), "add")
     if out.requires_grad:
         def _bw(g):
             _accum(a, _unbroadcast(g, a.data.shape))
@@ -220,7 +226,9 @@ def add(a, b):
 def mul(a, b):
     a = as_tensor(a)
     b = as_tensor(b, dtype=a.dtype) if not isinstance(b, Tensor) else b
-    out = _make(a.data * b.data, (a, b), "mul")
+    data = a.data * b.data
+    _finite_or_raise(data, "mul")
+    out = _make(data, (a, b), "mul")
     if out.requires_grad:
         def _bw(g):
             _accum(a, _unbroadcast(g * b.data, a.data.shape))
@@ -230,7 +238,17 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    """Matrix product with leading batch dims broadcast, dA = dC·Bᵀ, dB = Aᵀ·dC."""
+    """Matrix product with leading batch dims broadcast, dA = dC·Bᵀ, dB = Aᵀ·dC.
+
+    When ``b`` is a 2-D weight [K, N], the leading dims of ``a`` [..., M, K]
+    fold into the rows of one GEMM: the backward computes dA as one
+    [rows, N]·[N, K] product and dB as one [K, rows]·[rows, N] product, with
+    no [..., K, N] stack to sum. The forward folds too, except for a stack of
+    single rows (M == 1): there numpy's product per row is kept, so each row's
+    value does not depend on how many rows share the batch (a folded batch of
+    one is an M=1 GEMM, which BLAS sums in a different order). Products of two
+    batched operands keep numpy's broadcasting path.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(
@@ -240,9 +258,24 @@ def matmul(a, b):
         raise ShapeError(
             f"matmul inner extents disagree: {a.data.shape} @ {b.data.shape}"
         )
-    out = _make(a.data @ b.data, (a, b), "matmul")
+    fold = b.data.ndim == 2
+    k, n = b.data.shape[-2:]
+    rows = math.prod(a.data.shape[:-1])
+    if fold and a.data.shape[-2] != 1:
+        data = (a.data.reshape(rows, k) @ b.data).reshape(a.data.shape[:-1] + (n,))
+    else:
+        data = a.data @ b.data
+    _finite_or_raise(data, "matmul")
+    out = _make(data, (a, b), "matmul")
     if out.requires_grad:
         def _bw(g):
+            if fold:
+                g2 = g.reshape(rows, n)
+                if a.requires_grad:
+                    _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
+                if b.requires_grad:
+                    _accum(b, a.data.reshape(rows, k).T @ g2)
+                return
             if a.requires_grad:
                 _accum(a, _unbroadcast(g @ _swapaxes(b.data), a.data.shape))
             if b.requires_grad:
@@ -333,8 +366,10 @@ def gather_rows(table, ids):
 def reduce_sum(x, axis=None, keepdims=False):
     """Sum with float64 accumulation, cast back to the input dtype."""
     x = as_tensor(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64)
-    out = _make(np.asarray(data, dtype=x.dtype), (x,), "sum")
+    data = np.asarray(x.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64),
+                      dtype=x.dtype)
+    _finite_or_raise(data, "sum")
+    out = _make(data, (x,), "sum")
     if out.requires_grad:
         def _bw(g):
             if axis is not None and not keepdims:
@@ -347,6 +382,7 @@ def reduce_sum(x, axis=None, keepdims=False):
 def sqrt(x):
     x = as_tensor(x)
     data = np.sqrt(x.data)
+    _finite_or_raise(data, "sqrt")
     out = _make(data, (x,), "sqrt")
     if out.requires_grad:
         def _bw(g):
@@ -421,8 +457,9 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     inv = 1.0 / np.sqrt(var + eps)
     xhat = ((x64 - mu) * inv).astype(x.dtype)
     inv = inv.astype(x.dtype)
-    y = gamma.data * xhat + beta.data
-    out = _make(y.astype(x.dtype), (x, gamma, beta), "layer_norm")
+    y = (gamma.data * xhat + beta.data).astype(x.dtype)
+    _finite_or_raise(y, "layer_norm")
+    out = _make(y, (x, gamma, beta), "layer_norm")
     if out.requires_grad:
         def _bw(g):
             if gamma.requires_grad:
@@ -450,7 +487,9 @@ def dropout(x, p, training, rng):
         return x
     keep = (rng.random(x.data.shape) >= p).astype(x.dtype)
     scale = np.asarray(1.0 / (1.0 - p), dtype=x.dtype)
-    out = _make(x.data * keep * scale, (x,), "dropout")
+    data = x.data * keep * scale
+    _finite_or_raise(data, "dropout")
+    out = _make(data, (x,), "dropout")
     if out.requires_grad:
         def _bw(g):
             _accum(x, g * keep * scale)
@@ -480,8 +519,9 @@ def bce_with_logits(z, y):
     e = np.exp(-np.abs(x))
     cells = np.maximum(x, 0) + np.log1p(e) - y * x
     count = x.size
-    out = _make(np.asarray(cells.sum(dtype=np.float64) / count, dtype=z.dtype),
-                (z,), "bce_with_logits")
+    loss = np.asarray(cells.sum(dtype=np.float64) / count, dtype=z.dtype)
+    _finite_or_raise(loss, "bce_with_logits")
+    out = _make(loss, (z,), "bce_with_logits")
     if out.requires_grad:
         def _bw(g):
             # sigmoid: 1/(1+e) for z >= 0 and e/(1+e) below; e <= 1, so

@@ -224,6 +224,11 @@ HEADER_FAULTS = {
     "string-entities": lambda h: h.update(n_entities="x"),
     "missing-offset": lambda h: h["tensors"][0].pop("offset"),
     "unknown-model": lambda h: h.update(model="foo"),
+    # model config values of the wrong JSON type, each equal to the saved one
+    "float-d": lambda h: h["config"].update(d=4.0),
+    "float-layers": lambda h: h["config"].update(layers=1.0),
+    "float-heads": lambda h: h["config"].update(heads=2.0),
+    "bool-layers": lambda h: h["config"].update(layers=True),
 }
 
 
@@ -237,6 +242,7 @@ def test_bad_checkpoint_header_exits_3(memo_dir, tmp_path, capsys, fault):
     assert rc == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
 
 
 # Each command that takes the option set, with its other required flags.

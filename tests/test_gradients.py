@@ -87,6 +87,17 @@ class TestStructuralGrads:
         b = RNG.standard_normal((4, 3))
         check(lambda x, y: reduce_sum(mul(matmul(x, y), 0.5)), [a, b])
 
+    # A 2-D right operand folds the leading dims of the left into one GEMM.
+    @covers("matmul")
+    @pytest.mark.parametrize("a_shape, b_shape", [((4, 1, 6), (6, 3)),
+                                                  ((2, 3, 4, 5), (5, 2))],
+                             ids=["row-stack", "4d"])
+    def test_matmul_folded_weight(self, a_shape, b_shape):
+        a = RNG.standard_normal(a_shape)
+        b = RNG.standard_normal(b_shape)
+        w = RNG.standard_normal(a_shape[:-1] + b_shape[-1:])
+        check(lambda x, y: reduce_sum(mul(matmul(x, y), w)), [a, b])
+
     @covers("reshape", "transpose")
     def test_reshape_transpose(self):
         x = RNG.standard_normal((2, 6))

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pkge.errors import ConfigError, GraphError, NumericError, ShapeError
-from pkge.tensor import (Tensor, absolute, add, as_tensor, bce_with_logits,
+from pkge.tensor import (Tensor, absolute, as_tensor, bce_with_logits,
                          concat, dropout, gather_rows, layer_norm, matmul, mul,
                          narrow, reduce_sum, relu, reshape,
                          softmax_lastdim, sqrt, transpose)
+
+from test_tape import public_ops
 
 
 def scalar_loss(t):
@@ -282,3 +284,57 @@ class TestGraph:
         loss = reduce_sum(x + 1.0)
         loss.backward()
         assert x.grad is None
+
+
+def big(*shape, value=3e38):
+    return Tensor(np.full(shape, value, dtype=np.float32))
+
+
+# Ops that can turn finite inputs into inf or NaN, each with finite float32
+# inputs on which it does; these ops check their result.
+OVERFLOW_CASES = {
+    "add": lambda: big(2) + big(2),
+    "mul": lambda: mul(big(2), 2.0),
+    "matmul": lambda: matmul(big(3, 2, 2), big(2, 1, value=1.0)),
+    "matmul-rows": lambda: matmul(big(3, 1, 2), big(2, 1, value=1.0)),
+    "reduce_sum": lambda: reduce_sum(big(2)),
+    "sqrt": lambda: sqrt(big(2, value=-1.0)),
+    "layer_norm": lambda: layer_norm(Tensor(np.array([[1.0, 2.0]], np.float32)),
+                                     big(2), big(2)),
+    "dropout": lambda: dropout(big(8), 0.5, True, np.random.default_rng(0)),
+    "bce_with_logits": lambda: bce_with_logits(big(2), -np.ones(2)),
+}
+
+# Ops that only move, select, clamp or normalize values: finite in, finite
+# out, so they skip the check.
+EXTREMES = np.array([[3.4e38, -3.4e38, 1e-45], [0.0, -1e-45, 1.0]],
+                    dtype=np.float32)
+PASSTHROUGH_CASES = {
+    "reshape": lambda x: reshape(x, (3, 2)),
+    "transpose": transpose,
+    "concat": lambda x: concat([x, x]),
+    "narrow": lambda x: narrow(x, 1, 1, 2),
+    "gather_rows": lambda x: gather_rows(x, np.array([1, 0, 1])),
+    "relu": relu,
+    "absolute": absolute,
+    "softmax_lastdim": softmax_lastdim,
+}
+
+
+class TestFiniteness:
+    def test_every_public_op_is_classified_once(self):
+        checking = {name.split("-")[0] for name in OVERFLOW_CASES}
+        assert not checking & set(PASSTHROUGH_CASES)
+        assert checking | set(PASSTHROUGH_CASES) == public_ops()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", list(OVERFLOW_CASES))
+    def test_overflow_from_finite_inputs_raises(self, name):
+        with pytest.raises(NumericError):
+            OVERFLOW_CASES[name]()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", list(PASSTHROUGH_CASES))
+    def test_unchecked_op_keeps_extremes_finite(self, name):
+        out = PASSTHROUGH_CASES[name](Tensor(EXTREMES))
+        assert np.all(np.isfinite(out.data))
