@@ -16,7 +16,6 @@ from .tensor import (absolute, gather_rows, matmul, mul, reduce_sum, reshape,
 class _BaselineBase:
     def __init__(self, config, n_entities, n_relations, rng):
         """``rng=None`` builds a zero skeleton for checkpoint loading."""
-        config.validate()
         self.config = config
         self.n_entities = n_entities
         self.n_relations = n_relations

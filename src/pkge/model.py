@@ -59,7 +59,8 @@ ABLATION_VARIANTS = {
 
 class Config:
     """Base of the option dataclasses: validated on construction, and
-    round-tripped through a plain dict for checkpoint headers."""
+    round-tripped through a plain dict for checkpoint headers. Subclasses are
+    frozen, so construction (``replace`` included) is the only validation."""
 
     def __post_init__(self):
         self.validate()
@@ -85,7 +86,7 @@ class Config:
         return cls(**d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig(Config):
     d_e: int = 100          # entity embedding size
     d_r: int = 200          # relation embedding size
@@ -200,7 +201,6 @@ class PatReFormer:
         ``rng=None`` builds a zero-valued skeleton of the right shapes, for
         callers about to overwrite every parameter from a checkpoint.
         """
-        config.validate()
         self.config = config
         self.n_entities = n_entities
         self.n_relations = n_relations

@@ -16,6 +16,7 @@ Every scheme is linear in the embedding.
 import numpy as np
 
 from .errors import ConfigError, NumericError
+from .params import glorot_uniform
 from .tensor import matmul, reshape, transpose
 
 
@@ -61,8 +62,7 @@ def build_frozen_basis(k, d, rng):
 def build_trainable_basis(k, d, rng):
     """Learnable mapping matrix, shape [k, d, k*d], Glorot-uniform init."""
     n = k * d
-    limit = np.sqrt(6.0 / (n + n))
-    return rng.uniform(-limit, limit, size=(k, d, n)).astype(np.float32)
+    return glorot_uniform(rng, (n, n)).reshape(k, d, n)
 
 
 def orthonormality_deviation(basis):

@@ -1,12 +1,15 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-The graph is define-by-run: every op closes over its inputs and registers a
-backward rule on the output node; ``Tensor.backward()`` replays the tape in
-reverse topological order. A rule takes the output gradient as its argument
-and reaches its own node only through a weak reference, so the graph holds no
-reference cycle: it is freed by refcounting as soon as its root is dropped,
-without waiting for the cyclic garbage collector. Inside ``with no_grad():``
-ops record no tape at all, which is what inference uses.
+The graph is define-by-run: every op builds its output node through
+``_make``, passing one gradient rule per input, each mapping the output
+gradient to that input's gradient. ``_make`` registers the node's backward
+from these rules; it runs only the rules whose input requires a gradient, so
+no gradient is computed for a constant. ``Tensor.backward()`` replays the tape
+in reverse topological order. The backward reaches its own node only through a
+weak reference, so the graph holds no reference cycle: it is freed by
+refcounting as soon as its root is dropped, without waiting for the cyclic
+garbage collector. Inside ``with no_grad():`` ops record no tape at all, which
+is what inference uses.
 
 Data is float32 by default (float64 graphs are accepted so gradient checks
 can run at full precision). Reductions that feed normalizations (softmax
@@ -160,27 +163,29 @@ class no_grad:
         _grad_mode.enabled = self._prev.pop()
 
 
-def _make(data, prev, op):
+def _make(data, prev, op, *grads):
+    """Output node of ``op``. ``grads[i]`` maps the output gradient to the
+    gradient of ``prev[i]``; backward runs it only when ``prev[i]`` requires
+    a gradient. The backward holds the node only weakly, so no node is
+    reachable from its own backward closure."""
     if not _grad_mode.enabled:
         return Tensor(data, op=op)
-    out = Tensor(data, _prev=tuple(prev), op=op)
+    prev = tuple(prev)
+    out = Tensor(data, _prev=prev, op=op)
     out.requires_grad = any(p.requires_grad for p in prev)
+    if out.requires_grad:
+        ref = weakref.ref(out)
+
+        def _backward():
+            g = ref().grad
+            for p, rule in zip(prev, grads):
+                if p.requires_grad:
+                    _accum(p, rule(g))
+        out._backward = _backward
     return out
 
 
-def _set_backward(out, rule):
-    """Make ``out._backward`` call ``rule(out.grad)``; it holds ``out`` only
-    weakly, so no node is reachable from its own backward closure."""
-    ref = weakref.ref(out)
-
-    def _backward():
-        rule(ref().grad)
-    out._backward = _backward
-
-
 def _accum(t, g):
-    if not t.requires_grad:
-        return
     if g.dtype != t.data.dtype:
         g = g.astype(t.data.dtype)
     if t.grad is None:
@@ -214,13 +219,9 @@ def add(a, b):
     b = as_tensor(b, dtype=a.dtype) if not isinstance(b, Tensor) else b
     data = a.data + b.data
     _finite_or_raise(data, "add")
-    out = _make(data, (a, b), "add")
-    if out.requires_grad:
-        def _bw(g):
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(g, b.data.shape))
-        _set_backward(out, _bw)
-    return out
+    return _make(data, (a, b), "add",
+                 lambda g: _unbroadcast(g, a.data.shape),
+                 lambda g: _unbroadcast(g, b.data.shape))
 
 
 def mul(a, b):
@@ -228,13 +229,9 @@ def mul(a, b):
     b = as_tensor(b, dtype=a.dtype) if not isinstance(b, Tensor) else b
     data = a.data * b.data
     _finite_or_raise(data, "mul")
-    out = _make(data, (a, b), "mul")
-    if out.requires_grad:
-        def _bw(g):
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-        _set_backward(out, _bw)
-    return out
+    return _make(data, (a, b), "mul",
+                 lambda g: _unbroadcast(g * b.data, a.data.shape),
+                 lambda g: _unbroadcast(g * a.data, b.data.shape))
 
 
 def matmul(a, b):
@@ -266,22 +263,19 @@ def matmul(a, b):
     else:
         data = a.data @ b.data
     _finite_or_raise(data, "matmul")
-    out = _make(data, (a, b), "matmul")
-    if out.requires_grad:
-        def _bw(g):
-            if fold:
-                g2 = g.reshape(rows, n)
-                if a.requires_grad:
-                    _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
-                if b.requires_grad:
-                    _accum(b, a.data.reshape(rows, k).T @ g2)
-                return
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g @ _swapaxes(b.data), a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(_swapaxes(a.data) @ g, b.data.shape))
-        _set_backward(out, _bw)
-    return out
+    if fold:
+        def grad_a(g):
+            return (g.reshape(rows, n) @ b.data.T).reshape(a.data.shape)
+
+        def grad_b(g):
+            return a.data.reshape(rows, k).T @ g.reshape(rows, n)
+    else:
+        def grad_a(g):
+            return _unbroadcast(g @ _swapaxes(b.data), a.data.shape)
+
+        def grad_b(g):
+            return _unbroadcast(_swapaxes(a.data) @ g, b.data.shape)
+    return _make(data, (a, b), "matmul", grad_a, grad_b)
 
 
 def reshape(x, shape):
@@ -290,38 +284,25 @@ def reshape(x, shape):
         data = x.data.reshape(shape)
     except ValueError as exc:
         raise ShapeError(f"cannot reshape {x.data.shape} to {shape}: {exc}") from None
-    out = _make(data, (x,), "reshape")
-    if out.requires_grad:
-        def _bw(g):
-            _accum(x, g.reshape(x.data.shape))
-        _set_backward(out, _bw)
-    return out
+    return _make(data, (x,), "reshape", lambda g: g.reshape(x.data.shape))
 
 
 def transpose(x, axes=None):
     x = as_tensor(x)
-    out = _make(np.transpose(x.data, axes), (x,), "transpose")
-    if out.requires_grad:
-        inv = None if axes is None else np.argsort(axes)
-        def _bw(g):
-            _accum(x, np.transpose(g, inv))
-        _set_backward(out, _bw)
-    return out
+    inv = None if axes is None else np.argsort(axes)
+    return _make(np.transpose(x.data, axes), (x,), "transpose",
+                 lambda g: np.transpose(g, inv))
 
 
 def concat(parts, axis=-1):
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat of zero tensors")
-    out = _make(np.concatenate([p.data for p in parts], axis=axis), parts, "concat")
-    if out.requires_grad:
-        sizes = [p.data.shape[axis] for p in parts]
-        splits = np.cumsum(sizes)[:-1]
-        def _bw(g):
-            for p, part in zip(parts, np.split(g, splits, axis=axis)):
-                _accum(p, part)
-        _set_backward(out, _bw)
-    return out
+    data = np.concatenate([p.data for p in parts], axis=axis)
+    splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+    return _make(data, parts, "concat",
+                 *(lambda g, i=i: np.split(g, splits, axis=axis)[i]
+                   for i in range(len(parts))))
 
 
 def narrow(x, axis, start, length):
@@ -335,14 +316,12 @@ def narrow(x, axis, start, length):
         )
     idx = tuple(slice(start, start + length) if i == axis else slice(None)
                 for i in range(x.data.ndim))
-    out = _make(x.data[idx], (x,), "narrow")
-    if out.requires_grad:
-        def _bw(g):
-            gx = np.zeros_like(x.data)
-            gx[idx] = g
-            _accum(x, gx)
-        _set_backward(out, _bw)
-    return out
+
+    def grad(g):
+        gx = np.zeros_like(x.data)
+        gx[idx] = g
+        return gx
+    return _make(x.data[idx], (x,), "narrow", grad)
 
 
 def gather_rows(table, ids):
@@ -353,14 +332,12 @@ def gather_rows(table, ids):
         raise LookupError(
             f"gather_rows: id out of range for table with {table.data.shape[0]} rows"
         )
-    out = _make(table.data[ids], (table,), "gather_rows")
-    if out.requires_grad:
-        def _bw(g):
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, g)
-            _accum(table, gt)
-        _set_backward(out, _bw)
-    return out
+
+    def grad(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, ids, g)
+        return gt
+    return _make(table.data[ids], (table,), "gather_rows", grad)
 
 
 def reduce_sum(x, axis=None, keepdims=False):
@@ -369,37 +346,26 @@ def reduce_sum(x, axis=None, keepdims=False):
     data = np.asarray(x.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64),
                       dtype=x.dtype)
     _finite_or_raise(data, "sum")
-    out = _make(data, (x,), "sum")
-    if out.requires_grad:
-        def _bw(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(x, np.broadcast_to(g, x.data.shape))
-        _set_backward(out, _bw)
-    return out
+
+    def grad(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, x.data.shape)
+    return _make(data, (x,), "sum", grad)
 
 
 def sqrt(x):
     x = as_tensor(x)
     data = np.sqrt(x.data)
     _finite_or_raise(data, "sqrt")
-    out = _make(data, (x,), "sqrt")
-    if out.requires_grad:
-        def _bw(g):
-            _accum(x, g * (0.5 / np.maximum(data, np.finfo(data.dtype).tiny)))
-        _set_backward(out, _bw)
-    return out
+    return _make(data, (x,), "sqrt",
+                 lambda g: g * (0.5 / np.maximum(data, np.finfo(data.dtype).tiny)))
 
 
 def absolute(x):
     """|x| with subgradient 0 at 0."""
     x = as_tensor(x)
-    out = _make(np.abs(x.data), (x,), "abs")
-    if out.requires_grad:
-        def _bw(g):
-            _accum(x, g * np.sign(x.data))
-        _set_backward(out, _bw)
-    return out
+    return _make(np.abs(x.data), (x,), "abs", lambda g: g * np.sign(x.data))
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +376,7 @@ def absolute(x):
 def relu(x):
     """max(0, x); subgradient at 0 is 0."""
     x = as_tensor(x)
-    out = _make(np.maximum(x.data, 0), (x,), "relu")
-    if out.requires_grad:
-        mask = (x.data > 0).astype(x.dtype)
-        def _bw(g):
-            _accum(x, g * mask)
-        _set_backward(out, _bw)
-    return out
+    return _make(np.maximum(x.data, 0), (x,), "relu", lambda g: g * (x.data > 0))
 
 
 def softmax_lastdim(x):
@@ -428,13 +388,11 @@ def softmax_lastdim(x):
     ex = np.exp(shifted)
     denom = ex.sum(axis=-1, keepdims=True, dtype=np.float64)
     y = (ex / denom).astype(x.dtype)
-    out = _make(y, (x,), "softmax")
-    if out.requires_grad:
-        def _bw(g):
-            inner = (g * y).sum(axis=-1, keepdims=True)
-            _accum(x, y * (g - inner))
-        _set_backward(out, _bw)
-    return out
+
+    def grad(g):
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        return y * (g - inner)
+    return _make(y, (x,), "softmax", grad)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -459,20 +417,15 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     inv = inv.astype(x.dtype)
     y = (gamma.data * xhat + beta.data).astype(x.dtype)
     _finite_or_raise(y, "layer_norm")
-    out = _make(y, (x, gamma, beta), "layer_norm")
-    if out.requires_grad:
-        def _bw(g):
-            if gamma.requires_grad:
-                _accum(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
-            if beta.requires_grad:
-                _accum(beta, g.reshape(-1, d).sum(axis=0))
-            if x.requires_grad:
-                gx = g * gamma.data
-                m1 = gx.mean(axis=-1, keepdims=True)
-                m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-                _accum(x, inv * (gx - m1 - xhat * m2))
-        _set_backward(out, _bw)
-    return out
+
+    def grad_x(g):
+        gx = g * gamma.data
+        m1 = gx.mean(axis=-1, keepdims=True)
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        return inv * (gx - m1 - xhat * m2)
+    return _make(y, (x, gamma, beta), "layer_norm", grad_x,
+                 lambda g: (g * xhat).reshape(-1, d).sum(axis=0),
+                 lambda g: g.reshape(-1, d).sum(axis=0))
 
 
 def dropout(x, p, training, rng):
@@ -489,12 +442,7 @@ def dropout(x, p, training, rng):
     scale = np.asarray(1.0 / (1.0 - p), dtype=x.dtype)
     data = x.data * keep * scale
     _finite_or_raise(data, "dropout")
-    out = _make(data, (x,), "dropout")
-    if out.requires_grad:
-        def _bw(g):
-            _accum(x, g * keep * scale)
-        _set_backward(out, _bw)
-    return out
+    return _make(data, (x,), "dropout", lambda g: g * keep * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +469,10 @@ def bce_with_logits(z, y):
     count = x.size
     loss = np.asarray(cells.sum(dtype=np.float64) / count, dtype=z.dtype)
     _finite_or_raise(loss, "bce_with_logits")
-    out = _make(loss, (z,), "bce_with_logits")
-    if out.requires_grad:
-        def _bw(g):
-            # sigmoid: 1/(1+e) for z >= 0 and e/(1+e) below; e <= 1, so
-            # neither branch overflows, and the max picks the numerator.
-            sig = np.maximum(e, (x >= 0).astype(x.dtype)) / (1.0 + e)
-            _accum(z, (sig - y) * (g / count))
-        _set_backward(out, _bw)
-    return out
+
+    def grad(g):
+        # sigmoid: 1/(1+e) for z >= 0 and e/(1+e) below; e <= 1, so
+        # neither branch overflows, and the max picks the numerator.
+        sig = np.maximum(e, (x >= 0).astype(x.dtype)) / (1.0 + e)
+        return (sig - y) * (g / count)
+    return _make(loss, (z,), "bce_with_logits", grad)

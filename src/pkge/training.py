@@ -38,7 +38,7 @@ def seed_streams(seed):
             for i, name in enumerate(_STREAMS)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig(Config):
     lr: float = 1e-3
     batch_size: int = 256
@@ -287,7 +287,10 @@ def load_checkpoint(path):
 
 
 def restore_model(path):
-    """Rebuild the model a checkpoint describes and load its parameters."""
+    """Rebuild the model a checkpoint describes and load its parameters.
+
+    A parameter holding inf or NaN raises ``NumericError`` naming it, before
+    any forward pass can run on it."""
     ck = load_checkpoint(path)
     try:
         config = ModelConfig.from_dict(ck["config"])
@@ -303,6 +306,9 @@ def restore_model(path):
         if name in model.params and model.params[name].requires_grad != flag:
             raise CheckpointError(
                 f"{path}: parameter {name!r} trainable flag mismatch")
+    for name, t in model.params.items():
+        if not np.all(np.isfinite(t.data)):
+            raise NumericError(f"{path}: parameter {name!r} holds non-finite values")
     return model, ck
 
 
@@ -338,7 +344,6 @@ def train_model(store, model, cfg, out_dir=None, progress=None):
     with ``out_dir``, checkpointed to ``best.ckpt`` next to ``train_log.csv``,
     which gains one row per epoch as the epoch ends.
     """
-    cfg.validate()
     check_split(store, "valid")
     streams = seed_streams(cfg.seed)
     data_rng = streams["data"]

@@ -1,12 +1,15 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from pkge.baselines import DistMult
+import pkge
+from pkge.baselines import DistMult, TransE
 from pkge.cli import (_parser, format_run_config, main, parse_config_file,
                       resolve_run_config)
 from pkge.errors import ConfigError
@@ -134,6 +137,29 @@ class TestExitCodes:
         rc = main(["eval", "--data", memo_dir, "--checkpoint", path])
         assert rc == 4
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["patreformer", "transe", "distmult"])
+    def test_nonfinite_parameters_one_error_line(self, memo_dir, tmp_path, kind):
+        # A separate process, so numpy's floating-point warnings would reach
+        # stderr rather than pytest's warning capture.
+        cfg = ModelConfig(d_e=8, d_r=8, d=4, heads=2, layers=1, d_f=8)
+        rng = np.random.default_rng(0)
+        model = {"patreformer": tiny_memo_model,
+                 "transe": lambda: TransE(cfg, 30, 8, rng),
+                 "distmult": lambda: DistMult(cfg, 30, 8, rng)}[kind]()
+        model.params["entity.embedding"].data[...] = np.inf
+        path = str(tmp_path / "inf.ckpt")
+        save_checkpoint(path, model)
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(pkge.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pkge", "eval", "--data", memo_dir,
+             "--checkpoint", path],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 4
+        err = proc.stderr.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "entity.embedding" in err[0]
 
     def test_invalid_utf8_split_file(self, memo_dir, tmp_path, capsys):
         data = copy_dataset(memo_dir, tmp_path / "d",

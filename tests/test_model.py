@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from pkge.model import (ABLATION_VARIANTS, ModelConfig, PatReFormer,
                         build_model, multi_head_attention,
                         scaled_dot_attention, sinusoidal_table)
 from pkge.tensor import Tensor
+from pkge.training import TrainConfig
 
 N_ENT, N_REL2 = 6, 8
 
@@ -55,6 +58,15 @@ class TestConfig:
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
         with pytest.raises(ConfigError):
             ModelConfig.from_dict({"d_eeee": 3})
+
+    @pytest.mark.parametrize("cls, name, bad", [(ModelConfig, "d", 3),
+                                                (TrainConfig, "lr", -1.0)])
+    def test_frozen_and_replace_validates(self, cls, name, bad):
+        cfg = cls()
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, bad)
+        with pytest.raises(ConfigError):
+            replace(cfg, **{name: bad})
 
     def test_ablation_table_fields_exist(self):
         for overrides in ABLATION_VARIANTS.values():

@@ -1,9 +1,11 @@
 """Lifetime of the autodiff tape: graphs hold no reference cycles, so they are
-freed by refcounting alone, and ``no_grad`` records no tape at all."""
+freed by refcounting alone, ``no_grad`` records no tape at all, and backward
+computes no gradient for an input that needs none."""
 
 import gc
 import inspect
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -47,6 +49,16 @@ OP_CASES = {
 }
 
 
+# Every op with two or more inputs: input shapes, and a builder taking them.
+MULTI_INPUT_CASES = {
+    "add": ([(2, 3), (3,)], add),
+    "mul": ([(2, 3), (2, 3)], mul),
+    "matmul": ([(2, 3), (3, 4)], matmul),
+    "concat": ([(2, 3), (2, 2)], lambda a, b: concat([a, b], axis=-1)),
+    "layer_norm": ([(2, 3), (3,), (3,)], layer_norm),
+}
+
+
 @pytest.fixture
 def gc_off():
     """Run with the cyclic collector off, so only refcounting frees objects."""
@@ -68,6 +80,8 @@ def public_ops():
 
 def test_cases_cover_every_public_op():
     assert public_ops() == set(OP_CASES)
+    assert ({name for name, build in OP_CASES.items() if len(build()._prev) > 1}
+            == set(MULTI_INPUT_CASES))
 
 
 @pytest.mark.parametrize("run_backward", [False, True],
@@ -144,3 +158,44 @@ class TestNoGrad:
         out, = seen
         assert out.requires_grad and out._backward is not None
         assert len(out._prev) == 2
+
+
+def input_grads(name, const=None):
+    """Gradients of a weighted sum of op ``name``'s output with respect to its
+    inputs, the input at index ``const`` being a constant."""
+    shapes, build = MULTI_INPUT_CASES[name]
+    rng = np.random.default_rng(0)
+    inputs = [Tensor(rng.uniform(0.5, 1.5, shape).astype(np.float32),
+                     requires_grad=i != const)
+              for i, shape in enumerate(shapes)]
+    out = build(*inputs)
+    weights = rng.uniform(-1.0, 1.0, out.shape).astype(np.float32)
+    reduce_sum(mul(out, weights)).backward()
+    return [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("name, const", [
+    (name, i) for name, (shapes, _) in sorted(MULTI_INPUT_CASES.items())
+    for i in range(len(shapes))])
+def test_constant_input_gets_no_gradient(name, const):
+    reference = input_grads(name)
+    grads = input_grads(name, const)
+    assert grads[const] is None
+    for i, (g, ref) in enumerate(zip(grads, reference)):
+        if i != const:
+            np.testing.assert_array_equal(g, ref)
+
+
+def test_backward_skips_constant_operand():
+    # Gradients of x and of the product node are 4.0 MB each; a gradient
+    # computed for the constant would add a third.
+    x = Tensor(np.ones((1000, 1000), dtype=np.float32), requires_grad=True)
+    c = np.full((1000, 1000), 2.0, dtype=np.float32)
+    loss = reduce_sum(mul(x, c))
+    tracemalloc.start()
+    try:
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
