@@ -9,8 +9,8 @@ lives only in the training loss.
 import numpy as np
 
 from .params import ParamStore, glorot_uniform
-from .tensor import (absolute, gather_rows, matmul, mul, reduce_sum, reshape,
-                     sqrt, transpose)
+from .tensor import (add, gather_rows, l1_distance, matmul, mul, reduce_sum,
+                     relu, reshape, sqrt, transpose)
 
 
 class _BaselineBase:
@@ -37,18 +37,20 @@ class TransE(_BaselineBase):
     kind = "transe"
 
     def score_all(self, entities, relations, training=False, rng=None):
-        cfg = self.config
-        e = gather_rows(self.params["entity.embedding"], np.asarray(entities))
+        table = self.params["entity.embedding"]
+        e = gather_rows(table, np.asarray(entities))
         r = gather_rows(self.params["relation.embedding"], np.asarray(relations))
-        translated = e + r                                   # [B, d]
-        b = translated.shape[0]
-        diff = reshape(translated, (b, 1, cfg.d_e)) - reshape(
-            self.params["entity.embedding"], (1, self.n_entities, cfg.d_e))
-        if cfg.transe_norm == "l1":
-            dist = reduce_sum(absolute(diff), axis=-1)
+        q = e + r                                            # [B, d]
+        if self.config.transe_norm == "l1":
+            dist = l1_distance(q, table)
         else:
-            dist = sqrt(reduce_sum(mul(diff, diff), axis=-1))
-        return cfg.transe_gamma - dist
+            # ||q - e||^2 = ||q||^2 + ||e||^2 - 2 q.e as one GEMM, clamped at
+            # 0 where rounding takes it below.
+            sq = add(reduce_sum(mul(q, q), axis=-1, keepdims=True),
+                     reshape(reduce_sum(mul(table, table), axis=-1),
+                             (1, self.n_entities)))
+            dist = sqrt(relu(add(sq, mul(matmul(q, transpose(table)), -2.0))))
+        return self.config.transe_gamma - dist
 
 
 class DistMult(_BaselineBase):

@@ -20,11 +20,12 @@ Models produce logits. The sigmoid appears only inside the fused loss
 ``bce_with_logits``, which evaluates it without overflow for any finite logit.
 
 The forward ops that can turn finite inputs into inf or NaN (``add``,
-``mul``, ``matmul``, ``reduce_sum``, ``sqrt``, ``layer_norm``, ``dropout``
-and ``bce_with_logits``) verify their result is finite; overflow raises
-``NumericError`` instead of propagating NaN/inf through the graph. The others
-only move, select, clamp or normalize finite values, so they skip the sweep;
-a non-finite value they pass on is caught by the next checking op.
+``mul``, ``matmul``, ``reduce_sum``, ``sqrt``, ``l1_distance``,
+``layer_norm``, ``dropout`` and ``bce_with_logits``) verify their result is
+finite; overflow raises ``NumericError`` instead of propagating NaN/inf
+through the graph. The others only move, select, clamp or normalize finite
+values, so they skip the sweep; a non-finite value they pass on is caught by
+the next checking op.
 """
 
 import math
@@ -355,17 +356,114 @@ def reduce_sum(x, axis=None, keepdims=False):
 
 
 def sqrt(x):
+    """Square root; subgradient 0 where the output is 0."""
     x = as_tensor(x)
     data = np.sqrt(x.data)
     _finite_or_raise(data, "sqrt")
-    return _make(data, (x,), "sqrt",
-                 lambda g: g * (0.5 / np.maximum(data, np.finfo(data.dtype).tiny)))
+
+    def grad(g):
+        return g * np.divide(0.5, data, out=np.zeros_like(data), where=data > 0)
+    return _make(data, (x,), "sqrt", grad)
 
 
-def absolute(x):
-    """|x| with subgradient 0 at 0."""
-    x = as_tensor(x)
-    return _make(np.abs(x.data), (x,), "abs", lambda g: g * np.sign(x.data))
+# Size in bytes of each [B, rows, d] temporary ``l1_distance`` works in. At
+# 4 MB a block streams from the shared L3 cache. At 1 MB the backward's
+# working set filled a 2 MB per-core L2, and a TransE step, equally fast,
+# varied about a quarter more from one second to the next on a shared host.
+L1_BLOCK_BYTES = 1 << 22
+
+
+class _L1Scratch(threading.local):
+    """``l1_distance``'s block buffers per dtype, kept per thread between
+    calls: every step reuses the same pages instead of faulting in fresh ones
+    on each allocation."""
+
+    def __init__(self):
+        self.buffers = {}
+
+
+_l1_scratch = _L1Scratch()
+
+
+def _l1_buffers(dtype, size):
+    """A flat buffer of at least ``size`` elements of ``dtype``, and two
+    boolean masks of the same length."""
+    bufs = _l1_scratch.buffers.get(dtype)
+    if bufs is None or bufs[0].size < size:
+        bufs = _l1_scratch.buffers[dtype] = (np.empty(size, dtype),
+                                             np.empty((2, size), np.bool_))
+    return bufs
+
+
+def _block_diff(q, rows, buf):
+    """q[:, None] - rows[None], written into the front of the flat ``buf``."""
+    shape = (q.shape[0], rows.shape[0], q.shape[1])
+    return np.subtract(q[:, None, :], rows[None, :, :],
+                       out=buf[:math.prod(shape)].reshape(shape))
+
+
+def l1_distance(q, table):
+    """L1 distance of each query row to each table row: q [B, d] and
+    table [N, d] give [B, N], out[b, j] = sum_k |q[b, k] - table[j, k]|.
+
+    The table is walked in blocks of rows, so no [B, N, d] array is built or
+    kept on the tape; the block buffers are reused from call to call. Each
+    (query, row) sum is accumulated in float64 and cast back. The backward
+    recomputes each block's signs once and forms both inputs' gradients from
+    them; the subgradient is 0 where a difference is 0.
+    """
+    q, table = as_tensor(q), as_tensor(table)
+    if (q.data.ndim != 2 or table.data.ndim != 2
+            or q.data.shape[1] != table.data.shape[1]):
+        raise ShapeError(
+            f"l1_distance requires [B, d] and [N, d], got {q.data.shape} "
+            f"and {table.data.shape}")
+    (b, d), n = q.data.shape, table.data.shape[0]
+    dtype = np.result_type(q.data, table.data)
+    rows = max(1, L1_BLOCK_BYTES // max(1, b * d * dtype.itemsize))
+    blocks = [slice(j, min(j + rows, n)) for j in range(0, n, rows)]
+    size = b * min(rows, n) * d
+    data = np.empty((b, n), dtype=dtype)
+    buf = _l1_buffers(dtype, size)[0]
+    for blk in blocks:
+        diff = _block_diff(q.data, table.data[blk], buf)
+        np.abs(diff, out=diff)
+        data[:, blk] = diff.sum(axis=-1, dtype=np.float64)
+    _finite_or_raise(data, "l1_distance")
+
+    def grads(g, want_q, want_table):
+        buf, masks = _l1_buffers(dtype, size)
+        dq = np.zeros((b, d), dtype) if want_q else None
+        dtable = np.empty((n, d), dtype) if want_table else None
+        for blk in blocks:
+            diff = _block_diff(q.data, table.data[blk], buf)
+            # The signs as (diff > 0) - (diff < 0), written over diff: no
+            # branch per element, unlike np.sign, whose time swung with the
+            # host's load (and in place ran several times slower).
+            pos, neg = (m[:diff.size].reshape(diff.shape) for m in masks)
+            np.greater(diff, 0, out=pos)
+            np.less(diff, 0, out=neg)
+            signs = diff
+            np.copyto(signs, np.subtract(pos.view(np.int8), neg.view(np.int8),
+                                         out=pos.view(np.int8)))
+            g_blk = g[:, blk]
+            if want_q:
+                dq += np.matmul(g_blk[:, None, :], signs)[:, 0, :]
+            if want_table:
+                dtable[blk] = -np.einsum("bj,bjk->jk", g_blk, signs)
+        return dq, dtable
+
+    pending = []    # the table's gradient, computed alongside q's
+
+    def grad_q(g):
+        dq, dtable = grads(g, True, table.requires_grad)
+        if dtable is not None:
+            pending.append(dtable)
+        return dq
+
+    def grad_table(g):
+        return pending.pop() if pending else grads(g, False, True)[1]
+    return _make(data, (q, table), "l1_distance", grad_q, grad_table)
 
 
 # ---------------------------------------------------------------------------

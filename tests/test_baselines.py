@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pkge import tensor
 from pkge.baselines import DistMult, TransE
 from pkge.model import ModelConfig
+from pkge.tensor import mul, no_grad, reduce_sum
+from pkge.training import bce_smoothed_loss
 
 
 def cfg(**over):
@@ -69,6 +74,83 @@ class TestTransE:
         q = E[ents] + R[rels]
         dist = np.abs(q[:, None, :] - E[None]).sum(axis=-1)
         np.testing.assert_allclose(got, 12.0 - dist, rtol=1e-5, atol=1e-6)
+
+    def test_l1_logits_exact(self):
+        # Each distance is one float64 sum over d of float32 |q - e|, cast
+        # to float32, as the [B, N, d] broadcast computed it.
+        m = TransE(cfg(d_e=100), 300, 4, np.random.default_rng(6))
+        ents, rels = np.arange(0, 300, 7), np.arange(43) % 4
+        E = m.params["entity.embedding"].data
+        q = E[ents] + m.params["relation.embedding"].data[rels]
+        dist = np.abs(q[:, None] - E[None]).sum(-1, dtype=np.float64)
+        want = np.float32(12.0) - dist.astype(np.float32)
+        np.testing.assert_array_equal(m.score_all(ents, rels).data, want)
+
+    @pytest.mark.parametrize("block_bytes", [1, 4096, tensor.L1_BLOCK_BYTES])
+    def test_query_logits_independent_of_batch_and_blocks(self, monkeypatch,
+                                                          block_bytes):
+        m = TransE(cfg(d_e=100), 300, 4, np.random.default_rng(6))
+        ents, rels = np.arange(0, 300, 7), np.arange(43) % 4
+        alone = m.score_all(ents[5:6], rels[5:6]).data[0]
+        monkeypatch.setattr(tensor, "L1_BLOCK_BYTES", block_bytes)
+        np.testing.assert_array_equal(m.score_all(ents, rels).data[5], alone)
+
+    def test_l2_zero_distance_has_finite_gradient(self):
+        # At distance 0 sqrt's derivative is unbounded; its subgradient 0
+        # must reach the embeddings, not NaN.
+        rng = np.random.default_rng(1)
+        m = TransE(cfg(d_e=8, transe_norm="l2"), 10, 4, rng)
+        emb = m.params["entity.embedding"].data
+        emb[7] = emb[2] + m.params["relation.embedding"].data[3]
+        logits = m.score_all([2], [3])
+        np.testing.assert_allclose(logits.data[0, 7], 12.0, rtol=1e-6)
+        reduce_sum(mul(logits, 20.0)).backward()
+        for name in ("entity.embedding", "relation.embedding"):
+            assert np.all(np.isfinite(m.params[name].grad))
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+class TestTransEMemory:
+    # One [B, N, d] float32 array here is 51.2 MB; scoring holds none.
+    B, N, D = 64, 2000, 100
+    BOUND = B * N * D * 4 // 2
+
+    def model(self, norm):
+        return TransE(cfg(d_e=self.D, transe_norm=norm), self.N, 8,
+                      np.random.default_rng(0))
+
+    def batch(self):
+        rng = np.random.default_rng(1)
+        targets = np.zeros((self.B, self.N), dtype=np.float32)
+        targets[np.arange(self.B), rng.integers(0, self.N, self.B)] = 1.0
+        return rng.integers(0, self.N, self.B), rng.integers(0, 8, self.B), targets
+
+    def test_training_step_bounded(self, norm):
+        m = self.model(norm)
+        ents, rels, targets = self.batch()
+
+        def step():
+            bce_smoothed_loss(m.score_all(ents, rels), targets).backward()
+        assert traced_peak(step) < self.BOUND
+        assert m.params["entity.embedding"].grad.shape == (self.N, self.D)
+
+    def test_inference_bounded(self, norm):
+        m = self.model(norm)
+        ents, rels, _ = self.batch()
+
+        def score():
+            with no_grad():
+                assert m.score_all(ents, rels).shape == (self.B, self.N)
+        assert traced_peak(score) < self.BOUND
 
 
 class TestDistMult:

@@ -7,10 +7,11 @@ relative 1e-4 for single ops and 1e-3 for full-model composites.
 import numpy as np
 import pytest
 
+from pkge import tensor
 from pkge.gradcheck import check_gradients, numeric_grad
 from pkge.model import ModelConfig, build_model, multi_head_attention, scaled_dot_attention
-from pkge.tensor import (absolute, add, bce_with_logits, concat, dropout,
-                         gather_rows, layer_norm, matmul, mul, narrow,
+from pkge.tensor import (add, bce_with_logits, concat, dropout, gather_rows,
+                         l1_distance, layer_norm, matmul, mul, narrow,
                          reduce_sum, relu, reshape,
                          softmax_lastdim, sqrt, transpose)
 from pkge.training import bce_smoothed_loss, seed_streams
@@ -56,11 +57,18 @@ class TestElementwiseGrads:
         x = RNG.uniform(0.5, 4.0, size=(6,))
         check(lambda t: reduce_sum(sqrt(t)), [x])
 
-    @covers("absolute")
-    def test_abs_away_from_kink(self):
-        x = RNG.standard_normal(8)
-        x[np.abs(x) < 0.1] = 0.5
-        check(lambda t: reduce_sum(absolute(t)), [x])
+    # 200 bytes hold 2 rows of a [3, ., 4] float64 block: blocks of 2, 2, 1.
+    @covers("l1_distance")
+    @pytest.mark.parametrize("block_bytes", [tensor.L1_BLOCK_BYTES, 200],
+                             ids=["one-block", "three-blocks"])
+    def test_l1_distance_away_from_kink(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(tensor, "L1_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(7)
+        q, table = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
+        while np.abs(q[:, None] - table[None]).min() < 0.1:
+            table = rng.standard_normal((5, 4))
+        w = rng.standard_normal((3, 5))
+        check(lambda a, b: reduce_sum(mul(l1_distance(a, b), w)), [q, table])
 
     @covers("relu")
     def test_relu_away_from_kink(self):

@@ -13,9 +13,9 @@ import pytest
 
 from pkge import tensor
 from pkge.model import ModelConfig, PatReFormer
-from pkge.tensor import (Tensor, absolute, add, bce_with_logits, concat,
-                         dropout, gather_rows, layer_norm, matmul, mul, narrow,
-                         no_grad, reduce_sum, relu, reshape,
+from pkge.tensor import (Tensor, add, bce_with_logits, concat, dropout,
+                         gather_rows, l1_distance, layer_norm, matmul, mul,
+                         narrow, no_grad, reduce_sum, relu, reshape,
                          softmax_lastdim, sqrt, transpose)
 from pkge.training import bce_smoothed_loss
 
@@ -38,7 +38,7 @@ OP_CASES = {
     "gather_rows": lambda: gather_rows(leaf(4, 3), np.array([0, 2, 2])),
     "reduce_sum": lambda: reduce_sum(leaf(2, 3), axis=0),
     "sqrt": lambda: sqrt(leaf(2, 3)),
-    "absolute": lambda: absolute(leaf(2, 3, lo=-1.0, hi=1.0)),
+    "l1_distance": lambda: l1_distance(leaf(2, 3), leaf(4, 3, lo=-1.0, hi=1.0)),
     "relu": lambda: relu(leaf(2, 3, lo=-1.0, hi=1.0)),
     "softmax_lastdim": lambda: softmax_lastdim(leaf(2, 3)),
     "layer_norm": lambda: layer_norm(leaf(2, 3), leaf(3), leaf(3)),
@@ -56,6 +56,7 @@ MULTI_INPUT_CASES = {
     "matmul": ([(2, 3), (3, 4)], matmul),
     "concat": ([(2, 3), (2, 2)], lambda a, b: concat([a, b], axis=-1)),
     "layer_norm": ([(2, 3), (3,), (3,)], layer_norm),
+    "l1_distance": ([(2, 3), (4, 3)], l1_distance),
 }
 
 

@@ -1,12 +1,16 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from pkge import tensor
 from pkge.errors import ConfigError, GraphError, NumericError, ShapeError
-from pkge.tensor import (Tensor, absolute, as_tensor, bce_with_logits,
-                         concat, dropout, gather_rows, layer_norm, matmul, mul,
+from pkge.tensor import (Tensor, as_tensor, bce_with_logits, concat, dropout,
+                         gather_rows, l1_distance, layer_norm, matmul, mul,
                          narrow, reduce_sum, relu, reshape,
                          softmax_lastdim, sqrt, transpose)
 
@@ -66,10 +70,71 @@ class TestElementwise:
         scalar_loss(x + x).backward()
         np.testing.assert_allclose(x.grad, [2.0])
 
-    def test_abs_subgradient_zero_at_zero(self):
-        x = Tensor(np.array([-2.0, 0.0, 5.0]), requires_grad=True)
-        scalar_loss(absolute(x)).backward()
-        np.testing.assert_array_equal(x.grad, [-1.0, 0.0, 1.0])
+    def test_l1_distance_subgradient_zero_at_zero(self):
+        q = Tensor(np.array([[-2.0, 0.0, 5.0]]), requires_grad=True)
+        table = Tensor(np.zeros((2, 3)), requires_grad=True)
+        out = l1_distance(q, table)
+        np.testing.assert_array_equal(out.data, [[7.0, 7.0]])
+        scalar_loss(out).backward()
+        np.testing.assert_array_equal(q.grad, [[-2.0, 0.0, 2.0]])
+        np.testing.assert_array_equal(table.grad, [[1.0, 0.0, -1.0]] * 2)
+
+    @staticmethod
+    def l1_reference(q, table, g):
+        """Logits and both gradients of sum(g * l1_distance(q, table))."""
+        diff = q[:, None, :] - table[None, :, :]
+        weighted = g[:, :, None] * np.sign(diff)
+        return np.abs(diff).sum(-1), weighted.sum(1), -weighted.sum(0)
+
+    def test_l1_distance_calls_share_block_buffers(self, monkeypatch):
+        # Both ops of one graph run their forward before either backward, and
+        # the larger one regrows the per-thread buffers in between.
+        monkeypatch.setattr(tensor, "L1_BLOCK_BYTES", 100)
+        rng = np.random.default_rng(0)
+        table = rng.standard_normal((5, 3))
+        qs = [rng.standard_normal((b, 3)) for b in (2, 7)]
+        gs = [rng.standard_normal((b, 5)) for b in (2, 7)]
+        t = Tensor(table, requires_grad=True)
+        ts = [Tensor(q, requires_grad=True) for q in qs]
+        outs = [l1_distance(q, t) for q in ts]
+        (reduce_sum(mul(outs[0], gs[0])) + reduce_sum(mul(outs[1], gs[1]))).backward()
+        want_table = 0.0
+        for q, g, out, q_t in zip(qs, gs, outs, ts):
+            logits, dq, dtable = self.l1_reference(q, table, g)
+            np.testing.assert_allclose(out.data, logits, rtol=1e-12)
+            np.testing.assert_allclose(q_t.grad, dq, rtol=1e-12)
+            want_table = want_table + dtable
+        np.testing.assert_allclose(t.grad, want_table, rtol=1e-12)
+
+    def test_l1_distance_threads_keep_own_buffers(self, monkeypatch):
+        monkeypatch.setattr(tensor, "L1_BLOCK_BYTES", 1024)
+        rng = np.random.default_rng(1)
+        cases = [(rng.standard_normal((8, 16)), rng.standard_normal((40, 16)),
+                  rng.standard_normal((8, 40))) for _ in range(2)]
+
+        def wrong_steps(case):
+            want = self.l1_reference(*case)
+            wrong = 0
+            for _ in range(50):
+                q, t = (Tensor(a, requires_grad=True) for a in case[:2])
+                out = l1_distance(q, t)
+                reduce_sum(mul(out, case[2])).backward()
+                wrong += not all(np.allclose(a, b, rtol=1e-12)
+                                 for a, b in zip((out.data, q.grad, t.grad), want))
+            return wrong
+        # Many small blocks and a short switch interval, so that the two
+        # threads interleave inside each other's block loops.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                assert list(pool.map(wrong_steps, cases)) == [0, 0]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_l1_distance_feature_mismatch_raises(self):
+        with pytest.raises(ShapeError):
+            l1_distance(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
     def test_relu_subgradient_zero_at_zero(self):
         x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
@@ -79,6 +144,11 @@ class TestElementwise:
     def test_sqrt_values(self):
         x = Tensor(np.array([1.0, 4.0]))
         np.testing.assert_allclose(sqrt(x).data, [1.0, 2.0])
+
+    def test_sqrt_subgradient_zero_at_zero(self):
+        x = Tensor(np.array([0.0, 4.0], dtype=np.float32), requires_grad=True)
+        scalar_loss(mul(sqrt(x), 20.0)).backward()
+        np.testing.assert_array_equal(x.grad, [0.0, 5.0])
 
 
 class TestMatmul:
@@ -299,6 +369,7 @@ OVERFLOW_CASES = {
     "matmul-rows": lambda: matmul(big(3, 1, 2), big(2, 1, value=1.0)),
     "reduce_sum": lambda: reduce_sum(big(2)),
     "sqrt": lambda: sqrt(big(2, value=-1.0)),
+    "l1_distance": lambda: l1_distance(big(1, 2), big(3, 2, value=-3e38)),
     "layer_norm": lambda: layer_norm(Tensor(np.array([[1.0, 2.0]], np.float32)),
                                      big(2), big(2)),
     "dropout": lambda: dropout(big(8), 0.5, True, np.random.default_rng(0)),
@@ -316,7 +387,6 @@ PASSTHROUGH_CASES = {
     "narrow": lambda x: narrow(x, 1, 1, 2),
     "gather_rows": lambda x: gather_rows(x, np.array([1, 0, 1])),
     "relu": relu,
-    "absolute": absolute,
     "softmax_lastdim": softmax_lastdim,
 }
 
