@@ -195,6 +195,8 @@ def cmd_sweep_dim(args):
     if not dims:
         raise ConfigError("--dims is empty")
     kinds = [part.strip() for part in args.models.split(",") if part.strip()]
+    if not kinds:
+        raise ConfigError("--models is empty")
     for k in kinds:
         if k not in MODEL_KINDS:
             raise ConfigError(f"unknown model {k!r} in --models")
@@ -218,10 +220,13 @@ def cmd_sweep_dim(args):
 
 def cmd_stats(args):
     store = _load_store(args.data)
+    if args.json:
+        try:
+            dump_stats_json(store, args.json)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --json file: {exc}") from None
     for key, value in store.stats().items():
         print(f"{key}: {value}")
-    if args.json:
-        dump_stats_json(store, args.json)
     return 0
 
 

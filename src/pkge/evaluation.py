@@ -58,6 +58,14 @@ class GroupMetrics:
     hits: dict = None
 
 
+def _group_metrics(ranks):
+    """GroupMetrics of one group's ranks; an empty group has no MRR or hits."""
+    if len(ranks) == 0:
+        return GroupMetrics(n_queries=0)
+    mrr, hits = metrics_from_ranks(ranks)
+    return GroupMetrics(n_queries=len(ranks), mrr=mrr, hits=hits)
+
+
 @dataclass
 class EvalReport:
     split: str
@@ -129,20 +137,11 @@ def evaluate(store, model, split, batch_size=EVAL_BATCH, threshold=THRESHOLD,
             list(pool.map(run_chunk, starts))
 
     mrr, hits = metrics_from_ranks(ranks)
-    directions = {}
-    for name, part in (("tail", ranks[:n]), ("head", ranks[n:])):
-        m, h = metrics_from_ranks(part)
-        directions[name] = GroupMetrics(n_queries=n, mrr=m, hits=h)
-
+    directions = {"tail": _group_metrics(ranks[:n]),
+                  "head": _group_metrics(ranks[n:])}
     query_cat = np.tile(triple_categories(store, split, threshold, category_scope), 2)
-    categories = {}
-    for i, cat in enumerate(CATEGORIES):
-        cat_ranks = ranks[query_cat == i]
-        if len(cat_ranks) == 0:
-            categories[cat] = GroupMetrics(n_queries=0)
-        else:
-            m, h = metrics_from_ranks(cat_ranks)
-            categories[cat] = GroupMetrics(n_queries=len(cat_ranks), mrr=m, hits=h)
+    categories = {cat: _group_metrics(ranks[query_cat == i])
+                  for i, cat in enumerate(CATEGORIES)}
 
     return EvalReport(split=split, n_queries=total, mrr=mrr, hits=hits,
                       directions=directions, categories=categories, ranks=ranks)

@@ -16,6 +16,9 @@ Attention variants:
   self-attends through a single tower.
 * separate_self  - each tower self-attends to its own patches only; no
   information crosses between entity and relation.
+
+``update_order`` matters only for ``cross``: the other two layouts give the
+same outputs under either order.
 """
 
 from dataclasses import asdict, dataclass, fields
@@ -145,15 +148,15 @@ def sinusoidal_table(k, d):
     return table.astype(np.float32)
 
 
-def _swap_last_axes(x):
+def _swap_axes(x, i, j):
     axes = list(range(len(x.shape)))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
+    axes[i], axes[j] = axes[j], axes[i]
     return transpose(x, tuple(axes))
 
 
 def scaled_dot_attention(q, k, v, denom, p_drop=0.0, training=False, rng=None):
     """softmax(q kᵀ / sqrt(denom)) v over the last two axes."""
-    scores = mul(matmul(q, _swap_last_axes(k)), 1.0 / np.sqrt(denom))
+    scores = mul(matmul(q, _swap_axes(k, -1, -2)), 1.0 / np.sqrt(denom))
     probs = softmax_lastdim(scores)
     probs = dropout(probs, p_drop, training, rng)
     return matmul(probs, v)
@@ -161,16 +164,11 @@ def scaled_dot_attention(q, k, v, denom, p_drop=0.0, training=False, rng=None):
 
 def _split_heads(x, heads):
     *lead, n, d = x.shape
-    x = reshape(x, tuple(lead) + (n, heads, d // heads))
-    axes = list(range(len(x.shape)))
-    axes[-3], axes[-2] = axes[-2], axes[-3]
-    return transpose(x, tuple(axes))
+    return _swap_axes(reshape(x, tuple(lead) + (n, heads, d // heads)), -3, -2)
 
 
 def _merge_heads(x):
-    axes = list(range(len(x.shape)))
-    axes[-3], axes[-2] = axes[-2], axes[-3]
-    x = transpose(x, tuple(axes))
+    x = _swap_axes(x, -3, -2)
     *lead, n, heads, ds = x.shape
     return reshape(x, tuple(lead) + (n, heads * ds))
 
@@ -209,11 +207,6 @@ class PatReFormer:
 
     # -- construction -------------------------------------------------------
 
-    def _tower_names(self):
-        if self.config.attention == "full_self":
-            return ("joint",)
-        return ("entity", "relation")
-
     def _build(self, rng):
         cfg = self.config
         p = self.params
@@ -228,14 +221,12 @@ class PatReFormer:
 
         for side, dim, k in (("entity", cfg.d_e, cfg.k_e),
                              ("relation", cfg.d_r, cfg.k_r)):
-            if cfg.segmentation == "frozen":
+            if cfg.segmentation in ("frozen", "trainable"):
+                frozen = cfg.segmentation == "frozen"
+                build = build_frozen_basis if frozen else build_trainable_basis
                 basis = (np.zeros((k, cfg.d, k * cfg.d), dtype=np.float32)
-                         if rng is None else build_frozen_basis(k, cfg.d, rng))
-                p.add(f"seg.{side}.basis", basis, trainable=False)
-            elif cfg.segmentation == "trainable":
-                basis = (np.zeros((k, cfg.d, k * cfg.d), dtype=np.float32)
-                         if rng is None else build_trainable_basis(k, cfg.d, rng))
-                p.add(f"seg.{side}.basis", basis)
+                         if rng is None else build(k, cfg.d, rng))
+                p.add(f"seg.{side}.basis", basis, trainable=not frozen)
             elif cfg.segmentation == "none":
                 p.add(f"seg.{side}.proj", init((dim, cfg.d)))
 
@@ -246,7 +237,9 @@ class PatReFormer:
             p.add("pe.entity", sinusoidal_table(cfg.k_e, cfg.d), trainable=False)
             p.add("pe.relation", sinusoidal_table(cfg.k_r, cfg.d), trainable=False)
 
-        for tower in self._tower_names():
+        towers = (("joint",) if cfg.attention == "full_self"
+                  else ("entity", "relation"))
+        for tower in towers:
             for i in range(cfg.layers):
                 pre = f"enc.{tower}.{i}"
                 for w in ("wq", "wk", "wv", "wo"):
@@ -260,39 +253,34 @@ class PatReFormer:
                 p.add(f"{pre}.ln2.gamma", np.ones(cfg.d, dtype=np.float32))
                 p.add(f"{pre}.ln2.beta", np.zeros(cfg.d, dtype=np.float32))
 
-        flat_width = (cfg.k_e + cfg.k_r) * cfg.d
-        p.add("scorer.weight", init((flat_width, cfg.d_e)))
+        p.add("scorer.weight", init(((cfg.k_e + cfg.k_r) * cfg.d, cfg.d_e)))
         p.add("scorer.bias", np.zeros(cfg.d_e, dtype=np.float32))
 
     # -- forward ------------------------------------------------------------
 
-    def _segment(self, side, e):
+    def _patches(self, side, emb, training, rng):
+        """Segment one side's embeddings, add its position signal, drop out."""
         cfg = self.config
         if cfg.segmentation == "folding":
-            k = cfg.k_e if side == "entity" else cfg.k_r
-            return segment_folding(e, k, cfg.d)
-        if cfg.segmentation == "none":
-            return segment_none(e, self.params[f"seg.{side}.proj"])
-        return segment_mapped(e, self.params[f"seg.{side}.basis"])
-
-    def _add_pe(self, side, x):
-        if self.config.pe == "none":
-            return x
-        return x + self.params[f"pe.{side}"]
-
-    def _denom(self):
-        cfg = self.config
-        return float(cfg.d) if cfg.attn_scale == "model_dim" else cfg.d / cfg.heads
+            x = segment_folding(emb, cfg.k_e if side == "entity" else cfg.k_r, cfg.d)
+        elif cfg.segmentation == "none":
+            x = segment_none(emb, self.params[f"seg.{side}.proj"])
+        else:
+            x = segment_mapped(emb, self.params[f"seg.{side}.basis"])
+        if cfg.pe != "none":
+            x = x + self.params[f"pe.{side}"]
+        return dropout(x, cfg.p1, training, rng)
 
     def _block(self, prefix, x_q, x_kv, training, rng):
         """Post-norm residual block: LN(attn + x), then LN(ffn + x)."""
         cfg = self.config
         p = self.params
+        denom = float(cfg.d) if cfg.attn_scale == "model_dim" else cfg.d / cfg.heads
         a = multi_head_attention(
             x_q, x_kv,
             p[f"{prefix}.attn.wq"], p[f"{prefix}.attn.wk"],
             p[f"{prefix}.attn.wv"], p[f"{prefix}.attn.wo"],
-            cfg.heads, self._denom(), cfg.p2, training, rng)
+            cfg.heads, denom, cfg.p2, training, rng)
         x = layer_norm(a + x_q, p[f"{prefix}.ln1.gamma"], p[f"{prefix}.ln1.beta"])
         f = matmul(x, p[f"{prefix}.ffn.w1"]) + p[f"{prefix}.ffn.b1"]
         f = matmul(relu(f), p[f"{prefix}.ffn.w2"]) + p[f"{prefix}.ffn.b2"]
@@ -302,46 +290,32 @@ class PatReFormer:
     def encode(self, e_emb, r_emb, training=False, rng=None):
         """Refine segmented embeddings; returns (entity patches, relation patches)."""
         cfg = self.config
-        xe = self._segment("entity", e_emb)
-        xr = self._segment("relation", r_emb)
-        xe = self._add_pe("entity", xe)
-        xr = self._add_pe("relation", xr)
-        xe = dropout(xe, cfg.p1, training, rng)
-        xr = dropout(xr, cfg.p1, training, rng)
+        xe = self._patches("entity", e_emb, training, rng)
+        xr = self._patches("relation", r_emb, training, rng)
 
         if cfg.attention == "full_self":
-            k_e = xe.shape[-2]
-            k_r = xr.shape[-2]
             x = concat([xe, xr], axis=-2)
             for i in range(cfg.layers):
                 x = self._block(f"enc.joint.{i}", x, x, training, rng)
-            xe = narrow(x, -2, 0, k_e)
-            xr = narrow(x, -2, k_e, k_r)
-        elif cfg.attention == "separate_self":
-            for i in range(cfg.layers):
-                xe_new = self._block(f"enc.entity.{i}", xe, xe, training, rng)
-                xr_new = self._block(f"enc.relation.{i}", xr, xr, training, rng)
-                xe, xr = xe_new, xr_new
-        else:
-            for i in range(cfg.layers):
-                if cfg.update_order == "sequential":
-                    # The relation tower attends to the already-updated
-                    # entity patches within the same layer.
-                    xe = self._block(f"enc.entity.{i}", xe, xr, training, rng)
-                    xr = self._block(f"enc.relation.{i}", xr, xe, training, rng)
-                else:
-                    xe_new = self._block(f"enc.entity.{i}", xe, xr, training, rng)
-                    xr_new = self._block(f"enc.relation.{i}", xr, xe, training, rng)
-                    xe, xr = xe_new, xr_new
+            return narrow(x, -2, 0, cfg.k_e), narrow(x, -2, cfg.k_e, cfg.k_r)
+
+        # Keys/values per tower: its own patches (separate_self) or the other
+        # tower's from the previous layer (cross); under the sequential order
+        # the relation tower reads the entity patches updated in this layer.
+        cross = cfg.attention == "cross"
+        for i in range(cfg.layers):
+            xe_new = self._block(f"enc.entity.{i}", xe, xr if cross else xe, training, rng)
+            r_kv = (xe_new if cfg.update_order == "sequential" else xe) if cross else xr
+            xr = self._block(f"enc.relation.{i}", xr, r_kv, training, rng)
+            xe = xe_new
         return xe, xr
 
     def score_from_embeddings(self, e_emb, r_emb, training=False, rng=None):
         """Logits [B, n_entities] from explicit embedding tensors [B, d_e]/[B, d_r]."""
         cfg = self.config
         xe, xr = self.encode(e_emb, r_emb, training, rng)
-        lead = xe.shape[:-2]
-        flat = concat([reshape(xe, lead + (cfg.k_e * cfg.d,)),
-                       reshape(xr, lead + (cfg.k_r * cfg.d,))], axis=-1)
+        flat = reshape(concat([xe, xr], axis=-2),
+                       xe.shape[:-2] + ((cfg.k_e + cfg.k_r) * cfg.d,))
         flat = dropout(flat, cfg.p3, training, rng)
         out = matmul(flat, self.params["scorer.weight"]) + self.params["scorer.bias"]
         return matmul(out, transpose(self.params["entity.embedding"]))

@@ -13,8 +13,11 @@ from pkge.baselines import DistMult, TransE
 from pkge.cli import (_parser, format_run_config, main, parse_config_file,
                       resolve_run_config)
 from pkge.errors import ConfigError
+from pkge.evaluation import evaluate, write_report_csv
+from pkge.kg import load_dataset
 from pkge.model import CHOICES, ModelConfig, PatReFormer
-from pkge.training import TrainConfig, save_checkpoint
+from pkge.synth import write_dataset
+from pkge.training import TrainConfig, restore_model, save_checkpoint
 
 TINY_MODEL = [
     "--d-e", "8", "--d-r", "8", "--d", "4", "--heads", "2", "--layers", "1",
@@ -107,6 +110,15 @@ class TestExitCodes:
         rc = main(["stats", "--data", str(tmp_path / "nope")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_stats_json(self, memo_dir, tmp_path, capsys):
+        rc = main(["stats", "--data", memo_dir,
+                   "--json", str(tmp_path / "missing" / "stats.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert captured.out == ""
 
     def test_invalid_hyperparameter(self, memo_dir, tmp_path):
         rc = main(["train", "--data", memo_dir, "--out", str(tmp_path),
@@ -324,6 +336,53 @@ def test_every_choice_passes(command, name):
         assert resolve_options(command, flag_of(name), choice)[name] == choice
 
 
+class TestTransEEvalAtScale:
+    """``pkge eval`` of TransE checkpoints over a 13,234-entity vocabulary,
+    the size of FB15k-237's: a chain e0 -> e1 -> ... whose held-out links
+    the checkpoint's embeddings nearly satisfy."""
+
+    N_ENTITIES = 13234
+    HELD_OUT = range(500, 13000, 1000)
+
+    @pytest.fixture(scope="class")
+    def chain_dir(self, tmp_path_factory):
+        chain = [(f"e{i}", f"r{i % 4}", f"e{i + 1}")
+                 for i in range(self.N_ENTITIES - 1)]
+        held = [chain[i] for i in self.HELD_OUT]
+        directory = str(tmp_path_factory.mktemp("chain"))
+        write_dataset(directory, {
+            "train": [t for i, t in enumerate(chain) if i not in self.HELD_OUT],
+            "valid": held, "test": held})
+        return directory
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_cli_mrr_matches_in_process(self, chain_dir, tmp_path, norm):
+        store = load_dataset(chain_dir)
+        assert store.num_entities == self.N_ENTITIES
+        cfg = ModelConfig(d_e=16, d_r=16, d=4, heads=2, transe_norm=norm)
+        rng = np.random.default_rng(0)
+        model = TransE(cfg, store.num_entities,
+                       store.num_relations_with_reverse, rng)
+        ent = model.params["entity.embedding"].data
+        rel = model.params["relation.embedding"].data
+        rel[store.num_relations:] = -rel[:store.num_relations]
+        for h, r, t in store.splits["test"]:
+            ent[t] = ent[h] + rel[r] + rng.normal(scale=0.02, size=16)
+        path = str(tmp_path / "transe.ckpt")
+        save_checkpoint(path, model)
+
+        out = tmp_path / "out"
+        assert main(["eval", "--data", chain_dir, "--checkpoint", path,
+                     "--out", str(out)]) == 0
+        report = evaluate(store, restore_model(path)[0], "test")
+        write_report_csv(report, str(tmp_path / "in_process.csv"))
+        cli_csv = (out / "eval_test.csv").read_text()
+        assert cli_csv == (tmp_path / "in_process.csv").read_text()
+        assert cli_csv.splitlines()[1].split(",")[4] == f"{report.mrr:.6f}"
+        # far above chance (about 1e-3), and below 1: the ranks spread
+        assert 0.1 < report.mrr < 1.0
+
+
 class TestStatsAndCategorize:
     def test_stats_output(self, memo_dir, capsys, tmp_path):
         json_path = str(tmp_path / "stats.json")
@@ -467,3 +526,12 @@ class TestSweepCommand:
         rc = main(["sweep-dim", "--data", memo_dir, "--dims", "4",
                    "--models", "rotate"])
         assert rc == 2
+
+    @pytest.mark.parametrize("models", [",", ""])
+    def test_empty_models(self, memo_dir, tmp_path, capsys, models):
+        out = tmp_path / "o"
+        rc = main(["sweep-dim", "--data", memo_dir, "--dims", "4",
+                   "--models", models, "--out", str(out)])
+        assert rc == 2
+        assert "--models is empty" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()

@@ -1,5 +1,7 @@
-"""Every name a module imports is used in it: a stand-in for a linter's
-unused-import check, over the package and the tests."""
+"""Every name a module imports is used in it, over the package and the
+tests, and every module-level private function of the package is read by
+some code in the repository: stand-ins for a linter's unused-import and
+dead-code checks."""
 
 import ast
 import glob
@@ -8,8 +10,11 @@ import os
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-MODULES = sorted(glob.glob(os.path.join(ROOT, "src", "pkge", "*.py"))
-                 + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+PACKAGE = sorted(glob.glob(os.path.join(ROOT, "src", "pkge", "*.py")))
+MODULES = PACKAGE + sorted(glob.glob(os.path.join(ROOT, "tests", "*.py")))
+# Code that may read a package function: the package, tests, scripts, bench.
+READERS = MODULES + sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py"))
+                           + glob.glob(os.path.join(ROOT, "bench", "*.py")))
 
 
 def unused_imports(source):
@@ -46,3 +51,59 @@ def test_detects_unused_import():
 def test_no_unused_imports(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def _names_read(node):
+    """Names ``node`` reads: loaded names, attributes and imported names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def unused_private_functions(package, readers):
+    """(path, line, name) of each module-level ``_function`` defined in the
+    ``package`` sources that no ``readers`` source reads outside its own
+    body. Both arguments map a path to its source."""
+    read = set()
+    for source in readers.values():
+        for stmt in ast.parse(source).body:
+            names = _names_read(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.discard(stmt.name)    # recursion is not a use
+            read |= names
+    return sorted(
+        (path, stmt.lineno, stmt.name)
+        for path, source in package.items()
+        for stmt in ast.parse(source).body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and stmt.name.startswith("_") and not stmt.name.startswith("__")
+        and stmt.name not in read)
+
+
+def test_detects_unused_private_function():
+    pkg = {"a.py": "def _called():\n    pass\n\n"
+                   "def _dead():\n    return _dead()\n\n"
+                   "def _imported():\n    pass\n\n"
+                   "def _attribute():\n    pass\n\n"
+                   "def __getattr__(name):\n    pass\n\n"
+                   "class C:\n    def _method(self):\n        pass\n\n"
+                   "def public():\n    return _called()\n"}
+    readers = dict(pkg, **{"b.py": "from a import _imported\n",
+                           "c.py": "import a\na._attribute()\n"})
+    assert unused_private_functions(pkg, readers) == [("a.py", 4, "_dead")]
+
+
+def test_no_unused_private_functions():
+    def sources(paths):
+        out = {}
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                out[os.path.relpath(path, ROOT)] = fh.read()
+        return out
+    assert unused_private_functions(sources(PACKAGE), sources(READERS)) == []

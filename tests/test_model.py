@@ -347,6 +347,20 @@ class TestVariantBehavior:
         s2 = sim.score_all([0], [1]).data
         assert not np.allclose(s1, s2)
 
+    @pytest.mark.parametrize("attention", ["separate_self", "full_self"])
+    def test_update_order_matters_only_for_cross(self, attention):
+        # The order only picks which entity patches the cross-attending
+        # relation tower reads; the other layouts must ignore it, dropout
+        # draws included.
+        models = [make(tiny_cfg(attention=attention, update_order=order,
+                                p1=0.1, p2=0.2, p3=0.3), seed=7)
+                  for order in ("sequential", "simultaneous")]
+        for training in (False, True):
+            seq, sim = (m.score_all([0, 3, 5], [1, 2, 1], training=training,
+                                    rng=np.random.default_rng(11)).data
+                        for m in models)
+            np.testing.assert_array_equal(seq, sim)
+
     def test_attn_scales_differ(self):
         a = make(tiny_cfg(), seed=8)
         b = make(tiny_cfg(attn_scale="head_dim"), seed=8)
