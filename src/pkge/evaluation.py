@@ -204,20 +204,22 @@ def sweep_relation_dim(store, model_kinds, base_config, train_config, dims,
     {model, d_r, best_valid_mrr, test_mrr}, testing the best-validation model."""
     from .training import run_experiment  # training imports this module
 
-    rows = []
+    # Every config is built, and so validated, before the first run: a bad
+    # size fails before any training.
+    runs = []
     for kind in model_kinds:
         for dim in dims:
-            if kind == "patreformer":
-                config = replace(base_config, d_r=dim)
-            else:
-                # Baselines have one embedding size for entities and
-                # relations alike, so the sweep moves both.
-                config = replace(base_config, d_e=dim, d_r=dim)
-            result, test = run_experiment(store, kind, config, train_config)
-            row = {"model": kind, "d_r": dim,
-                   "best_valid_mrr": result.best_valid_mrr,
-                   "test_mrr": test.mrr}
-            rows.append(row)
-            if progress:
-                progress(row)
+            # Baselines have one embedding size for entities and relations
+            # alike, so the sweep moves both.
+            sizes = {"d_r": dim} if kind == "patreformer" else {"d_e": dim, "d_r": dim}
+            runs.append((kind, dim, replace(base_config, **sizes)))
+    rows = []
+    for kind, dim, config in runs:
+        result, test = run_experiment(store, kind, config, train_config)
+        row = {"model": kind, "d_r": dim,
+               "best_valid_mrr": result.best_valid_mrr,
+               "test_mrr": test.mrr}
+        rows.append(row)
+        if progress:
+            progress(row)
     return rows

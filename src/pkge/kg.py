@@ -112,9 +112,6 @@ class TripleStore:
     def num_relations_with_reverse(self):
         return 2 * self.num_relations
 
-    def reverse(self, r):
-        return r + self.num_relations if r < self.num_relations else r - self.num_relations
-
     def stats(self):
         return {
             "entities": self.num_entities,

@@ -76,6 +76,8 @@ class Config:
         """Build from a JSON object. Each value must have its field's type:
         an int field takes an integer but not true/false, a float field an
         integer or a float, a str field a string."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"{cls.__name__} must be a JSON object, got {d!r}")
         types = {f.name: f.type for f in fields(cls)}
         unknown = set(d) - set(types)
         if unknown:

@@ -72,9 +72,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         """Populate grads of every requires-grad node reachable from a scalar."""
         if self.data.size != 1:

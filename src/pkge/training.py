@@ -1,5 +1,5 @@
 """Training loop: 1-vs-all binary cross-entropy with label smoothing,
-Adam, and binary checkpoints.
+Adam, and binary checkpoints that hold the model alone.
 
 Queries are the distinct (entity, relation) pairs of the training split in
 both directions; each is scored against every entity and pushed toward the
@@ -114,51 +114,31 @@ class Adam:
             step = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             p.data = p.data - np.float32(self.lr) * step
 
-    def state_arrays(self):
-        out = {}
-        for name, _ in self._items:
-            out[f"m.{name}"] = self.m[name]
-            out[f"v.{name}"] = self.v[name]
-        return out
-
-    def load_state(self, step_count, arrays):
-        for name, _ in self._items:
-            for prefix, store in (("m", self.m), ("v", self.v)):
-                key = f"{prefix}.{name}"
-                if key not in arrays:
-                    raise CheckpointError(f"optimizer state missing {key!r}")
-                arr = np.asarray(arrays[key], dtype=np.float32)
-                if arr.shape != store[name].shape:
-                    raise CheckpointError(
-                        f"optimizer state {key!r}: shape {arr.shape} != "
-                        f"{store[name].shape}")
-                store[name] = arr.copy()
-        self.step_count = int(step_count)
-
 
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path, model, optimizer=None):
+def save_checkpoint(path, model):
     """Write a binary checkpoint atomically: the bytes go to ``path + ".tmp"``,
     are synced, and then replace ``path``, so a failed save leaves the
     previous file intact.
 
     Layout: magic, u32 version, u32 header length, UTF-8 JSON header
-    (model kind, config, vocab sizes, tensor manifest with byte offsets),
-    raw little-endian float32 payload, u32 CRC-32 of the payload.
+    (model kind, config, vocab sizes, and a manifest of every parameter's
+    shape, byte offset and trainable flag), raw little-endian float32
+    payload, u32 CRC-32 of the payload. The file holds the model only, no
+    optimizer or random-stream state, so a run cannot resume from it.
     """
     chunks = []
     offset = 0
 
-    def pack(name, arr, trainable=None):
+    def pack(name, t):
         nonlocal offset
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        entry = {"name": name, "shape": list(arr.shape), "offset": offset}
-        if trainable is not None:
-            entry["trainable"] = trainable
+        raw = np.ascontiguousarray(t.data, dtype="<f4").tobytes()
+        entry = {"name": name, "shape": list(t.shape), "offset": offset,
+                 "trainable": t.requires_grad}
         chunks.append(raw)
         offset += len(raw)
         return entry
@@ -168,17 +148,8 @@ def save_checkpoint(path, model, optimizer=None):
         "config": model.config.to_dict(),
         "n_entities": model.n_entities,
         "n_relations": model.n_relations,
+        "tensors": [pack(name, t) for name, t in model.params.items()],
     }
-    header["tensors"] = []
-    for name, t in model.params.items():
-        header["tensors"].append(pack(name, t.data, trainable=t.requires_grad))
-    if optimizer is not None:
-        opt_entries = []
-        for name, arr in optimizer.state_arrays().items():
-            opt_entries.append(pack(name, arr))
-        header["optimizer"] = {"step": optimizer.step_count, "tensors": opt_entries}
-    else:
-        header["optimizer"] = None
 
     payload = b"".join(chunks)
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -227,8 +198,9 @@ def _read_manifest(entries, payload):
 
 
 def load_checkpoint(path):
-    """Parse and validate a checkpoint; returns a dict of header fields,
-    parameter arrays, and optional optimizer state."""
+    """Parse and validate a checkpoint; returns a dict of the header fields,
+    the parameter arrays and their trainable flags. Other header keys, such
+    as the ``optimizer`` entry older files carry, are ignored."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -268,13 +240,6 @@ def load_checkpoint(path):
             raise CheckpointError(
                 f"{path}: {key}={n!r} is not the row count of {table!r}")
     trainable = {e["name"]: bool(e.get("trainable", True)) for e in header["tensors"]}
-    optimizer = None
-    state = header.get("optimizer")
-    if state:
-        if not isinstance(state, dict) or not _is_count(state.get("step")):
-            raise CheckpointError(f"{path}: malformed optimizer state")
-        optimizer = {"step": state["step"],
-                     "arrays": _read_manifest(state.get("tensors"), payload)}
     return {
         "model": header["model"],
         "config": header["config"],
@@ -282,7 +247,6 @@ def load_checkpoint(path):
         "n_relations": header["n_relations"],
         "arrays": arrays,
         "trainable": trainable,
-        "optimizer": optimizer,
     }
 
 
@@ -294,7 +258,7 @@ def restore_model(path):
     ck = load_checkpoint(path)
     try:
         config = ModelConfig.from_dict(ck["config"])
-    except (ConfigError, TypeError) as exc:
+    except ConfigError as exc:
         raise CheckpointError(f"{path}: bad model config: {exc}") from None
     model = build_model(ck["model"], config, ck["n_entities"], ck["n_relations"],
                         rng=None)

@@ -368,9 +368,8 @@ def test_p12_checkpoint_fidelity(announce, memo_store, tmp_path):
                         seed_streams(4)["init"])
     cfg = TrainConfig(epochs=3, eval_every=3, seed=4)
     train_model(memo_store, model, cfg)
-    adam = Adam(model.params)
     path = str(tmp_path / "fidelity.ckpt")
-    save_checkpoint(path, model, optimizer=adam)
+    save_checkpoint(path, model)
 
     before = evaluate(memo_store, model, "test")
     restored, ck = restore_model(path)

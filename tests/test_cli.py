@@ -268,6 +268,16 @@ HEADER_FAULTS = {
     "float-heads": lambda h: h["config"].update(heads=2.0),
     "bool-layers": lambda h: h["config"].update(layers=True),
 }
+# Each top-level field set to each kind of JSON value; string-entities above
+# already covers n_entities="x".
+JSON_VALUES = {"null": None, "true": True, "1": 1, "-1": -1, "1.5": 1.5,
+               "str": "x", "empty-list": [], "list": [1], "empty-object": {},
+               "object": {"a": 1}}
+HEADER_FAULTS.update({
+    f"{key}-{label}": lambda h, key=key, value=value: h.update({key: value})
+    for key in ("model", "config", "n_entities", "n_relations", "tensors")
+    for label, value in JSON_VALUES.items()
+    if (key, label) != ("n_entities", "str")})
 
 
 @pytest.mark.parametrize("fault", list(HEADER_FAULTS))
@@ -534,4 +544,16 @@ class TestSweepCommand:
                    "--models", models, "--out", str(out)])
         assert rc == 2
         assert "--models is empty" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("dims,models", [("8,-4", "distmult"),
+                                             ("8,6", "patreformer")])
+    def test_bad_size_fails_before_training(self, memo_dir, tmp_path, capsys,
+                                            dims, models):
+        out = tmp_path / "o"
+        rc = main(["sweep-dim", "--data", memo_dir, "--dims", dims,
+                   "--models", models, "--out", str(out)]
+                  + TINY_MODEL + schedule(1))
+        assert rc == 2
+        assert "model " not in capsys.readouterr().out
         assert not (out / "sweep.csv").exists()

@@ -72,8 +72,6 @@ class TestBuildStore:
         store = build_store([("a", "r", "b"), ("a", "s", "b")], [], [])
         assert store.num_relations == 2
         assert store.num_relations_with_reverse == 4
-        assert store.reverse(0) == 2
-        assert store.reverse(3) == 1
 
     def test_filter_index_both_directions(self):
         store = build_store([("a", "r", "b"), ("a", "r", "c")],

@@ -1,3 +1,6 @@
+import json
+import zlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,28 @@ def tiny_model(seed=0, n_ent=6, n_rel2=8, **over):
     base.update(over)
     cfg = ModelConfig(**base)
     return PatReFormer(cfg, n_ent, n_rel2, np.random.default_rng(seed))
+
+
+def add_optimizer_entry(path, moments, step):
+    """Give a checkpoint the ``optimizer`` header entry earlier writers added:
+    ``null`` when ``moments`` is empty, else ``{"step", "tensors"}`` with each
+    moment array appended to the payload and the CRC recomputed."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    n = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + n])
+    payload = blob[12 + n:-4]
+    entries = []
+    for name, arr in moments.items():
+        entries.append({"name": name, "shape": list(arr.shape),
+                        "offset": len(payload)})
+        payload += np.asarray(arr, dtype="<f4").tobytes()
+    header["optimizer"] = {"step": step, "tensors": entries} if entries else None
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    with open(path, "wb") as fh:
+        fh.write(blob[:8] + len(head).to_bytes(4, "little") + head + payload
+                 + crc.to_bytes(4, "little"))
 
 
 class TestSeedStreams:
@@ -235,27 +260,29 @@ class TestCheckpointRoundtrip:
             got = restored.params[name]
             assert np.array_equal(got.data, t.data)
             assert got.requires_grad == t.requires_grad
-        assert ck["optimizer"] is None
 
-    def test_optimizer_state_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("section", ["null", "populated"])
+    def test_older_optimizer_entry_is_ignored(self, tmp_path, section):
+        # Earlier writers added an "optimizer" header entry: null, or the
+        # Adam step count and moments stored after the parameters.
         model = tiny_model(seed=2)
         adam = Adam(model.params, lr=0.01)
         scores = model.score_all([0, 1], [2, 3], training=True,
                                  rng=np.random.default_rng(0))
-        loss = bce_smoothed_loss(scores, np.zeros((2, 6)), 0.1)
         model.params.zero_grad()
-        loss.backward()
+        bce_smoothed_loss(scores, np.zeros((2, 6)), 0.1).backward()
         adam.step()
-        path = str(tmp_path / "with_opt.ckpt")
-        save_checkpoint(path, model, optimizer=adam)
+        path = str(tmp_path / "older.ckpt")
+        save_checkpoint(path, model)
+        moments = {} if section == "null" else {
+            f"{prefix}.{name}": store[name] for name in adam.m
+            for prefix, store in (("m", adam.m), ("v", adam.v))}
+        add_optimizer_entry(path, moments, adam.step_count)
 
         restored, ck = restore_model(path)
-        fresh = Adam(restored.params, lr=0.01)
-        fresh.load_state(ck["optimizer"]["step"], ck["optimizer"]["arrays"])
-        assert fresh.step_count == 1
-        for name in adam.m:
-            np.testing.assert_array_equal(fresh.m[name], adam.m[name])
-            np.testing.assert_array_equal(fresh.v[name], adam.v[name])
+        assert "optimizer" not in ck
+        for name, t in model.params.items():
+            assert restored.params[name].data.tobytes() == t.data.tobytes()
 
     def test_vocab_check(self, tmp_path):
         model = tiny_model(seed=3, n_ent=5, n_rel2=4)
