@@ -5,11 +5,14 @@ The graph is define-by-run: every op builds its output node through
 gradient to that input's gradient. ``_make`` registers the node's backward
 from these rules; it runs only the rules whose input requires a gradient, so
 no gradient is computed for a constant. ``Tensor.backward()`` replays the tape
-in reverse topological order. The backward reaches its own node only through a
-weak reference, so the graph holds no reference cycle: it is freed by
-refcounting as soon as its root is dropped, without waiting for the cyclic
-garbage collector. Inside ``with no_grad():`` ops record no tape at all, which
-is what inference uses.
+in reverse topological order and drops each intermediate node's gradient as
+soon as its rules have run. After ``backward()`` only the leaves and the root
+hold ``.grad``; every other node's is ``None``, so a second ``backward()`` on
+the same root adds its gradients to the leaves exactly once more. The backward
+reaches its own node only through a weak reference, so the graph holds no
+reference cycle: it is freed by refcounting as soon as its root is dropped,
+without waiting for the cyclic garbage collector. Inside ``with no_grad():``
+ops record no tape at all, which is what inference uses.
 
 Data is float32 by default (float64 graphs are accepted so gradient checks
 can run at full precision). Reductions that feed normalizations (softmax
@@ -45,6 +48,9 @@ class Tensor:
     ``grad`` is populated lazily by ``backward()`` and has the same shape and
     dtype as ``data``. Leaves created with ``requires_grad=True`` are the
     trainable parameters; everything else propagates the flag from its inputs.
+    After ``backward()`` only the leaves and the root hold ``grad``: each
+    intermediate node's is ``None`` again, so a second call accumulates into
+    the leaves exactly once.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "op",
@@ -73,7 +79,8 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def backward(self):
-        """Populate grads of every requires-grad node reachable from a scalar."""
+        """Add the gradient of this scalar to every requires-grad leaf it
+        reaches; intermediate gradients are freed as soon as they are used."""
         if self.data.size != 1:
             raise GraphError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
@@ -97,6 +104,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+                if node is not self:
+                    node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r})"

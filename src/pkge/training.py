@@ -186,7 +186,8 @@ def _read_manifest(entries, payload):
             raise CheckpointError(
                 f"tensor entry {entry!r} lacks a name, shape or offset") from None
         if (not isinstance(name, str) or not isinstance(shape, list)
-                or not all(map(_is_count, shape + [start]))):
+                or not all(map(_is_count, shape + [start]))
+                or not isinstance(entry.get("trainable", True), bool)):
             raise CheckpointError(f"tensor entry {entry!r} is malformed")
         shape = tuple(shape)
         nbytes = 4 * math.prod(shape)
@@ -239,7 +240,7 @@ def load_checkpoint(path):
         if not _is_count(n) or n == 0 or rows != (n,):
             raise CheckpointError(
                 f"{path}: {key}={n!r} is not the row count of {table!r}")
-    trainable = {e["name"]: bool(e.get("trainable", True)) for e in header["tensors"]}
+    trainable = {e["name"]: e.get("trainable", True) for e in header["tensors"]}
     return {
         "model": header["model"],
         "config": header["config"],

@@ -292,6 +292,46 @@ def test_bad_checkpoint_header_exits_3(memo_dir, tmp_path, capsys, fault):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+# A manifest trainable flag that is not a JSON boolean, each written over the
+# saved flag it is truthy or falsy like, so only its type can reject it.
+FLAG_FAULTS = {"str-false": ("false", True), "zero": (0, False),
+               "empty-list": ([], False)}
+
+
+def patreformer_checkpoint_with_flags(path, value, saved):
+    """A frozen-basis PatReFormer checkpoint whose entries saved with flag
+    ``saved`` carry ``value`` instead; ``None`` drops the flag."""
+    cfg = ModelConfig(d_e=8, d_r=8, d=4, heads=2, layers=1, d_f=8)
+    save_checkpoint(path, PatReFormer(cfg, 30, 8, np.random.default_rng(0)))
+
+    def edit(header):
+        entries = [e for e in header["tensors"] if e["trainable"] is saved]
+        assert entries
+        for e in entries:
+            if value is None:
+                del e["trainable"]
+            else:
+                e["trainable"] = value
+    rewrite_header(path, edit)
+
+
+@pytest.mark.parametrize("fault", list(FLAG_FAULTS))
+def test_non_boolean_trainable_flag_exits_3(memo_dir, tmp_path, capsys, fault):
+    path = str(tmp_path / "patreformer.ckpt")
+    patreformer_checkpoint_with_flags(path, *FLAG_FAULTS[fault])
+    rc = main(["eval", "--data", memo_dir, "--checkpoint", path])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_absent_trainable_flag_means_trainable(memo_dir, tmp_path):
+    path = str(tmp_path / "patreformer.ckpt")
+    patreformer_checkpoint_with_flags(path, None, True)
+    assert restore_model(path)[1]["trainable"]["entity.embedding"] is True
+    assert main(["eval", "--data", memo_dir, "--checkpoint", path]) == 0
+
+
 
 # Each command that takes the option set, with its other required flags.
 OPTION_COMMANDS = {
