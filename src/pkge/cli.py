@@ -146,8 +146,7 @@ def cmd_eval(args):
     _make_out_dir(args.out)
     model, _ = restore_model(args.checkpoint)
     check_vocab(model, store)
-    report = evaluate(store, model, args.split, batch_size=args.eval_batch,
-                      workers=args.workers)
+    report = evaluate(store, model, args.split, batch_size=args.eval_batch)
     if args.out:
         write_report_csv(report,
                          os.path.join(args.out, f"eval_{args.split}.csv"))
@@ -283,8 +282,6 @@ def _parser():
     p.add_argument("--out", help="directory for the report CSV")
     p.add_argument("--eval-batch", dest="eval_batch", type=int,
                    default=EVAL_BATCH)
-    p.add_argument("--workers", type=int, default=None,
-                   help="scoring threads (capped by PKGE_THREADS)")
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("ablate", help="compare architecture variants")

@@ -12,14 +12,12 @@ Reported: MRR and Hits@{1,3,10}, overall, per direction, and per relation
 category (1-1, 1-N, N-1, N-N).
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .kg import CATEGORIES, THRESHOLD, triple_categories
+from .kg import CATEGORIES, triple_categories
 from .tensor import no_grad
 
 HITS_AT = (1, 3, 10)
@@ -77,34 +75,19 @@ class EvalReport:
     ranks: np.ndarray = field(repr=False, compare=False, default=None)
 
 
-def _eval_workers(requested):
-    """Effective worker count: the request, capped by PKGE_THREADS."""
-    raw = os.environ.get("PKGE_THREADS", "")
-    cap = None
-    if raw:
-        try:
-            cap = max(1, int(raw))
-        except ValueError:
-            raise ConfigError(
-                f"PKGE_THREADS must be an integer, got {raw!r}") from None
-    if requested is None:
-        return cap or 1
-    requested = max(1, requested)
-    return min(requested, cap) if cap else requested
-
-
 def check_split(store, split):
     """``split`` must hold triples to evaluate."""
     if len(store.splits[split]) == 0:
         raise ConfigError(f"split {split!r} has no triples to evaluate")
 
 
-def evaluate(store, model, split, batch_size=EVAL_BATCH, threshold=THRESHOLD,
-             category_scope="all", workers=None):
+def evaluate(store, model, split, batch_size=EVAL_BATCH):
     """Filtered-ranking report for ``split``; both directions of every triple.
 
-    ``workers`` defaults to the PKGE_THREADS environment variable (else 1);
-    results do not depend on the worker count or batch size.
+    The queries are scored ``batch_size`` at a time, in order, on the
+    calling thread with no tape; the ranks do not depend on ``batch_size``.
+    Each query's relation category is ``triple_categories`` at its defaults:
+    ``kg.THRESHOLD``, with fan-outs counted over all splits.
     """
     check_split(store, split)
     triples = store.splits[split]
@@ -118,28 +101,19 @@ def evaluate(store, model, split, batch_size=EVAL_BATCH, threshold=THRESHOLD,
     q_target = np.concatenate([triples[:, 2], triples[:, 0]])
     total = 2 * n
     ranks = np.empty(total, dtype=np.float64)
-
-    def run_chunk(lo):
-        hi = min(lo + batch_size, total)
-        with no_grad():
-            scores = model.score_all(q_ent[lo:hi], q_rel[lo:hi]).data
-        ranks[lo:hi] = filtered_rank(
-            scores, q_target[lo:hi],
-            *store.filter_index.lookup(q_ent[lo:hi], q_rel[lo:hi]))
-
-    starts = range(0, total, batch_size)
-    n_workers = _eval_workers(workers)
-    if n_workers == 1:
-        for lo in starts:
-            run_chunk(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run_chunk, starts))
+    with no_grad():
+        for lo in range(0, total, batch_size):
+            hi = min(lo + batch_size, total)
+            # No name keeps a chunk's scores alive while the next is scored.
+            ranks[lo:hi] = filtered_rank(
+                model.score_all(q_ent[lo:hi], q_rel[lo:hi]).data,
+                q_target[lo:hi],
+                *store.filter_index.lookup(q_ent[lo:hi], q_rel[lo:hi]))
 
     mrr, hits = metrics_from_ranks(ranks)
     directions = {"tail": _group_metrics(ranks[:n]),
                   "head": _group_metrics(ranks[n:])}
-    query_cat = np.tile(triple_categories(store, split, threshold, category_scope), 2)
+    query_cat = np.tile(triple_categories(store, split), 2)
     categories = {cat: _group_metrics(ranks[query_cat == i])
                   for i, cat in enumerate(CATEGORIES)}
 

@@ -26,9 +26,9 @@ SCOPES = {"all": tuple(SPLIT_FILES), "train": ("train",)}
 def load_tsv(path, split="train"):
     """Parse one split file into (head, relation, tail) string triples.
 
-    Order-preserving, no deduplication. Malformed lines raise
-    ``DataFormatError`` naming the line number; bytes that are not UTF-8
-    raise it naming the file.
+    Order-preserving, no deduplication. A malformed line, one with an empty
+    field included, raises ``DataFormatError`` naming the line number; bytes
+    that are not UTF-8 raise it naming the file.
     """
     triples = []
     try:
@@ -43,6 +43,10 @@ def load_tsv(path, split="train"):
                         f"{path}:{lineno}: expected 3 tab-separated fields "
                         f"({split} split), got {len(fields)}"
                     )
+                if not all(fields):
+                    raise DataFormatError(
+                        f"{path}:{lineno}: empty head, relation or tail "
+                        f"({split} split)")
                 triples.append((fields[0], fields[1], fields[2]))
     except UnicodeDecodeError as exc:
         raise DataFormatError(

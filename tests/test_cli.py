@@ -180,6 +180,17 @@ class TestExitCodes:
         assert rc == 3
         assert "valid.txt" in capsys.readouterr().err
 
+    def test_empty_field_in_split_file(self, memo_dir, tmp_path, capsys):
+        data = copy_dataset(memo_dir, tmp_path / "d",
+                            test=b"e1\tr\te2\n\t\t\n")
+        rc = main(["stats", "--data", data])
+        assert rc == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "test.txt:2" in err[0] and "test split" in err[0]
+        assert captured.out == ""
+
     def test_invalid_utf8_config_file(self, memo_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"lr=0.1\n\xfe\xff=1\n")
@@ -493,12 +504,22 @@ class TestTrainCommand:
         data, out = trained_run
         ckpt = os.path.join(out, "best.ckpt")
         rc = main(["eval", "--data", data, "--checkpoint", ckpt,
-                   "--split", "valid", "--out", str(tmp_path),
-                   "--workers", "2"])
+                   "--split", "valid", "--out", str(tmp_path)])
         assert rc == 0
         assert os.path.isfile(str(tmp_path / "eval_valid.csv"))
         stdout = capsys.readouterr().out
         assert "split" in stdout and "MRR" in stdout
+
+    def test_eval_has_no_workers_flag(self, trained_run, tmp_path, capsys):
+        # evaluation has one serial path; a thread-count flag is a usage error
+        data, out = trained_run
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--data", data,
+                  "--checkpoint", os.path.join(out, "best.ckpt"),
+                  "--out", str(tmp_path), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "eval_test.csv"))
 
     def test_eval_matches_train_report(self, trained_run, tmp_path):
         # the test-split report written at the end of training must be

@@ -1,7 +1,8 @@
 """Every name a module imports is used in it, over the package and the
 tests, and every module-level private function of the package is read by
 some code in the repository: stand-ins for a linter's unused-import and
-dead-code checks."""
+dead-code checks. No package module reads the process environment, so
+every option is a flag or a config-file key."""
 
 import ast
 import glob
@@ -107,3 +108,48 @@ def test_no_unused_private_functions():
                 out[os.path.relpath(path, ROOT)] = fh.read()
         return out
     assert unused_private_functions(sources(PACKAGE), sources(READERS)) == []
+
+
+ENV_READERS = ("environ", "environb", "getenv", "getenvb")
+
+
+def environment_reads(source):
+    """(line, name) of each read of the process environment in ``source``:
+    ``os.environ`` or ``os.getenv`` through any name bound to ``os``, and
+    those names imported from ``os``."""
+    tree = ast.parse(source)
+    os_names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "os":
+                    os_names.add(alias.asname or "os")
+                elif alias.name.startswith("os.") and not alias.asname:
+                    os_names.add("os")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in ENV_READERS]
+        elif (isinstance(node, ast.Attribute) and node.attr in ENV_READERS
+              and isinstance(node.value, ast.Name)
+              and node.value.id in os_names):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_detects_environment_reads():
+    source = ("import os\nimport os as o\nimport os.path\n"
+              "from os import environ, path\nfrom os import getenv as g\n"
+              "x = os.environ.get('A')\ny = o.getenv('B')\n"
+              "z = os.path.join('a')\nenv = {}.get('environ')\n"
+              "class C:\n    environ = 1\nw = C.environ\n")
+    assert environment_reads(source) == [
+        (4, "environ"), (5, "getenv"), (6, "environ"), (7, "getenv")]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[os.path.relpath(p, ROOT) for p in PACKAGE])
+def test_package_reads_no_environment(path):
+    with open(path, encoding="utf-8") as fh:
+        assert environment_reads(fh.read()) == []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pkge.errors import ConfigError, DataFormatError
 from pkge.kg import (CATEGORIES, RelationCategory, build_store,
                      categorize_relations, category_counts, dump_stats_json,
-                     load_dataset, load_tsv)
+                     load_dataset, load_tsv, triple_categories)
 from pkge.synth import random_kg, write_dataset
 
 
@@ -25,6 +25,24 @@ class TestLoadTsv:
         p.write_text("a\tr\tb\nwrong line\n")
         with pytest.raises(DataFormatError, match=r"bad\.txt:2"):
             load_tsv(str(p))
+
+    @pytest.mark.parametrize("line", ["\t\t", "a\t\tb", "\tr\tb", "a\tr\t"],
+                             ids=["all", "relation", "head", "tail"])
+    def test_empty_field_reports_line_and_split(self, tmp_path, line):
+        p = tmp_path / "valid.txt"
+        p.write_text(f"a\tr\tb\n{line}\n")
+        with pytest.raises(DataFormatError,
+                           match=r"valid\.txt:2: empty .*\(valid split\)"):
+            load_tsv(str(p), split="valid")
+
+    def test_empty_field_fails_load_dataset(self, tmp_path):
+        write_dataset(str(tmp_path), {"train": [("a", "r", "b")],
+                                      "valid": [("a", "r", "b")],
+                                      "test": [("a", "r", "b")]})
+        with open(tmp_path / "test.txt", "a", encoding="utf-8") as fh:
+            fh.write("a\t\tb\n")
+        with pytest.raises(DataFormatError, match=r"test\.txt:2"):
+            load_dataset(str(tmp_path))
 
 
 def answers(index, entity, relation):
@@ -192,6 +210,8 @@ class TestCategorization:
         assert sum(counts.values()) == 0
         counts_all = category_counts(store, split="test", scope="all")
         assert sum(counts_all.values()) == 1
+        assert triple_categories(store, "test", scope="train").tolist() == [-1]
+        assert triple_categories(store, "test").tolist() == [0]
 
 
 def loop_categories(store, threshold, scope):
