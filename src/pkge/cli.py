@@ -17,8 +17,8 @@ from dataclasses import fields, replace
 
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      NumericError)
-from .evaluation import (EVAL_BATCH, evaluate, format_report,
-                         sweep_relation_dim, write_report_csv)
+from .evaluation import (evaluate, format_report, sweep_relation_dim,
+                         write_report_csv)
 from .kg import (CATEGORIES, SCOPES, SPLIT_FILES, THRESHOLD, category_counts,
                  categorize_relations, dump_stats_json, load_dataset)
 from .model import ABLATION_VARIANTS, CHOICES, MODEL_KINDS, ModelConfig
@@ -146,7 +146,7 @@ def cmd_eval(args):
     _make_out_dir(args.out)
     model, _ = restore_model(args.checkpoint)
     check_vocab(model, store)
-    report = evaluate(store, model, args.split, batch_size=args.eval_batch)
+    report = evaluate(store, model, args.split)
     if args.out:
         write_report_csv(report,
                          os.path.join(args.out, f"eval_{args.split}.csv"))
@@ -280,8 +280,6 @@ def _parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=tuple(SPLIT_FILES), default="test")
     p.add_argument("--out", help="directory for the report CSV")
-    p.add_argument("--eval-batch", dest="eval_batch", type=int,
-                   default=EVAL_BATCH)
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("ablate", help="compare architecture variants")

@@ -21,7 +21,7 @@ from .kg import CATEGORIES, triple_categories
 from .tensor import no_grad
 
 HITS_AT = (1, 3, 10)
-EVAL_BATCH = 512        # queries scored per chunk
+EVAL_BATCH = 512        # queries scored per tile
 
 
 def filtered_rank(scores, targets, known_rows, known_answers):
@@ -84,10 +84,10 @@ def check_split(store, split):
 def evaluate(store, model, split, batch_size=EVAL_BATCH):
     """Filtered-ranking report for ``split``; both directions of every triple.
 
-    The queries are scored ``batch_size`` at a time, in order, on the
-    calling thread with no tape; the ranks do not depend on ``batch_size``.
-    Each query's relation category is ``triple_categories`` at its defaults:
-    ``kg.THRESHOLD``, with fan-outs counted over all splits.
+    The queries are scored in order with no tape, in tiles of exactly
+    ``batch_size`` rows, the last padded with copies of its last query, so a
+    query's logits and rank do not depend on the split, subset or order it is
+    scored in. Relation categories are ``triple_categories`` at its defaults.
     """
     check_split(store, split)
     triples = store.splits[split]
@@ -104,9 +104,10 @@ def evaluate(store, model, split, batch_size=EVAL_BATCH):
     with no_grad():
         for lo in range(0, total, batch_size):
             hi = min(lo + batch_size, total)
-            # No name keeps a chunk's scores alive while the next is scored.
+            tile = np.minimum(np.arange(lo, lo + batch_size), hi - 1)
+            # No name keeps a tile's scores alive while the next is scored.
             ranks[lo:hi] = filtered_rank(
-                model.score_all(q_ent[lo:hi], q_rel[lo:hi]).data,
+                model.score_all(q_ent[tile], q_rel[tile]).data[:hi - lo],
                 q_target[lo:hi],
                 *store.filter_index.lookup(q_ent[lo:hi], q_rel[lo:hi]))
 

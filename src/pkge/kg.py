@@ -138,7 +138,14 @@ def load_dataset(directory):
     raw = {}
     for split, fname in SPLIT_FILES.items():
         raw[split] = load_tsv(os.path.join(directory, fname), split)
-    return build_store(raw["train"], raw["valid"], raw["test"])
+    store = build_store(raw["train"], raw["valid"], raw["test"])
+    # Edge whitespace in a name is a format error, checked per distinct name.
+    for name in store.entity_names + store.relation_names:
+        if name != name.strip():
+            split = next(s for s in SPLIT_FILES if any(name in t for t in raw[s]))
+            raise DataFormatError(f"{SPLIT_FILES[split]}: name {name!r} has "
+                                  f"whitespace at its edge ({split} split)")
+    return store
 
 
 def build_store(train, valid, test):

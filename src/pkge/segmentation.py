@@ -94,12 +94,8 @@ def segment_mapped(e, basis):
     if e.shape[-1] != n:
         raise ConfigError(
             f"embedding size {e.shape[-1]} does not match basis input size {n}")
-    flat = reshape(basis, (k * d, n))
-    lead = e.shape[:-1]
-    # As a stack of single rows, each embedding gets its own product in the
-    # matmul forward, so its patches do not depend on the batch size.
-    out = matmul(reshape(e, lead + (1, n)), transpose(flat))
-    return reshape(out, lead + (k, d))
+    out = matmul(reshape(e, (-1, n)), transpose(reshape(basis, (k * d, n))))
+    return reshape(out, e.shape[:-1] + (k, d))
 
 
 def segment_none(e, proj):
@@ -107,6 +103,5 @@ def segment_none(e, proj):
     if e.shape[-1] != proj.shape[0]:
         raise ConfigError(
             f"embedding size {e.shape[-1]} does not match projection rows {proj.shape[0]}")
-    lead = e.shape[:-1]
-    out = matmul(reshape(e, lead + (1, e.shape[-1])), proj)
-    return reshape(out, lead + (1, proj.shape[1]))
+    out = matmul(reshape(e, (-1, e.shape[-1])), proj)
+    return reshape(out, e.shape[:-1] + (1, proj.shape[1]))

@@ -230,12 +230,10 @@ def matmul(a, b):
     """Matrix product with leading batch dims broadcast, dA = dC·Bᵀ, dB = Aᵀ·dC.
 
     When ``b`` is a 2-D weight [K, N], the leading dims of ``a`` [..., M, K]
-    fold into the rows of one GEMM: the backward computes dA as one
-    [rows, N]·[N, K] product and dB as one [K, rows]·[rows, N] product, with
-    no [..., K, N] stack to sum. The forward folds too, except for a stack of
-    single rows (M == 1): there numpy's product per row is kept, so each row's
-    value does not depend on how many rows share the batch (a folded batch of
-    one is an M=1 GEMM, which BLAS sums in a different order). Products of two
+    fold into the rows of one GEMM, forward and backward (dA as one
+    [rows, N]·[N, K] product, dB as one [K, rows]·[rows, N] product), so no
+    [..., K, N] stack is summed. BLAS may sum a row differently when the row
+    count changes, so evaluation scores tiles of one height. Products of two
     batched operands keep numpy's broadcasting path.
     """
     a, b = as_tensor(a), as_tensor(b)
@@ -250,7 +248,7 @@ def matmul(a, b):
     fold = b.data.ndim == 2
     k, n = b.data.shape[-2:]
     rows = math.prod(a.data.shape[:-1])
-    if fold and a.data.shape[-2] != 1:
+    if fold:
         data = (a.data.reshape(rows, k) @ b.data).reshape(a.data.shape[:-1] + (n,))
     else:
         data = a.data @ b.data

@@ -15,6 +15,7 @@ import math
 import os
 import zlib
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class TrainConfig(Config):
     label_smoothing: float = 0.1
     seed: int = 0
     eval_every: int = 10
-    eval_batch: int = EVAL_BATCH
+    eval_batch: ClassVar[int] = EVAL_BATCH
 
     def validate(self):
         if not np.isfinite(self.lr) or self.lr <= 0:
@@ -56,8 +57,6 @@ class TrainConfig(Config):
         if not 0.0 <= self.label_smoothing < 0.5:
             raise ConfigError(
                 f"label_smoothing must be in [0, 0.5), got {self.label_smoothing}")
-        if self.eval_batch < 1:
-            raise ConfigError("eval_batch must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -348,7 +347,7 @@ def train_model(store, model, cfg, out_dir=None, progress=None):
 
         valid_mrr = None
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-            report = evaluate(store, model, "valid", batch_size=cfg.eval_batch)
+            report = evaluate(store, model, "valid")
             valid_mrr = report.mrr
             if valid_mrr > best_mrr:
                 best_mrr = valid_mrr
@@ -383,5 +382,5 @@ def run_experiment(store, kind, model_cfg, train_cfg, out_dir=None,
     result = train_model(store, model, train_cfg, out_dir=out_dir,
                          progress=progress)
     model.params.load_arrays(result.best_params)
-    report = evaluate(store, model, "test", batch_size=train_cfg.eval_batch)
+    report = evaluate(store, model, "test")
     return result, report

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,8 +12,8 @@ import pytest
 
 import pkge
 from pkge.baselines import DistMult, TransE
-from pkge.cli import (_parser, format_run_config, main, parse_config_file,
-                      resolve_run_config)
+from pkge.cli import (_add_config_flags, _parser, format_run_config, main,
+                      parse_config_file, resolve_run_config)
 from pkge.errors import ConfigError
 from pkge.evaluation import evaluate, write_report_csv
 from pkge.kg import load_dataset
@@ -27,7 +29,7 @@ TINY_MODEL = [
 
 def schedule(epochs):
     return ["--lr", "0.01", "--batch-size", "128", "--epochs", str(epochs),
-            "--eval-every", "1", "--eval-batch", "256"]
+            "--eval-every", "1"]
 
 
 @pytest.fixture
@@ -100,7 +102,7 @@ class TestConfigFile:
         lines = echo.splitlines()
         assert lines[0] == "model=patreformer"
         assert "d_e=100" in lines and "lr=0.001" in lines
-        assert len(lines) == 1 + 16 + 7   # model + model cfg + train cfg
+        assert len(lines) == 1 + 16 + 6   # model + model cfg + train cfg
         # the echo itself round-trips as a config file
         assert echo.endswith("\n")
 
@@ -190,6 +192,27 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "test.txt:2" in err[0] and "test split" in err[0]
         assert captured.out == ""
+
+    def test_edge_whitespace_in_split_file(self, memo_dir, tmp_path, capsys):
+        data = copy_dataset(memo_dir, tmp_path / "d",
+                            valid=b"e1\tr\te2 \n")
+        rc = main(["stats", "--data", data])
+        assert rc == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "'e2 '" in err[0] and "valid split" in err[0]
+        assert captured.out == ""
+
+    def test_eval_batch_config_key(self, memo_dir, tmp_path, capsys):
+        # evaluation tiles have one fixed height, which no option sets
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eval_batch=512\n")
+        rc = main(["train", "--data", memo_dir, "--out", str(tmp_path / "o"),
+                   "--config", str(cfg)])
+        assert rc == 2
+        assert "unknown config key 'eval_batch'" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "o"))
 
     def test_invalid_utf8_config_file(self, memo_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -397,6 +420,31 @@ def test_every_choice_passes(command, name):
         assert resolve_options(command, flag_of(name), choice)[name] == choice
 
 
+@pytest.mark.parametrize("command", [*OPTION_COMMANDS, "eval"])
+def test_eval_batch_flag_exits_2(command, capsys):
+    argv = OPTION_COMMANDS.get(command,
+                               ["eval", "--data", "d", "--checkpoint", "c"])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--eval-batch", "512"])
+    assert exc.value.code == 2
+    assert "--eval-batch" in capsys.readouterr().err
+
+
+def test_readme_option_table_matches_the_flags():
+    # The README's option table lists exactly the flags every training-style
+    # command registers, so a removed option cannot linger in the docs.
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = [line.split("|")[1] for line in fh if line.startswith("| `--")]
+    documented = {flag for cell in rows for flag in re.findall(r"--[\w-]+", cell)}
+    parser = argparse.ArgumentParser()
+    _add_config_flags(parser)
+    registered = {opt for action in parser._actions
+                  for opt in action.option_strings if opt.startswith("--")}
+    assert documented == registered - {"--help"}
+
+
 class TestTransEEvalAtScale:
     """``pkge eval`` of TransE checkpoints over a 13,234-entity vocabulary,
     the size of FB15k-237's: a chain e0 -> e1 -> ... whose held-out links
@@ -494,6 +542,7 @@ class TestTrainCommand:
         config = open(os.path.join(out, "config.txt")).read()
         assert config.startswith("model=patreformer\n")
         assert "d_e=8" in config and "epochs=2" in config
+        assert "eval_batch" not in config
         log = open(os.path.join(out, "train_log.csv")).read().splitlines()
         assert log[0] == "epoch,loss,valid_mrr"
         assert len(log) == 3
@@ -527,8 +576,7 @@ class TestTrainCommand:
         data, out = trained_run
         ckpt = os.path.join(out, "best.ckpt")
         rc = main(["eval", "--data", data, "--checkpoint", ckpt,
-                   "--split", "test", "--out", str(tmp_path),
-                   "--eval-batch", "256"])
+                   "--split", "test", "--out", str(tmp_path)])
         assert rc == 0
         a = open(os.path.join(out, "eval_test.csv")).read()
         b = open(str(tmp_path / "eval_test.csv")).read()

@@ -1,3 +1,6 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +9,8 @@ from pkge.errors import ConfigError, NumericError
 from pkge.evaluation import (EvalReport, evaluate, filtered_rank,
                              format_report, metrics_from_ranks, report_rows,
                              sweep_relation_dim, write_report_csv)
-from pkge.kg import build_store, category_counts
-from pkge.model import ModelConfig, PatReFormer
+from pkge.kg import build_store, category_counts, load_dataset
+from pkge.model import ModelConfig, PatReFormer, build_model
 from pkge.synth import random_kg
 from pkge.training import TrainConfig
 
@@ -178,6 +181,64 @@ class TestEvaluateAgainstOracle:
         assert 0.0 < report.mrr <= 1.0
 
 
+class RecordingModel:
+    """Passes ``score_all`` through to ``model`` and keeps every logits row
+    it returns, keyed by its (entity, relation) query."""
+
+    def __init__(self, model):
+        self.model, self.logits = model, {}
+
+    def score_all(self, entities, relations, training=False, rng=None):
+        out = self.model.score_all(entities, relations, training, rng)
+        for key, row in zip(zip(entities.tolist(), relations.tolist()), out.data):
+            self.logits.setdefault(key, []).append(row.copy())
+        return out
+
+
+@pytest.fixture(scope="module")
+def blocks_store(data_dir):
+    return load_dataset(os.path.join(data_dir, "blocks135"))
+
+
+SCORING_SETUPS = {
+    "cross": ("patreformer", dict(d_r=1000)),
+    "full_self": ("patreformer", dict(d_r=1000, attention="full_self")),
+    "segmentation-none": ("patreformer", dict(segmentation="none")),
+    "transe": ("transe", {}),
+    "distmult": ("distmult", {}),
+}
+
+
+@pytest.mark.parametrize("setup", list(SCORING_SETUPS))
+def test_query_results_do_not_depend_on_the_split(blocks_store, setup):
+    # A query gets the same logits and rank in any subset or order of a
+    # split as in the whole split: evaluate scores fixed-height tiles.
+    kind, options = SCORING_SETUPS[setup]
+    store = blocks_store
+    model = build_model(kind, ModelConfig(**options), store.num_entities,
+                        store.num_relations_with_reverse,
+                        np.random.default_rng(3))
+    test = store.splits["test"]
+    n = len(test)
+    full = RecordingModel(model)
+    full_ranks = evaluate(store, full, "test").ranks
+    for logits in full.logits.values():
+        for row in logits:
+            np.testing.assert_array_equal(row, logits[0])
+
+    rng = np.random.default_rng(11)
+    picks = [rng.choice(n, size, replace=False) for size in (1, 7, 300)]
+    for idx in picks + [rng.permutation(n)]:
+        part = RecordingModel(model)
+        sub = replace(store, splits={**store.splits, "test": test[idx]})
+        ranks = evaluate(sub, part, "test").ranks
+        np.testing.assert_array_equal(
+            ranks, np.concatenate([full_ranks[idx], full_ranks[n + idx]]))
+        for key, logits in part.logits.items():
+            for row in logits:
+                np.testing.assert_array_equal(row, full.logits[key][0])
+
+
 class TestReportEmission:
     @pytest.fixture
     def small_report(self):
@@ -223,7 +284,7 @@ class TestSweep:
         cfg = ModelConfig(d_e=8, d_r=8, d=4, heads=2, layers=1, d_f=8,
                           p1=0.0, p2=0.0, p3=0.0, segmentation="folding")
         tcfg = TrainConfig(lr=0.01, batch_size=128, epochs=2, eval_every=1,
-                           seed=0, eval_batch=256)
+                           seed=0)
         rows = sweep_relation_dim(memo_store, ["distmult"], cfg, tcfg, [4, 8])
         assert [r["d_r"] for r in rows] == [4, 8]
         for row in rows:

@@ -45,6 +45,24 @@ class TestLoadTsv:
             load_dataset(str(tmp_path))
 
 
+    @pytest.mark.parametrize("line,name,split", [
+        ("a\tr\tb ", "b ", "valid"),          # trailing space after a tail
+        ("a\tr \tc", "r ", "test"),           # a relation name
+        ("\u00a0a\tr\tb", "\u00a0a", "train"),  # a non-breaking space
+    ], ids=["tail", "relation", "head"])
+    def test_edge_whitespace_fails_load_dataset(self, tmp_path, line, name,
+                                                split):
+        splits = {s: [("a", "r", "b")] for s in ("train", "valid", "test")}
+        write_dataset(str(tmp_path), splits)
+        with open(tmp_path / f"{split}.txt", "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_dataset(str(tmp_path))
+        assert repr(name) in str(exc.value)
+        assert f"{split}.txt" in str(exc.value)
+        assert f"({split} split)" in str(exc.value)
+
+
 def answers(index, entity, relation):
     """Set of the answers ``index`` holds for one query."""
     _, found = index.lookup(np.array([entity]), np.array([relation]))

@@ -60,17 +60,6 @@ class TestMapped:
         want = np.einsum("n,kdn->kd", e, basis)
         np.testing.assert_allclose(out.data, want, rtol=1e-6, atol=1e-6)
 
-    def test_patches_do_not_depend_on_batch_size(self):
-        # Each embedding is a single row of its own product, so a query
-        # scored alone gets the bits it gets inside a batch of 7.
-        rng = np.random.default_rng(3)
-        basis = t(seg.build_frozen_basis(8, 50, rng))
-        e = rng.standard_normal((7, 400)).astype(np.float32)
-        batch = seg.segment_mapped(t(e), basis).data
-        for i in range(7):
-            alone = seg.segment_mapped(t(e[i:i + 1]), basis).data
-            assert np.array_equal(alone[0], batch[i])
-
     def test_size_mismatch_rejected(self):
         basis = t(np.zeros((2, 3, 6)))
         with pytest.raises(ConfigError):

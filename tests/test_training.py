@@ -62,7 +62,7 @@ class TestSeedStreams:
 class TestTrainConfig:
     def test_validation(self):
         for bad in (dict(lr=0.0), dict(epochs=0), dict(label_smoothing=0.5),
-                    dict(label_smoothing=-0.01), dict(eval_batch=0)):
+                    dict(label_smoothing=-0.01)):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
 
@@ -370,7 +370,7 @@ class TestTrainLoop:
         mcfg = dict(d_e=8, d_r=8, d=4, heads=2, layers=1, d_f=8,
                     p1=0.0, p2=0.0, p3=0.0, segmentation="folding")
         tcfg = TrainConfig(lr=0.01, batch_size=64, epochs=5, eval_every=2,
-                           seed=1, eval_batch=256)
+                           seed=1)
         return memo_store, mcfg, tcfg
 
     def run(self, store, mcfg, tcfg, out_dir=None, progress=None):
@@ -449,6 +449,5 @@ class TestRunExperiment:
         restored, _ = restore_model(result.checkpoint_path)
         for name, arr in result.best_params.items():
             assert np.array_equal(restored.params[name].data, arr)
-        again = evaluate(memo_store, restored, "test",
-                         batch_size=tcfg.eval_batch)
+        again = evaluate(memo_store, restored, "test")
         assert np.array_equal(report.ranks, again.ranks)
