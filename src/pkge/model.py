@@ -31,8 +31,8 @@ from .params import ParamStore, glorot_uniform
 from .segmentation import (build_frozen_basis, build_trainable_basis,
                            segment_folding, segment_mapped, segment_none,
                            validate_patch_shape)
-from .tensor import (concat, dropout, gather_rows, layer_norm, matmul, mul,
-                     narrow, relu, reshape, softmax_lastdim, transpose)
+from .tensor import (attention, concat, dropout, feed_forward, gather_rows,
+                     layer_norm, matmul, narrow, reshape, transpose)
 
 # Allowed values of each ModelConfig field that names a choice, read by
 # ModelConfig.validate and by the command-line flags.
@@ -150,43 +150,16 @@ def sinusoidal_table(k, d):
     return table.astype(np.float32)
 
 
-def _swap_axes(x, i, j):
-    axes = list(range(len(x.shape)))
-    axes[i], axes[j] = axes[j], axes[i]
-    return transpose(x, tuple(axes))
-
-
-def scaled_dot_attention(q, k, v, denom, p_drop=0.0, training=False, rng=None):
-    """softmax(q kᵀ / sqrt(denom)) v over the last two axes."""
-    scores = mul(matmul(q, _swap_axes(k, -1, -2)), 1.0 / np.sqrt(denom))
-    probs = softmax_lastdim(scores)
-    probs = dropout(probs, p_drop, training, rng)
-    return matmul(probs, v)
-
-
-def _split_heads(x, heads):
-    *lead, n, d = x.shape
-    return _swap_axes(reshape(x, tuple(lead) + (n, heads, d // heads)), -3, -2)
-
-
-def _merge_heads(x):
-    x = _swap_axes(x, -3, -2)
-    *lead, n, heads, ds = x.shape
-    return reshape(x, tuple(lead) + (n, heads * ds))
-
-
 def multi_head_attention(x_q, x_kv, wq, wk, wv, wo, heads, denom,
                          p_drop=0.0, training=False, rng=None):
-    """Multi-head attention of queries ``x_q`` over keys/values ``x_kv``.
+    """Multi-head attention of queries ``x_q`` over keys/values ``x_kv``, as
+    one tape node (``tensor.attention``).
 
     Projections are single d-by-d matrices sliced into heads; ``denom`` is
     the squared attention temperature (the model width by default).
     """
-    q = _split_heads(matmul(x_q, wq), heads)
-    k = _split_heads(matmul(x_kv, wk), heads)
-    v = _split_heads(matmul(x_kv, wv), heads)
-    ctx = scaled_dot_attention(q, k, v, denom, p_drop, training, rng)
-    return matmul(_merge_heads(ctx), wo)
+    return attention(x_q, x_kv, wq, wk, wv, wo, heads, denom, p_drop,
+                     training, rng)
 
 
 class PatReFormer:
@@ -284,8 +257,8 @@ class PatReFormer:
             p[f"{prefix}.attn.wv"], p[f"{prefix}.attn.wo"],
             cfg.heads, denom, cfg.p2, training, rng)
         x = layer_norm(a + x_q, p[f"{prefix}.ln1.gamma"], p[f"{prefix}.ln1.beta"])
-        f = matmul(x, p[f"{prefix}.ffn.w1"]) + p[f"{prefix}.ffn.b1"]
-        f = matmul(relu(f), p[f"{prefix}.ffn.w2"]) + p[f"{prefix}.ffn.b2"]
+        f = feed_forward(x, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"],
+                         p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"])
         f = dropout(f, cfg.p2, training, rng)
         return layer_norm(f + x, p[f"{prefix}.ln2.gamma"], p[f"{prefix}.ln2.beta"])
 

@@ -1,34 +1,48 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The graph is define-by-run: every op builds its output node through
-``_make``, passing one gradient rule per input, each mapping the output
-gradient to that input's gradient. ``_make`` registers the node's backward
-from these rules; it runs only the rules whose input requires a gradient, so
-no gradient is computed for a constant. ``Tensor.backward()`` replays the tape
-in reverse topological order and drops each intermediate node's gradient as
-soon as its rules have run. After ``backward()`` only the leaves and the root
-hold ``.grad``; every other node's is ``None``, so a second ``backward()`` on
-the same root adds its gradients to the leaves exactly once more. The backward
-reaches its own node only through a weak reference, so the graph holds no
-reference cycle: it is freed by refcounting as soon as its root is dropped,
-without waiting for the cyclic garbage collector. Inside ``with no_grad():``
-ops record no tape at all, which is what inference uses.
+``_make``. Most ops pass one gradient rule per input, each mapping the output
+gradient to that input's gradient; ``_make`` runs only the rules whose input
+requires a gradient, so no gradient is computed for a constant. An op whose
+inputs' gradients share intermediates (``l1_distance``, ``attention``,
+``feed_forward``) passes instead one rule for all inputs: it returns every
+input's gradient at once, ``None`` for each input that needs none, and
+recomputes from the output gradient it is given on every call. No rule writes
+into the gradient it receives, which ``_accum`` may have stored as another
+node's. ``Tensor.backward()`` replays the tape in reverse topological order
+and drops each intermediate node's gradient as soon as its rules have run.
+After ``backward()`` only the leaves and the root hold ``.grad``; every other
+node's is ``None``, so a second ``backward()`` on the same root adds its
+gradients to the leaves exactly once more. The backward reaches its own node
+only through a weak reference, so the graph holds no reference cycle: it is
+freed by refcounting as soon as its root is dropped, without waiting for the
+cyclic garbage collector. Inside ``with no_grad():`` ops record no tape at
+all, which is what inference uses.
 
 Data is float32 by default (float64 graphs are accepted so gradient checks
 can run at full precision). Reductions that feed normalizations (softmax
 denominator, layer-norm moments) accumulate in float64 regardless of the
-storage dtype.
+storage dtype. ``softmax_lastdim``, ``layer_norm`` and ``dropout`` work in
+place on arrays they allocated themselves, and dropout keeps its mask as a
+boolean array; their values are bit-identical to the out-of-place formulas.
+
+A transformer sublayer is one node: ``attention`` (projections, heads,
+scores, softmax, dropout, context and output) and ``feed_forward``
+(relu(x·w1 + b1)·w2 + b2). Their forwards are bit-identical to the
+compositions of primitive ops they replace; their hand-written backwards sum
+some terms in another order, so gradients agree with the composition's to
+float rounding, not bit for bit.
 
 Models produce logits. The sigmoid appears only inside the fused loss
 ``bce_with_logits``, which evaluates it without overflow for any finite logit.
 
 The forward ops that can turn finite inputs into inf or NaN (``add``,
 ``mul``, ``matmul``, ``reduce_sum``, ``sqrt``, ``l1_distance``,
-``layer_norm``, ``dropout`` and ``bce_with_logits``) verify their result is
-finite; overflow raises ``NumericError`` instead of propagating NaN/inf
-through the graph. The others only move, select, clamp or normalize finite
-values, so they skip the sweep; a non-finite value they pass on is caught by
-the next checking op.
+``layer_norm``, ``dropout``, ``attention``, ``feed_forward`` and
+``bce_with_logits``) verify their result is finite; overflow raises
+``NumericError`` instead of propagating NaN/inf through the graph. The others
+only move, select, clamp or normalize finite values, so they skip the sweep;
+a non-finite value they pass on is caught by the next checking op.
 """
 
 import math
@@ -155,24 +169,31 @@ class no_grad:
         _grad_mode.enabled = self._prev.pop()
 
 
-def _make(data, prev, op, *grads):
-    """Output node of ``op``. ``grads[i]`` maps the output gradient to the
-    gradient of ``prev[i]``; backward runs it only when ``prev[i]`` requires
-    a gradient. The backward holds the node only weakly, so no node is
-    reachable from its own backward closure."""
+def _make(data, prev, op, *grads, rule=None):
+    """Output node of ``op``. The gradient rules come in one of two forms.
+    ``grads[i]`` maps the output gradient to the gradient of ``prev[i]``;
+    backward runs it only when ``prev[i]`` requires a gradient. Or one
+    ``rule(g, need)`` returns every input's gradient at once, ``None`` where
+    ``need[i]`` is false, so intermediates the inputs' gradients share are
+    computed once per backward. No rule writes into ``g``: ``_accum`` may
+    store that very array as another node's gradient. The backward holds the
+    node only weakly, so no node is reachable from its own backward closure."""
     if not _grad_mode.enabled:
         return Tensor(data, op=op)
     prev = tuple(prev)
     out = Tensor(data, _prev=prev, op=op)
     out.requires_grad = any(p.requires_grad for p in prev)
     if out.requires_grad:
+        if rule is None:
+            def rule(g, need):
+                return (r(g) if n else None for r, n in zip(grads, need))
         ref = weakref.ref(out)
 
         def _backward():
-            g = ref().grad
-            for p, rule in zip(prev, grads):
-                if p.requires_grad:
-                    _accum(p, rule(g))
+            need = [p.requires_grad for p in prev]
+            for p, gp in zip(prev, rule(ref().grad, need)):
+                if gp is not None:
+                    _accum(p, gp)
         out._backward = _backward
     return out
 
@@ -420,10 +441,10 @@ def l1_distance(q, table):
         data[:, blk] = diff.sum(axis=-1, dtype=np.float64)
     _finite_or_raise(data, "l1_distance")
 
-    def grads(g, want_q, want_table):
+    def rule(g, need):
         buf, masks = _l1_buffers(dtype, size)
-        dq = np.zeros((b, d), dtype) if want_q else None
-        dtable = np.empty((n, d), dtype) if want_table else None
+        dq = np.zeros((b, d), dtype) if need[0] else None
+        dtable = np.empty((n, d), dtype) if need[1] else None
         for blk in blocks:
             diff = _block_diff(q.data, table.data[blk], buf)
             # The signs as (diff > 0) - (diff < 0), written over diff: no
@@ -436,23 +457,12 @@ def l1_distance(q, table):
             np.copyto(signs, np.subtract(pos.view(np.int8), neg.view(np.int8),
                                          out=pos.view(np.int8)))
             g_blk = g[:, blk]
-            if want_q:
+            if need[0]:
                 dq += np.matmul(g_blk[:, None, :], signs)[:, 0, :]
-            if want_table:
+            if need[1]:
                 dtable[blk] = -np.einsum("bj,bjk->jk", g_blk, signs)
         return dq, dtable
-
-    pending = []    # the table's gradient, computed alongside q's
-
-    def grad_q(g):
-        dq, dtable = grads(g, True, table.requires_grad)
-        if dtable is not None:
-            pending.append(dtable)
-        return dq
-
-    def grad_table(g):
-        return pending.pop() if pending else grads(g, False, True)[1]
-    return _make(data, (q, table), "l1_distance", grad_q, grad_table)
+    return _make(data, (q, table), "l1_distance", rule=rule)
 
 
 # ---------------------------------------------------------------------------
@@ -466,20 +476,32 @@ def relu(x):
     return _make(np.maximum(x.data, 0), (x,), "relu", lambda g: g * (x.data > 0))
 
 
+def _softmax_into(out, x):
+    """Row-stable softmax of ``x`` over its last axis, written into ``out``
+    (which may be ``x``). The denominator is summed in float64 and each
+    quotient is rounded once into ``out``'s dtype."""
+    np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    np.divide(out, out.sum(axis=-1, keepdims=True, dtype=np.float64), out=out)
+    return out
+
+
+def _softmax_grad(g, y):
+    """y · (g - sum(g · y)) over the last axis, in a fresh array."""
+    gx = g * y
+    inner = gx.sum(axis=-1, keepdims=True)
+    np.subtract(g, inner, out=gx)
+    gx *= y
+    return gx
+
+
 def softmax_lastdim(x):
     """Row-stable softmax over the last axis; denominator accumulated in float64."""
     x = as_tensor(x)
     if x.data.shape[-1] < 1:
         raise ShapeError("softmax over an empty axis")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    denom = ex.sum(axis=-1, keepdims=True, dtype=np.float64)
-    y = (ex / denom).astype(x.dtype)
-
-    def grad(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return y * (g - inner)
-    return _make(y, (x,), "softmax", grad)
+    y = _softmax_into(np.empty_like(x.data), x.data)
+    return _make(y, (x,), "softmax", lambda g: _softmax_grad(g, y))
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -496,23 +518,47 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         )
     if eps <= 0:
         raise ConfigError("layer_norm eps must be > 0")
-    x64 = x.data.astype(np.float64)
-    mu = x64.mean(axis=-1, keepdims=True)
-    var = ((x64 - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = ((x64 - mu) * inv).astype(x.dtype)
+    xc = x.data.astype(np.float64)
+    xc -= xc.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(xc).mean(axis=-1, keepdims=True) + eps)
+    xc *= inv
+    xhat = xc.astype(x.dtype, copy=False)
     inv = inv.astype(x.dtype)
-    y = (gamma.data * xhat + beta.data).astype(x.dtype)
+    y = gamma.data * xhat
+    y += beta.data
+    y = y.astype(x.dtype, copy=False)
     _finite_or_raise(y, "layer_norm")
 
     def grad_x(g):
         gx = g * gamma.data
         m1 = gx.mean(axis=-1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-        return inv * (gx - m1 - xhat * m2)
+        t = gx * xhat
+        m2 = t.mean(axis=-1, keepdims=True)
+        gx -= m1
+        gx -= np.multiply(xhat, m2, out=t)
+        gx *= inv
+        return gx
     return _make(y, (x, gamma, beta), "layer_norm", grad_x,
                  lambda g: (g * xhat).reshape(-1, d).sum(axis=0),
                  lambda g: g.reshape(-1, d).sum(axis=0))
+
+
+def _check_rate(p):
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"dropout rate must satisfy 0 <= p < 1, got {p}")
+
+
+def _dropout_mask(shape, p, dtype, rng):
+    """A boolean keep mask of ``shape`` drawn from ``rng`` (float64 draws,
+    kept where >= p), and the survivors' scale 1/(1-p) in ``dtype``."""
+    return rng.random(shape) >= p, np.asarray(1.0 / (1.0 - p), dtype=dtype)
+
+
+def _drop(a, keep, scale):
+    """a · keep · scale in a fresh array; ``a`` is left as it is."""
+    out = a * keep
+    out *= scale
+    return out
 
 
 def dropout(x, p, training, rng):
@@ -521,15 +567,140 @@ def dropout(x, p, training, rng):
     Identity in eval mode or at p == 0; requires 0 <= p < 1.
     """
     x = as_tensor(x)
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout rate must satisfy 0 <= p < 1, got {p}")
+    _check_rate(p)
     if not training or p == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= p).astype(x.dtype)
-    scale = np.asarray(1.0 / (1.0 - p), dtype=x.dtype)
-    data = x.data * keep * scale
+    keep, scale = _dropout_mask(x.data.shape, p, x.dtype, rng)
+    data = _drop(x.data, keep, scale)
     _finite_or_raise(data, "dropout")
-    return _make(data, (x,), "dropout", lambda g: g * keep * scale)
+    return _make(data, (x,), "dropout", lambda g: _drop(g, keep, scale))
+
+
+# ---------------------------------------------------------------------------
+# fused transformer sublayers
+# ---------------------------------------------------------------------------
+
+
+def _product(a, b, shape):
+    """a @ b of two 2-D arrays, written into a fresh array of ``shape``, so
+    that a gradient of an input's shape owns its memory and ``_accum`` keeps
+    it without a copy."""
+    out = np.empty(shape, np.result_type(a, b))
+    np.matmul(a, b, out=out.reshape(a.shape[0], b.shape[1]))
+    return out
+
+
+def attention(x_q, x_kv, wq, wk, wv, wo, heads, denom, p_drop=0.0,
+              training=False, rng=None):
+    """Multi-head attention of queries ``x_q`` [..., nq, d] over keys and
+    values ``x_kv`` [..., nk, d], as one tape node.
+
+    With q = x_q·wq, k = x_kv·wk and v = x_kv·wv, each split into ``heads``
+    slices of d/heads, the output is
+    merge(dropout(softmax(q kᵀ / sqrt(denom))) v)·wo. The forward runs the
+    same numpy products on the same layouts as that composition of
+    ``matmul``, ``reshape``, ``transpose``, ``mul``, ``softmax_lastdim`` and
+    ``dropout`` would, and draws the same dropout mask at the same point, so
+    its output is bit-identical to theirs. The backward is written by hand:
+    it reuses the projections, the probabilities and the mask, and gives
+    ``x_kv`` the sum of its key and value terms.
+    """
+    ins = tuple(as_tensor(t) for t in (x_q, x_kv, wq, wk, wv, wo))
+    xq, xkv = ins[0].data, ins[1].data
+    ws = tuple(t.data for t in ins[2:])
+    d = xq.shape[-1]
+    if (xq.ndim < 2 or xkv.ndim != xq.ndim or xkv.shape[:-2] != xq.shape[:-2]
+            or xkv.shape[-1:] != (d,) or any(w.shape != (d, d) for w in ws)
+            or heads < 1 or d % heads):
+        raise ShapeError(
+            f"attention: queries {xq.shape}, keys/values {xkv.shape}, "
+            f"projections {[w.shape for w in ws]}, {heads} heads")
+    _check_rate(p_drop)
+    wq, wk, wv, wo = ws
+    lead, nq, nk, ds = xq.shape[:-2], xq.shape[-2], xkv.shape[-2], d // heads
+
+    def split(a, n):        # [rows, d] -> [..., heads, n, ds], a view
+        return np.swapaxes(a.reshape(lead + (n, heads, ds)), -3, -2)
+
+    def merge(a):           # [..., heads, n, ds] -> [rows, d], a copy
+        return np.swapaxes(a, -3, -2).reshape(-1, d)
+
+    xq2, xkv2 = xq.reshape(-1, d), xkv.reshape(-1, d)
+    q4, k4, v4 = split(xq2 @ wq, nq), split(xkv2 @ wk, nk), split(xkv2 @ wv, nk)
+    s = np.asarray(1.0 / np.sqrt(denom), dtype=q4.dtype)
+    scores = q4 @ np.swapaxes(k4, -1, -2)
+    scores *= s
+    probs = _softmax_into(scores, scores)
+    if training and p_drop > 0.0:
+        keep, scale = _dropout_mask(probs.shape, p_drop, probs.dtype, rng)
+        dropped = _drop(probs, keep, scale)
+    else:
+        keep, dropped = None, probs
+    ctx = merge(dropped @ v4)
+    data = (ctx @ wo).reshape(xq.shape)
+    _finite_or_raise(data, "attention")
+
+    def rule(g, need):
+        g2 = g.reshape(-1, d)
+        dctx = split(g2 @ wo.T, nq)
+        dprobs = dctx @ np.swapaxes(v4, -1, -2)
+        dv = merge(np.swapaxes(dropped, -1, -2) @ dctx)
+        if keep is not None:
+            dprobs = _drop(dprobs, keep, scale)
+        dscores = _softmax_grad(dprobs, probs)
+        dscores *= s
+        dq = merge(dscores @ k4)
+        dk = merge(np.swapaxes(np.swapaxes(q4, -1, -2) @ dscores, -1, -2))
+        dxkv = None
+        if need[1]:
+            dxkv = _product(dk, wk.T, xkv.shape)
+            dxkv += (dv @ wv.T).reshape(xkv.shape)
+        return (_product(dq, wq.T, xq.shape) if need[0] else None, dxkv,
+                xq2.T @ dq if need[2] else None,
+                xkv2.T @ dk if need[3] else None,
+                xkv2.T @ dv if need[4] else None,
+                ctx.T @ g2 if need[5] else None)
+    return _make(data, ins, "attention", rule=rule)
+
+
+def feed_forward(x, w1, b1, w2, b2):
+    """Position-wise feed-forward relu(x·w1 + b1)·w2 + b2 over the last axis
+    of ``x`` [..., d], as one tape node.
+
+    The forward runs the same products and sums as ``matmul``, ``add``,
+    ``relu``, ``matmul``, ``add`` would, so its output is bit-identical to
+    theirs; the backward keeps only the hidden activations.
+    """
+    ins = tuple(as_tensor(t) for t in (x, w1, b1, w2, b2))
+    xd, w1, b1, w2, b2 = (t.data for t in ins)
+    if (xd.ndim < 1 or w1.ndim != 2 or w2.ndim != 2 or xd.shape[-1] != w1.shape[0]
+            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1]
+            or b2.shape != w2.shape[1:]):
+        raise ShapeError(
+            f"feed_forward: input {xd.shape}, w1 {w1.shape}, b1 {b1.shape}, "
+            f"w2 {w2.shape}, b2 {b2.shape}")
+    lead, (d, f), n = xd.shape[:-1], w1.shape, w2.shape[1]
+    x2 = xd.reshape(-1, d)
+    h = x2 @ w1
+    h += b1
+    np.maximum(h, 0, out=h)
+    out = h @ w2
+    out += b2
+    data = out.reshape(lead + (n,))
+    _finite_or_raise(data, "feed_forward")
+
+    def rule(g, need):
+        g2 = g.reshape(-1, n)
+        dh = None
+        if any(need[:3]):
+            dh = g2 @ w2.T
+            dh *= h > 0
+        return (_product(dh, w1.T, xd.shape) if need[0] else None,
+                x2.T @ dh if need[1] else None,
+                _unbroadcast(dh.reshape(lead + (f,)), b1.shape) if need[2] else None,
+                h.T @ g2 if need[3] else None,
+                _unbroadcast(g, b2.shape) if need[4] else None)
+    return _make(data, ins, "feed_forward", rule=rule)
 
 
 # ---------------------------------------------------------------------------

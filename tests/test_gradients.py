@@ -9,11 +9,11 @@ import pytest
 
 from pkge import tensor
 from pkge.gradcheck import check_gradients, numeric_grad
-from pkge.model import ModelConfig, build_model, multi_head_attention, scaled_dot_attention
-from pkge.tensor import (add, bce_with_logits, concat, dropout, gather_rows,
-                         l1_distance, layer_norm, matmul, mul, narrow,
-                         reduce_sum, relu, reshape,
-                         softmax_lastdim, sqrt, transpose)
+from pkge.model import ModelConfig, build_model, multi_head_attention
+from pkge.tensor import (Tensor, add, attention, bce_with_logits, concat,
+                         dropout, feed_forward, gather_rows, l1_distance,
+                         layer_norm, matmul, mul, narrow, reduce_sum, relu,
+                         reshape, softmax_lastdim, sqrt, transpose)
 from pkge.training import bce_smoothed_loss, seed_streams
 
 from test_tape import public_ops
@@ -168,14 +168,48 @@ class TestNormalizationGrads:
         check(fn, [x])
 
 
+class TestFusedGrads:
+    @covers("attention")
+    @pytest.mark.parametrize("case", ["cross", "self"])
+    def test_attention_with_dropout(self, case):
+        d = 6
+        xq = RNG.standard_normal((2, 3, d))
+        xkv = RNG.standard_normal((2, 4, d))
+        mats = [RNG.standard_normal((d, d)) * 0.5 for _ in range(4)]
+        w = RNG.standard_normal((2, 3, d))
+
+        def fn(a, *rest):
+            b, ws = (a, rest) if case == "self" else (rest[0], rest[1:])
+            rng = np.random.default_rng(17)   # same mask every call
+            out = attention(a, b, *ws, 3, 6.0, 0.3, True, rng)
+            return reduce_sum(mul(out, w))
+
+        check(fn, [xq] + ([] if case == "self" else [xkv]) + mats)
+
+    @covers("feed_forward")
+    def test_feed_forward_away_from_kink(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 3, 4))
+        w1, b1 = rng.standard_normal((4, 6)), rng.standard_normal(6)
+        while np.abs(x @ w1 + b1).min() < 0.05:
+            b1 = rng.standard_normal(6)
+        w2, b2 = rng.standard_normal((6, 4)), rng.standard_normal(4)
+        w = rng.standard_normal((2, 3, 4))
+        check(lambda *t: reduce_sum(mul(feed_forward(*t), w)), [x, w1, b1, w2, b2])
+
+
 class TestCompositeGrads:
     def test_scaled_dot_attention(self):
+        # One head with identity query and output projections is scaled
+        # dot-product attention; keys are x_kv and values x_kv·wv.
         q = RNG.standard_normal((3, 4))
-        k = RNG.standard_normal((5, 4))
-        v = RNG.standard_normal((5, 4))
+        kv = RNG.standard_normal((5, 4))
+        wv = RNG.standard_normal((4, 4))
         w = RNG.standard_normal((3, 4))
-        check(lambda a, b, c: reduce_sum(mul(scaled_dot_attention(a, b, c, 4.0), w)),
-              [q, k, v])
+        eye = Tensor(np.eye(4))
+        check(lambda a, b, c: reduce_sum(mul(
+            multi_head_attention(a, b, eye, eye, c, eye, heads=1, denom=4.0), w)),
+              [q, kv, wv])
 
     def test_multi_head_attention(self):
         d = 6

@@ -5,8 +5,7 @@ import pytest
 
 from pkge.errors import ConfigError
 from pkge.model import (ABLATION_VARIANTS, ModelConfig, PatReFormer,
-                        build_model, multi_head_attention,
-                        scaled_dot_attention, sinusoidal_table)
+                        build_model, multi_head_attention, sinusoidal_table)
 from pkge.tensor import Tensor
 from pkge.training import TrainConfig
 
@@ -102,12 +101,16 @@ def np_softmax(x):
 
 class TestAttentionOps:
     def test_scaled_dot_matches_numpy(self):
+        # One head with identity query, key and output projections is scaled
+        # dot-product attention of q over keys k and values k·wv.
         rng = np.random.default_rng(0)
         q = rng.standard_normal((2, 3, 4)).astype(np.float32)
         k = rng.standard_normal((2, 5, 4)).astype(np.float32)
-        v = rng.standard_normal((2, 5, 4)).astype(np.float32)
-        out = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), denom=4.0)
-        want = np_softmax(q @ k.swapaxes(-1, -2) / 2.0) @ v
+        wv = rng.standard_normal((4, 4)).astype(np.float32)
+        eye = Tensor(np.eye(4, dtype=np.float32))
+        out = multi_head_attention(Tensor(q), Tensor(k), eye, eye, Tensor(wv),
+                                   eye, heads=1, denom=4.0)
+        want = np_softmax(q @ k.swapaxes(-1, -2) / 2.0) @ (k @ wv)
         np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-6)
 
     def test_multi_head_matches_per_head_slices(self):
@@ -132,12 +135,14 @@ class TestAttentionOps:
         np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-6)
 
     def test_attention_rows_mix_values_only(self):
-        # with uniform scores every output row is the mean of v
-        q = Tensor(np.zeros((1, 3, 4), dtype=np.float32))
-        k = Tensor(np.zeros((1, 5, 4), dtype=np.float32))
+        # with uniform scores (a zero query projection) every output row is
+        # the mean of the values
+        xq = Tensor(np.ones((1, 3, 4), dtype=np.float32))
         v = Tensor(np.random.default_rng(2)
                    .standard_normal((1, 5, 4)).astype(np.float32))
-        out = scaled_dot_attention(q, k, v, denom=4.0)
+        zero = Tensor(np.zeros((4, 4), dtype=np.float32))
+        eye = Tensor(np.eye(4, dtype=np.float32))
+        out = multi_head_attention(xq, v, zero, eye, eye, eye, heads=1, denom=4.0)
         want = np.broadcast_to(v.data.mean(axis=1, keepdims=True), (1, 3, 4))
         np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-6)
 

@@ -16,10 +16,10 @@ import pytest
 from pkge import tensor
 from pkge.kg import load_dataset
 from pkge.model import ModelConfig, PatReFormer
-from pkge.tensor import (Tensor, add, bce_with_logits, concat, dropout,
-                         gather_rows, l1_distance, layer_norm, matmul, mul,
-                         narrow, no_grad, reduce_sum, relu, reshape,
-                         softmax_lastdim, sqrt, transpose)
+from pkge.tensor import (Tensor, add, attention, bce_with_logits, concat,
+                         dropout, feed_forward, gather_rows, l1_distance,
+                         layer_norm, matmul, mul, narrow, no_grad, reduce_sum,
+                         relu, reshape, softmax_lastdim, sqrt, transpose)
 from pkge.training import TrainConfig, bce_smoothed_loss
 
 
@@ -49,6 +49,11 @@ OP_CASES = {
                                np.random.default_rng(0)),
     "bce_with_logits": lambda: bce_with_logits(leaf(2, 3, lo=-2.0, hi=2.0),
                                                np.eye(2, 3)),
+    "attention": lambda: attention(leaf(2, 3, 4), leaf(2, 5, 4), leaf(4, 4),
+                                   leaf(4, 4), leaf(4, 4), leaf(4, 4), 2, 4.0,
+                                   0.5, True, np.random.default_rng(0)),
+    "feed_forward": lambda: feed_forward(leaf(2, 3), leaf(3, 4), leaf(4),
+                                         leaf(4, 3), leaf(3)),
 }
 
 
@@ -60,6 +65,10 @@ MULTI_INPUT_CASES = {
     "concat": ([(2, 3), (2, 2)], lambda a, b: concat([a, b], axis=-1)),
     "layer_norm": ([(2, 3), (3,), (3,)], layer_norm),
     "l1_distance": ([(2, 3), (4, 3)], l1_distance),
+    "attention": ([(2, 3, 4), (2, 5, 4)] + [(4, 4)] * 4,
+                  lambda *t: attention(*t, 2, 4.0, 0.5, True,
+                                       np.random.default_rng(0))),
+    "feed_forward": ([(2, 3), (3, 4), (4,), (4, 3), (3,)], feed_forward),
 }
 
 
@@ -234,7 +243,29 @@ def patreformer_loss():
     return bce_smoothed_loss(scores, targets)
 
 
-LOSSES = {"chain": chain_loss, "patreformer": patreformer_loss}
+def attention_loss():
+    """Self-attention with dropout: the one input feeds the queries, keys and
+    values of a single fused node."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((3, 4, 6)).astype(np.float32),
+               requires_grad=True)
+    ws = [Tensor(rng.standard_normal((6, 6)).astype(np.float32) * 0.5,
+                 requires_grad=True) for _ in range(4)]
+    out = attention(x, x, *ws, 3, 6.0, 0.3, True, np.random.default_rng(1))
+    return reduce_sum(mul(out, rng.standard_normal(out.shape).astype(np.float32)))
+
+
+def feed_forward_loss():
+    rng = np.random.default_rng(0)
+    x, w1, b1, w2, b2 = (Tensor(rng.standard_normal(s).astype(np.float32),
+                                requires_grad=True)
+                         for s in ((3, 4, 6), (6, 8), (8,), (8, 6), (6,)))
+    out = feed_forward(x, w1, b1, w2, b2)
+    return reduce_sum(mul(out, rng.standard_normal(out.shape).astype(np.float32)))
+
+
+LOSSES = {"chain": chain_loss, "patreformer": patreformer_loss,
+          "attention": attention_loss, "feed_forward": feed_forward_loss}
 
 
 def grad_leaves(loss):

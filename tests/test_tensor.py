@@ -9,10 +9,11 @@ from hypothesis.extra import numpy as hnp
 
 from pkge import tensor
 from pkge.errors import ConfigError, GraphError, NumericError, ShapeError
-from pkge.tensor import (Tensor, as_tensor, bce_with_logits, concat, dropout,
-                         gather_rows, l1_distance, layer_norm, matmul, mul,
-                         narrow, reduce_sum, relu, reshape,
-                         softmax_lastdim, sqrt, transpose)
+from pkge.tensor import (Tensor, add, as_tensor, attention, bce_with_logits,
+                         concat, dropout, feed_forward, gather_rows,
+                         l1_distance, layer_norm, matmul, mul, narrow,
+                         reduce_sum, relu, reshape, softmax_lastdim, sqrt,
+                         transpose)
 
 from test_tape import public_ops
 
@@ -374,6 +375,12 @@ OVERFLOW_CASES = {
                                      big(2), big(2)),
     "dropout": lambda: dropout(big(8), 0.5, True, np.random.default_rng(0)),
     "bce_with_logits": lambda: bce_with_logits(big(2), -np.ones(2)),
+    "attention": lambda: attention(big(1, 2, 2), big(1, 2, 2),
+                                   *(big(2, 2, value=1.0) for _ in range(4)),
+                                   1, 2.0),
+    "feed_forward": lambda: feed_forward(big(3, 2), big(2, 2, value=1.0),
+                                         big(2, value=0.0), big(2, 2, value=1.0),
+                                         big(2, value=0.0)),
 }
 
 # Ops that only move, select, clamp or normalize values: finite in, finite
@@ -408,3 +415,113 @@ class TestFiniteness:
     def test_unchecked_op_keeps_extremes_finite(self, name):
         out = PASSTHROUGH_CASES[name](Tensor(EXTREMES))
         assert np.all(np.isfinite(out.data))
+
+
+# ---------------------------------------------------------------------------
+# softmax_lastdim, layer_norm and dropout work in place on arrays they
+# allocate; these are the formulas they replaced, which they must equal bit
+# for bit, forward and backward.
+# ---------------------------------------------------------------------------
+
+
+def formula_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    ex = np.exp(shifted)
+    denom = ex.sum(axis=-1, keepdims=True, dtype=np.float64)
+    y = (ex / denom).astype(x.dtype)
+
+    def grad(g):
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        return (y * (g - inner),)
+    return y, grad
+
+
+def formula_layer_norm(x, gamma, beta, eps=1e-5):
+    d = x.shape[-1]
+    x64 = x.astype(np.float64)
+    mu = x64.mean(axis=-1, keepdims=True)
+    var = ((x64 - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = ((x64 - mu) * inv).astype(x.dtype)
+    inv = inv.astype(x.dtype)
+    y = (gamma * xhat + beta).astype(x.dtype)
+
+    def grad(g):
+        gx = g * gamma
+        m1 = gx.mean(axis=-1, keepdims=True)
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        return (inv * (gx - m1 - xhat * m2),
+                (g * xhat).reshape(-1, d).sum(axis=0),
+                g.reshape(-1, d).sum(axis=0))
+    return y, grad
+
+
+def formula_dropout(x, p, rng):
+    keep = (rng.random(x.shape) >= p).astype(x.dtype)
+    scale = np.asarray(1.0 / (1.0 - p), dtype=x.dtype)
+    return x * keep * scale, lambda g: (g * keep * scale,)
+
+
+def in_place_case(name, x, dtype):
+    """(op on tensors, formula on arrays, affine params) for op ``name``."""
+    rng = np.random.default_rng(4)
+    gamma = rng.uniform(0.5, 1.5, x.shape[-1]).astype(dtype)
+    beta = rng.standard_normal(x.shape[-1]).astype(dtype)
+    if name == "softmax_lastdim":
+        return softmax_lastdim, formula_softmax, []
+    if name == "layer_norm":
+        return (lambda t, g, b: layer_norm(t, g, b),
+                lambda a, g, b: formula_layer_norm(a, g, b), [gamma, beta])
+    return (lambda t: dropout(t, 0.3, True, np.random.default_rng(8)),
+            lambda a: formula_dropout(a, 0.3, np.random.default_rng(8)), [])
+
+
+IN_PLACE_OPS = ["softmax_lastdim", "layer_norm", "dropout"]
+DTYPES = [np.float32, np.float64]
+
+
+class TestInPlaceExactness:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("name", IN_PLACE_OPS)
+    def test_forward_and_backward_equal_the_formulas(self, name, dtype):
+        rng = np.random.default_rng(3)
+        x = (rng.standard_normal((4, 5, 7)) * 3).astype(dtype)
+        w = rng.standard_normal(x.shape).astype(dtype)
+        op, formula, params = in_place_case(name, x, dtype)
+        leaves = [Tensor(a, requires_grad=True) for a in [x] + params]
+        out = op(*leaves)
+        want, want_grad = formula(x, *params)
+        assert out.dtype == want.dtype == dtype
+        assert np.array_equal(out.data, want)
+        reduce_sum(mul(out, w)).backward()   # the op's output gradient is w
+        for leaf, g in zip(leaves, want_grad(w)):
+            assert leaf.grad.dtype == dtype
+            assert np.array_equal(leaf.grad, g)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("pair", [("layer_norm", "softmax_lastdim"),
+                                      ("softmax_lastdim", "dropout"),
+                                      ("dropout", "layer_norm")])
+    def test_aliased_gradients(self, pair, dtype):
+        # y = add(x, x) feeds two of the ops, whose outputs are added: add's
+        # backward hands one gradient array to both ops, and x receives y's
+        # gradient twice. A rule that wrote into its incoming gradient would
+        # corrupt the other op's.
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 6)).astype(dtype)
+        w = rng.standard_normal(x.shape).astype(dtype)
+        x_leaf = Tensor(x, requires_grad=True)
+        y = add(x_leaf, x_leaf)
+        outs, gy, param_grads = [], 0, []
+        for name in pair:
+            op, formula, params = in_place_case(name, x, dtype)
+            leaves = [Tensor(a, requires_grad=True) for a in params]
+            outs.append(op(y, *leaves))
+            _, grad = formula(x + x, *params)
+            g = grad(w)
+            gy = gy + g[0]
+            param_grads += list(zip(leaves, g[1:]))
+        reduce_sum(mul(add(*outs), w)).backward()
+        assert np.array_equal(x_leaf.grad, gy + gy)
+        for leaf, g in param_grads:
+            assert np.array_equal(leaf.grad, g)
