@@ -17,8 +17,7 @@ from dataclasses import fields, replace
 
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      NumericError)
-from .evaluation import (evaluate, format_report, sweep_relation_dim,
-                         write_report_csv)
+from .evaluation import evaluate, format_report, write_report_csv
 from .kg import (CATEGORIES, SCOPES, SPLIT_FILES, THRESHOLD, category_counts,
                  categorize_relations, dump_stats_json, load_dataset)
 from .model import ABLATION_VARIANTS, CHOICES, MODEL_KINDS, ModelConfig
@@ -160,6 +159,10 @@ def cmd_ablate(args):
     if kind != "patreformer":
         raise ConfigError("ablate applies to the patreformer model only")
     names = list(ABLATION_VARIANTS) if args.variant == "all" else [args.variant]
+    # Built, and so validated, before any training: a variant the base
+    # sizes cannot take fails before the first run.
+    variants = [(name, replace(base_cfg, **ABLATION_VARIANTS[name]))
+                for name in names]
     _make_out_dir(args.out)
 
     def test_mrr(cfg):
@@ -169,8 +172,8 @@ def cmd_ablate(args):
     base_mrr = test_mrr(base_cfg)
     print(f"base test_mrr {base_mrr:.6f}")
     rows = []
-    for name in names:
-        mrr = test_mrr(replace(base_cfg, **ABLATION_VARIANTS[name]))
+    for name, cfg in variants:
+        mrr = test_mrr(cfg)
         rows.append((name, mrr, mrr - base_mrr))
         print(f"variant {name}  test_mrr {mrr:.6f}  delta {mrr - base_mrr:+.6f}")
 
@@ -186,7 +189,7 @@ def cmd_ablate(args):
 
 def cmd_sweep_dim(args):
     store = _load_store(args.data)
-    kind, base_cfg, train_cfg = resolve_run_config(args)
+    _, base_cfg, train_cfg = resolve_run_config(args)
     try:
         dims = [int(part) for part in args.dims.split(",") if part]
     except ValueError:
@@ -196,24 +199,28 @@ def cmd_sweep_dim(args):
     kinds = [part.strip() for part in args.models.split(",") if part.strip()]
     if not kinds:
         raise ConfigError("--models is empty")
-    for k in kinds:
-        if k not in MODEL_KINDS:
-            raise ConfigError(f"unknown model {k!r} in --models")
+    for kind in kinds:
+        if kind not in MODEL_KINDS:
+            raise ConfigError(f"unknown model {kind!r} in --models")
+    # Every config is built, and so validated, before the first run. The
+    # baselines have one embedding size for entities and relations alike,
+    # so their sweep moves both.
+    runs = [(kind, replace(base_cfg, d_r=dim) if kind == "patreformer"
+             else replace(base_cfg, d_e=dim, d_r=dim))
+            for kind in kinds for dim in dims]
     _make_out_dir(args.out)
 
-    def progress(row):
-        print(f"model {row['model']}  d_r {row['d_r']}  "
-              f"test_mrr {row['test_mrr']:.6f}")
-
-    rows = sweep_relation_dim(store, kinds, base_cfg, train_cfg, dims,
-                              progress=progress)
+    rows = []
+    for kind, cfg in runs:
+        result, report = run_experiment(store, kind, cfg, train_cfg)
+        rows.append(f"{kind},{cfg.d_r},{result.best_valid_mrr:.6f},"
+                    f"{report.mrr:.6f}\n")
+        print(f"model {kind}  d_r {cfg.d_r}  test_mrr {report.mrr:.6f}")
     if args.out:
         with open(os.path.join(args.out, "sweep.csv"), "w",
                   encoding="utf-8") as fh:
             fh.write("model,d_r,best_valid_mrr,test_mrr\n")
-            for row in rows:
-                fh.write(f"{row['model']},{row['d_r']},"
-                         f"{row['best_valid_mrr']:.6f},{row['test_mrr']:.6f}\n")
+            fh.writelines(rows)
     return 0
 
 

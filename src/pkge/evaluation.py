@@ -12,7 +12,7 @@ Reported: MRR and Hits@{1,3,10}, overall, per direction, and per relation
 category (1-1, 1-N, N-1, N-N).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -166,35 +166,3 @@ def format_report(report):
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# relation-dimension sweep
-# ---------------------------------------------------------------------------
-
-
-def sweep_relation_dim(store, model_kinds, base_config, train_config, dims,
-                       progress=None):
-    """Train each model kind at each relation embedding size; returns rows of
-    {model, d_r, best_valid_mrr, test_mrr}, testing the best-validation model."""
-    from .training import run_experiment  # training imports this module
-
-    # Every config is built, and so validated, before the first run: a bad
-    # size fails before any training.
-    runs = []
-    for kind in model_kinds:
-        for dim in dims:
-            # Baselines have one embedding size for entities and relations
-            # alike, so the sweep moves both.
-            sizes = {"d_r": dim} if kind == "patreformer" else {"d_e": dim, "d_r": dim}
-            runs.append((kind, dim, replace(base_config, **sizes)))
-    rows = []
-    for kind, dim, config in runs:
-        result, test = run_experiment(store, kind, config, train_config)
-        row = {"model": kind, "d_r": dim,
-               "best_valid_mrr": result.best_valid_mrr,
-               "test_mrr": test.mrr}
-        rows.append(row)
-        if progress:
-            progress(row)
-    return rows

@@ -29,9 +29,6 @@ class ParamStore:
     def __contains__(self, name):
         return name in self._params
 
-    def __len__(self):
-        return len(self._params)
-
     def names(self):
         return list(self._params)
 

@@ -202,8 +202,10 @@ def _accum(t, g):
     if g.dtype != t.data.dtype:
         g = g.astype(t.data.dtype)
     if t.grad is None:
-        # Views (np.split, broadcast_to) are copied so grads own their memory.
-        t.grad = g if g.base is None and g.flags.writeable else g.copy()
+        # Strided views (transposes, column splits) and read-only ones
+        # (broadcast_to) are copied, so every grad is C-contiguous and
+        # writable; a contiguous view, such as a reshape, is kept as it is.
+        t.grad = g if g.flags.c_contiguous and g.flags.writeable else g.copy()
     else:
         t.grad = t.grad + g
 
@@ -581,15 +583,6 @@ def dropout(x, p, training, rng):
 # ---------------------------------------------------------------------------
 
 
-def _product(a, b, shape):
-    """a @ b of two 2-D arrays, written into a fresh array of ``shape``, so
-    that a gradient of an input's shape owns its memory and ``_accum`` keeps
-    it without a copy."""
-    out = np.empty(shape, np.result_type(a, b))
-    np.matmul(a, b, out=out.reshape(a.shape[0], b.shape[1]))
-    return out
-
-
 def attention(x_q, x_kv, wq, wk, wv, wo, heads, denom, p_drop=0.0,
               training=False, rng=None):
     """Multi-head attention of queries ``x_q`` [..., nq, d] over keys and
@@ -653,9 +646,9 @@ def attention(x_q, x_kv, wq, wk, wv, wo, heads, denom, p_drop=0.0,
         dk = merge(np.swapaxes(np.swapaxes(q4, -1, -2) @ dscores, -1, -2))
         dxkv = None
         if need[1]:
-            dxkv = _product(dk, wk.T, xkv.shape)
+            dxkv = (dk @ wk.T).reshape(xkv.shape)
             dxkv += (dv @ wv.T).reshape(xkv.shape)
-        return (_product(dq, wq.T, xq.shape) if need[0] else None, dxkv,
+        return ((dq @ wq.T).reshape(xq.shape) if need[0] else None, dxkv,
                 xq2.T @ dq if need[2] else None,
                 xkv2.T @ dk if need[3] else None,
                 xkv2.T @ dv if need[4] else None,
@@ -695,7 +688,7 @@ def feed_forward(x, w1, b1, w2, b2):
         if any(need[:3]):
             dh = g2 @ w2.T
             dh *= h > 0
-        return (_product(dh, w1.T, xd.shape) if need[0] else None,
+        return ((dh @ w1.T).reshape(xd.shape) if need[0] else None,
                 x2.T @ dh if need[1] else None,
                 _unbroadcast(dh.reshape(lead + (f,)), b1.shape) if need[2] else None,
                 h.T @ g2 if need[3] else None,

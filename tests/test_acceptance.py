@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pkge.cli import main
-from pkge.evaluation import evaluate, metrics_from_ranks, sweep_relation_dim
+from pkge.evaluation import evaluate, metrics_from_ranks
 from pkge.gradcheck import check_gradients
 from pkge.kg import category_counts, load_dataset
 from pkge.model import (ABLATION_VARIANTS, ModelConfig, PatReFormer,
@@ -288,9 +288,9 @@ def test_p09_relation_dim_robustness(announce):
     t0 = time.perf_counter()
     store = load_dataset(os.path.join(DATA, "blocks135"))
     train_cfg = TrainConfig(epochs=160, eval_every=20, seed=0)
-    rows = sweep_relation_dim(store, ["patreformer"], ModelConfig(),
-                              train_cfg, [100, 500, 1000])
-    mrr = {row["d_r"]: row["test_mrr"] for row in rows}
+    runs = {dim: ModelConfig(d_r=dim) for dim in (100, 500, 1000)}
+    mrr = {dim: _train_and_test_best(store, "patreformer", cfg, train_cfg)
+           for dim, cfg in runs.items()}
     elapsed = time.perf_counter() - t0
     ok = mrr[1000] >= mrr[100] - 0.02 and elapsed < 2700
     announce("P9 relation-dimension robustness", ok,
@@ -304,15 +304,13 @@ def test_p10_ablation_grid(announce, memo_store):
     t0 = time.perf_counter()
     train_cfg = TrainConfig(epochs=15, eval_every=15, seed=0)
     base = ModelConfig()
-    results = {}
-    for name, overrides in ABLATION_VARIANTS.items():
-        cfg = replace(base, **overrides)
-        model = PatReFormer(cfg, memo_store.num_entities,
-                            memo_store.num_relations_with_reverse,
-                            seed_streams(0)["init"])
-        train_model(memo_store, model, train_cfg)
-        report = evaluate(memo_store, model, "test")
-        results[name] = report.mrr
+    # With one validation, at the last epoch, each run tests its last-epoch
+    # model.
+    runs = {name: replace(base, **overrides)
+            for name, overrides in ABLATION_VARIANTS.items()}
+    results = {name: _train_and_test_best(memo_store, "patreformer", cfg,
+                                          train_cfg)
+               for name, cfg in runs.items()}
     finite = all(0.0 < v <= 1.0 for v in results.values())
 
     # the separate-tower variant must keep entity patches blind to relations

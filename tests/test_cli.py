@@ -623,6 +623,21 @@ class TestAblateCommand:
                    "--model", "distmult"] + TINY_MODEL + schedule(1))
         assert rc == 2
 
+    def test_bad_variant_fails_before_training(self, memo_dir, tmp_path,
+                                               capsys):
+        # the base takes these sizes unsegmented; folding cannot, since 32
+        # does not factor into patches of 5
+        out = tmp_path / "o"
+        rc = main(["ablate", "--data", memo_dir, "--variant", "all",
+                   "--out", str(out), "--segmentation", "none",
+                   "--d-e", "32", "--d-r", "10", "--d", "5", "--heads", "5",
+                   "--layers", "1", "--d-f", "8"] + schedule(1))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "does not factor" in captured.err
+        assert "base test_mrr" not in captured.out
+        assert not (out / "ablation.csv").exists()
+
 
 class TestSweepCommand:
     def test_sweep_csv(self, memo_dir, tmp_path, capsys):
@@ -634,8 +649,10 @@ class TestSweepCommand:
         rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
         assert rows[0] == "model,d_r,best_valid_mrr,test_mrr"
         assert len(rows) == 3
-        assert rows[1].startswith("distmult,4,")
-        assert rows[2].startswith("distmult,8,")
+        assert [row.split(",")[:2] for row in rows[1:]] == [
+            ["distmult", "4"], ["distmult", "8"]]
+        for row in rows[1:]:
+            assert all(0.0 <= float(mrr) <= 1.0 for mrr in row.split(",")[2:])
         assert "test_mrr" in capsys.readouterr().out
 
     def test_bad_dims(self, memo_dir):

@@ -8,11 +8,10 @@ from pkge.baselines import DistMult
 from pkge.errors import ConfigError, NumericError
 from pkge.evaluation import (EvalReport, evaluate, filtered_rank,
                              format_report, metrics_from_ranks, report_rows,
-                             sweep_relation_dim, write_report_csv)
+                             write_report_csv)
 from pkge.kg import build_store, category_counts, load_dataset
 from pkge.model import ModelConfig, PatReFormer, build_model
 from pkge.synth import random_kg
-from pkge.training import TrainConfig
 
 
 def rank_one(scores, target, known=()):
@@ -277,20 +276,6 @@ class TestReportEmission:
         assert set(lines[1]) <= {"-", " "}
         # empty metric cells render as dashes
         assert " -" in lines[-1] or lines[-1].endswith("-")
-
-
-class TestSweep:
-    def test_dim_sweep_rows(self, memo_store):
-        cfg = ModelConfig(d_e=8, d_r=8, d=4, heads=2, layers=1, d_f=8,
-                          p1=0.0, p2=0.0, p3=0.0, segmentation="folding")
-        tcfg = TrainConfig(lr=0.01, batch_size=128, epochs=2, eval_every=1,
-                           seed=0)
-        rows = sweep_relation_dim(memo_store, ["distmult"], cfg, tcfg, [4, 8])
-        assert [r["d_r"] for r in rows] == [4, 8]
-        for row in rows:
-            assert row["model"] == "distmult"
-            assert 0.0 <= row["best_valid_mrr"] <= 1.0
-            assert 0.0 <= row["test_mrr"] <= 1.0
 
 
 class TestEvalWithRealModel:

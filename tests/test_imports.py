@@ -2,7 +2,8 @@
 tests, and every module-level private function of the package is read by
 some code in the repository: stand-ins for a linter's unused-import and
 dead-code checks. No package module reads the process environment, so
-every option is a flag or a config-file key."""
+every option is a flag or a config-file key, and no package module imports
+inside a function, so the module import graph is the whole of it."""
 
 import ast
 import glob
@@ -153,3 +154,30 @@ def test_detects_environment_reads():
 def test_package_reads_no_environment(path):
     with open(path, encoding="utf-8") as fh:
         assert environment_reads(fh.read()) == []
+
+
+def function_imports(source):
+    """(line, function) of each import statement inside a function body of
+    ``source``, naming the outermost function that holds it."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):    # breadth first: outer first
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.Import, ast.ImportFrom)):
+                    found.setdefault(sub.lineno, node.name)
+    return sorted(found.items())
+
+
+def test_detects_function_imports():
+    source = ("import os\n\ndef f():\n    import sys\n"
+              "    def g():\n        from a import b\n\n"
+              "class C:\n    async def m(self):\n        import json\n\n"
+              "if os:\n    import re\n")
+    assert function_imports(source) == [(4, "f"), (6, "f"), (10, "m")]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[os.path.relpath(p, ROOT) for p in PACKAGE])
+def test_package_imports_at_module_level(path):
+    with open(path, encoding="utf-8") as fh:
+        assert function_imports(fh.read()) == []
