@@ -189,6 +189,10 @@ def cmd_ablate(args):
 
 def cmd_sweep_dim(args):
     store = _load_store(args.data)
+    if args.model is not None or (args.config
+                                  and "model" in parse_config_file(args.config)):
+        raise ConfigError("sweep-dim takes its model kinds from --models, "
+                          "not from --model or a config file's model= key")
     _, base_cfg, train_cfg = resolve_run_config(args)
     try:
         dims = [int(part) for part in args.dims.split(",") if part]

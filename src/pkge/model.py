@@ -32,7 +32,7 @@ from .segmentation import (build_frozen_basis, build_trainable_basis,
                            segment_folding, segment_mapped, segment_none,
                            validate_patch_shape)
 from .tensor import (attention, concat, dropout, feed_forward, gather_rows,
-                     layer_norm, matmul, narrow, reshape, transpose)
+                     layer_norm, matmul, reshape, transpose)
 
 # Allowed values of each ModelConfig field that names a choice, read by
 # ModelConfig.validate and by the command-line flags.
@@ -263,7 +263,7 @@ class PatReFormer:
         return layer_norm(f + x, p[f"{prefix}.ln2.gamma"], p[f"{prefix}.ln2.beta"])
 
     def encode(self, e_emb, r_emb, training=False, rng=None):
-        """Refine segmented embeddings; returns (entity patches, relation patches)."""
+        """Refined patches [..., k_e + k_r, d]: entity, then relation patches."""
         cfg = self.config
         xe = self._patches("entity", e_emb, training, rng)
         xr = self._patches("relation", r_emb, training, rng)
@@ -272,7 +272,7 @@ class PatReFormer:
             x = concat([xe, xr], axis=-2)
             for i in range(cfg.layers):
                 x = self._block(f"enc.joint.{i}", x, x, training, rng)
-            return narrow(x, -2, 0, cfg.k_e), narrow(x, -2, cfg.k_e, cfg.k_r)
+            return x
 
         # Keys/values per tower: its own patches (separate_self) or the other
         # tower's from the previous layer (cross); under the sequential order
@@ -283,15 +283,13 @@ class PatReFormer:
             r_kv = (xe_new if cfg.update_order == "sequential" else xe) if cross else xr
             xr = self._block(f"enc.relation.{i}", xr, r_kv, training, rng)
             xe = xe_new
-        return xe, xr
+        return concat([xe, xr], axis=-2)
 
     def score_from_embeddings(self, e_emb, r_emb, training=False, rng=None):
         """Logits [B, n_entities] from explicit embedding tensors [B, d_e]/[B, d_r]."""
-        cfg = self.config
-        xe, xr = self.encode(e_emb, r_emb, training, rng)
-        flat = reshape(concat([xe, xr], axis=-2),
-                       xe.shape[:-2] + ((cfg.k_e + cfg.k_r) * cfg.d,))
-        flat = dropout(flat, cfg.p3, training, rng)
+        x = self.encode(e_emb, r_emb, training, rng)
+        flat = reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+        flat = dropout(flat, self.config.p3, training, rng)
         out = matmul(flat, self.params["scorer.weight"]) + self.params["scorer.bias"]
         return matmul(out, transpose(self.params["entity.embedding"]))
 

@@ -318,25 +318,6 @@ def concat(parts, axis=-1):
                    for i in range(len(parts))))
 
 
-def narrow(x, axis, start, length):
-    """Contiguous slice of ``length`` elements along ``axis`` starting at ``start``."""
-    x = as_tensor(x)
-    axis = axis % x.data.ndim
-    if start < 0 or start + length > x.data.shape[axis]:
-        raise ShapeError(
-            f"narrow [{start}:{start + length}] out of bounds for axis {axis} "
-            f"of shape {x.data.shape}"
-        )
-    idx = tuple(slice(start, start + length) if i == axis else slice(None)
-                for i in range(x.data.ndim))
-
-    def grad(g):
-        gx = np.zeros_like(x.data)
-        gx[idx] = g
-        return gx
-    return _make(x.data[idx], (x,), "narrow", grad)
-
-
 def gather_rows(table, ids):
     """Embedding lookup: table [N, D] indexed by an integer array of ids."""
     table = as_tensor(table)
@@ -506,10 +487,14 @@ def softmax_lastdim(x):
     return _make(y, (x,), "softmax", lambda g: _softmax_grad(g, y))
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
+# Added to the variance under the square root: guards zero-variance rows.
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x, gamma, beta):
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    Moments are accumulated in float64; eps > 0 guards zero-variance rows.
+    Moments are accumulated in float64.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.data.shape[-1]
@@ -518,11 +503,9 @@ def layer_norm(x, gamma, beta, eps=1e-5):
             f"layer_norm affine shapes {gamma.data.shape}/{beta.data.shape} "
             f"do not match feature dim {d}"
         )
-    if eps <= 0:
-        raise ConfigError("layer_norm eps must be > 0")
     xc = x.data.astype(np.float64)
     xc -= xc.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.square(xc).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(np.square(xc).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xc *= inv
     xhat = xc.astype(x.dtype, copy=False)
     inv = inv.astype(x.dtype)

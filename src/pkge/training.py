@@ -84,11 +84,10 @@ def bce_smoothed_loss(logits, targets, label_smoothing=0.1):
 class Adam:
     """Adam with bias correction; eps sits outside the square root."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._items = params.trainable_items()
         self.m = {name: np.zeros_like(t.data) for name, t in self._items}
@@ -96,8 +95,8 @@ class Adam:
 
     def step(self):
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        bc1 = 1.0 - self.BETA1 ** self.step_count
+        bc2 = 1.0 - self.BETA2 ** self.step_count
         for name, p in self._items:
             g = p.grad
             if g is None:
@@ -106,11 +105,11 @@ class Adam:
                 raise NumericError(f"non-finite gradient in parameter {name!r}")
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            step = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * (g * g)
+            step = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
             p.data = p.data - np.float32(self.lr) * step
 
 

@@ -6,7 +6,7 @@ rules under test, not by storage rounding.
 
 import numpy as np
 
-from .tensor import Tensor
+from pkge.tensor import Tensor
 
 
 def numeric_grad(fn, params, which, h=1e-3):

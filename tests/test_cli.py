@@ -683,3 +683,21 @@ class TestSweepCommand:
         assert rc == 2
         assert "model " not in capsys.readouterr().out
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_model_kind_rejected(self, memo_dir, tmp_path, capsys, source):
+        # --models names the kinds; a --model or model= key would be ignored
+        out = tmp_path / "o"
+        argv = ["sweep-dim", "--data", memo_dir, "--dims", "8",
+                "--out", str(out)] + TINY_MODEL + schedule(1)
+        if source == "flag":
+            argv += ["--model", "transe"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("model=transe\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--models" in captured.err
+        assert "model " not in captured.out
+        assert not (out / "sweep.csv").exists()

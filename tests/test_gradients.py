@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from pkge import tensor
-from pkge.gradcheck import check_gradients, numeric_grad
 from pkge.model import ModelConfig, build_model, multi_head_attention
 from pkge.tensor import (Tensor, add, attention, bce_with_logits, concat,
                          dropout, feed_forward, gather_rows, l1_distance,
-                         layer_norm, matmul, mul, narrow, reduce_sum, relu,
-                         reshape, softmax_lastdim, sqrt, transpose)
+                         layer_norm, matmul, mul, reduce_sum, relu, reshape,
+                         softmax_lastdim, sqrt, transpose)
 from pkge.training import bce_smoothed_loss, seed_streams
 
+from gradcheck import check_gradients, numeric_grad
 from test_tape import public_ops
 
 RNG = np.random.default_rng(42)
@@ -118,11 +118,6 @@ class TestStructuralGrads:
         b = RNG.standard_normal((2, 3))
         w = RNG.standard_normal((2, 5))
         check(lambda x, y: reduce_sum(mul(concat([x, y], axis=1), w)), [a, b])
-
-    @covers("narrow")
-    def test_narrow(self):
-        x = RNG.standard_normal((3, 6))
-        check(lambda t: reduce_sum(mul(narrow(t, 1, 2, 3), 2.0)), [x])
 
     @covers("gather_rows")
     def test_gather_rows_with_duplicates(self):

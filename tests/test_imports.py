@@ -1,9 +1,11 @@
 """Every name a module imports is used in it, over the package and the
 tests, and every module-level private function of the package is read by
 some code in the repository: stand-ins for a linter's unused-import and
-dead-code checks. No package module reads the process environment, so
-every option is a flag or a config-file key, and no package module imports
-inside a function, so the module import graph is the whole of it."""
+dead-code checks. Every public op of ``pkge.tensor`` has a caller in the
+package, bar a named few that tests use. No package module reads the
+process environment, so every option is a flag or a config-file key, and no
+package module imports inside a function, so the module import graph is the
+whole of it."""
 
 import ast
 import glob
@@ -101,14 +103,73 @@ def test_detects_unused_private_function():
     assert unused_private_functions(pkg, readers) == [("a.py", 4, "_dead")]
 
 
+def sources(paths):
+    """Map each path, relative to the repository root, to its source."""
+    out = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            out[os.path.relpath(path, ROOT)] = fh.read()
+    return out
+
+
 def test_no_unused_private_functions():
-    def sources(paths):
-        out = {}
-        for path in paths:
-            with open(path, encoding="utf-8") as fh:
-                out[os.path.relpath(path, ROOT)] = fh.read()
-        return out
     assert unused_private_functions(sources(PACKAGE), sources(READERS)) == []
+
+
+def unused_public_functions(name, package):
+    """(line, function) of each public module-level function of the package
+    module ``name`` that no package code reads. ``package`` maps module names
+    to sources. A read is a name the module itself loads outside the
+    function's own body, or, in another module, an import of the function
+    from ``name`` or an attribute of a name bound to ``name``."""
+    tree = ast.parse(package[name])
+    read = set()
+    for stmt in tree.body:
+        loads = {node.id for node in ast.walk(stmt)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            loads.discard(stmt.name)    # recursion is not a use
+        read |= loads
+    for other, source in package.items():
+        if other == name:
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[-1] == name):
+                read.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id == name):
+                read.add(node.attr)
+    return [(stmt.lineno, stmt.name) for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not stmt.name.startswith("_") and stmt.name not in read]
+
+
+def test_detects_unused_public_function():
+    package = {"ops": "def imported():\n    pass\n\n"
+                      "def attribute():\n    pass\n\n"
+                      "def helper():\n    pass\n\n"
+                      "def dead():\n    return dead() + helper()\n\n"
+                      "def numpy_named():\n    pass\n\n"
+                      "def _private():\n    pass\n",
+               "model": "import numpy as np\nfrom . import ops\n"
+                        "from .ops import imported\n"
+                        "ops.attribute()\nnp.numpy_named()\n"}
+    assert unused_public_functions("ops", package) == [
+        (10, "dead"), (13, "numpy_named")]
+
+
+# Public ops of ``pkge.tensor`` with no caller in the package, each kept for
+# a test: ``test_fused_ops`` composes its reference attention from
+# ``softmax_lastdim``.
+TENSOR_OPS_KEPT_FOR_TESTS = {"softmax_lastdim"}
+
+
+def test_every_tensor_op_has_a_package_caller():
+    package = {os.path.splitext(os.path.basename(path))[0]: source
+               for path, source in sources(PACKAGE).items()}
+    unused = {name for _, name in unused_public_functions("tensor", package)}
+    assert unused == TENSOR_OPS_KEPT_FOR_TESTS
 
 
 ENV_READERS = ("environ", "environb", "getenv", "getenvb")

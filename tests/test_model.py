@@ -320,20 +320,31 @@ class TestVariantBehavior:
                     .standard_normal((2, 12)).astype(np.float32))
         r2 = Tensor(np.random.default_rng(2)
                     .standard_normal((2, 12)).astype(np.float32))
-        xe1, xr1 = model.encode(e, r1)
-        xe2, xr2 = model.encode(e, r2)
+        k_e = model.config.k_e
+        x1, x2 = model.encode(e, r1).data, model.encode(e, r2).data
         # entity patches ignore the relation entirely
-        assert np.array_equal(xe1.data, xe2.data)
-        assert not np.allclose(xr1.data, xr2.data)
+        assert np.array_equal(x1[..., :k_e, :], x2[..., :k_e, :])
+        assert not np.allclose(x1[..., k_e:, :], x2[..., k_e:, :])
 
     def test_cross_attention_mixes_towers(self):
         model = make(tiny_cfg(), seed=6)
         e = Tensor(np.ones((1, 8), dtype=np.float32))
         r1 = Tensor(np.zeros((1, 12), dtype=np.float32))
         r2 = Tensor(np.ones((1, 12), dtype=np.float32))
-        xe1, _ = model.encode(e, r1)
-        xe2, _ = model.encode(e, r2)
-        assert not np.allclose(xe1.data, xe2.data)
+        k_e = model.config.k_e
+        xe1 = model.encode(e, r1).data[..., :k_e, :]
+        xe2 = model.encode(e, r2).data[..., :k_e, :]
+        assert not np.allclose(xe1, xe2)
+
+    @pytest.mark.parametrize("attention", ["cross", "separate_self", "full_self"])
+    def test_encode_returns_one_patch_sequence(self, attention):
+        # entity patches then relation patches, one tensor for every layout
+        cfg = tiny_cfg(attention=attention)
+        e = Tensor(np.ones((3, 8), dtype=np.float32))
+        r = Tensor(np.zeros((3, 12), dtype=np.float32))
+        x = make(cfg, seed=6).encode(e, r)
+        assert isinstance(x, Tensor)
+        assert x.shape == (3, cfg.k_e + cfg.k_r, cfg.d)
 
     def test_update_orders_differ(self):
         seq = make(tiny_cfg(update_order="sequential"), seed=7)

@@ -18,7 +18,7 @@ from pkge.kg import load_dataset
 from pkge.model import ModelConfig, PatReFormer
 from pkge.tensor import (Tensor, add, attention, bce_with_logits, concat,
                          dropout, feed_forward, gather_rows, l1_distance,
-                         layer_norm, matmul, mul, narrow, no_grad, reduce_sum,
+                         layer_norm, matmul, mul, no_grad, reduce_sum,
                          relu, reshape, softmax_lastdim, sqrt, transpose)
 from pkge.training import TrainConfig, bce_smoothed_loss
 
@@ -37,7 +37,6 @@ OP_CASES = {
     "reshape": lambda: reshape(leaf(2, 3), (3, 2)),
     "transpose": lambda: transpose(leaf(2, 3, 4), (2, 0, 1)),
     "concat": lambda: concat([leaf(2, 3), leaf(2, 2)], axis=-1),
-    "narrow": lambda: narrow(leaf(2, 5), 1, 1, 3),
     "gather_rows": lambda: gather_rows(leaf(4, 3), np.array([0, 2, 2])),
     "reduce_sum": lambda: reduce_sum(leaf(2, 3), axis=0),
     "sqrt": lambda: sqrt(leaf(2, 3)),

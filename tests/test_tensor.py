@@ -11,9 +11,8 @@ from pkge import tensor
 from pkge.errors import ConfigError, GraphError, NumericError, ShapeError
 from pkge.tensor import (Tensor, add, as_tensor, attention, bce_with_logits,
                          concat, dropout, feed_forward, gather_rows,
-                         l1_distance, layer_norm, matmul, mul, narrow,
-                         reduce_sum, relu, reshape, softmax_lastdim, sqrt,
-                         transpose)
+                         l1_distance, layer_norm, matmul, mul, reduce_sum,
+                         relu, reshape, softmax_lastdim, sqrt, transpose)
 
 from test_tape import public_ops
 
@@ -198,20 +197,6 @@ class TestStructural:
         np.testing.assert_array_equal(a.grad, np.full((2, 2), 2.0))
         np.testing.assert_array_equal(b.grad, np.full((2, 3), 2.0))
 
-    def test_narrow_gradient_zero_elsewhere(self):
-        x = Tensor(np.arange(10, dtype=np.float32).reshape(2, 5),
-                   requires_grad=True)
-        y = narrow(x, 1, 1, 2)
-        np.testing.assert_array_equal(y.data, [[1, 2], [6, 7]])
-        scalar_loss(y).backward()
-        expected = np.zeros((2, 5))
-        expected[:, 1:3] = 1.0
-        np.testing.assert_array_equal(x.grad, expected)
-
-    def test_narrow_out_of_bounds(self):
-        with pytest.raises(ShapeError):
-            narrow(Tensor(np.zeros((2, 3))), 1, 2, 2)
-
     def test_gather_rows_accumulates_duplicates(self):
         table = Tensor(np.eye(3, dtype=np.float32), requires_grad=True)
         out = gather_rows(table, np.array([0, 0, 2]))
@@ -300,8 +285,6 @@ class TestNonlinearities:
         x = Tensor(np.zeros((2, 4)))
         with pytest.raises(ShapeError):
             layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(4)))
-        with pytest.raises(ConfigError):
-            layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), eps=0.0)
 
 
 class TestDropout:
@@ -391,7 +374,6 @@ PASSTHROUGH_CASES = {
     "reshape": lambda x: reshape(x, (3, 2)),
     "transpose": transpose,
     "concat": lambda x: concat([x, x]),
-    "narrow": lambda x: narrow(x, 1, 1, 2),
     "gather_rows": lambda x: gather_rows(x, np.array([1, 0, 1])),
     "relu": relu,
     "softmax_lastdim": softmax_lastdim,
