@@ -9,8 +9,7 @@ lives only in the training loss.
 import numpy as np
 
 from .params import ParamStore, glorot_uniform
-from .tensor import (add, gather_rows, l1_distance, matmul, mul, reduce_sum,
-                     relu, reshape, sqrt, transpose)
+from .tensor import gather_rows, l1_distance, matmul, mul, transpose
 
 
 class _BaselineBase:
@@ -32,25 +31,16 @@ class _BaselineBase:
 
 
 class TransE(_BaselineBase):
-    """Logit(h, r, t) = gamma - ||e_h + e_r - e_t||."""
+    """Logit(h, r, t) = GAMMA - ||e_h + e_r - e_t||_1 (Bordes et al., 2013)."""
 
     kind = "transe"
+    GAMMA = 12.0
 
     def score_all(self, entities, relations, training=False, rng=None):
         table = self.params["entity.embedding"]
         e = gather_rows(table, np.asarray(entities))
         r = gather_rows(self.params["relation.embedding"], np.asarray(relations))
-        q = e + r                                            # [B, d]
-        if self.config.transe_norm == "l1":
-            dist = l1_distance(q, table)
-        else:
-            # ||q - e||^2 = ||q||^2 + ||e||^2 - 2 q.e as one GEMM, clamped at
-            # 0 where rounding takes it below.
-            sq = add(reduce_sum(mul(q, q), axis=-1, keepdims=True),
-                     reshape(reduce_sum(mul(table, table), axis=-1),
-                             (1, self.n_entities)))
-            dist = sqrt(relu(add(sq, mul(matmul(q, transpose(table)), -2.0))))
-        return self.config.transe_gamma - dist
+        return self.GAMMA - l1_distance(e + r, table)
 
 
 class DistMult(_BaselineBase):

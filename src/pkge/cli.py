@@ -4,7 +4,9 @@ Subcommands: train, eval, ablate, sweep-dim, stats, categorize.
 
 Configuration precedence is flags > config file > built-in defaults. Config
 files are flat ``key=value`` lines ('#' starts a comment); keys are the
-model and training option names shown by ``--help``.
+model and training option names shown by ``--help``. A key of an option
+earlier versions had (``model.REMOVED_OPTIONS``) is dropped when it holds
+the one value that option can now take, and rejected otherwise.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data or checkpoint
 mismatch, 4 numeric failure.
@@ -20,7 +22,8 @@ from .errors import (CheckpointError, ConfigError, DataFormatError,
 from .evaluation import evaluate, format_report, write_report_csv
 from .kg import (CATEGORIES, SCOPES, SPLIT_FILES, THRESHOLD, category_counts,
                  categorize_relations, dump_stats_json, load_dataset)
-from .model import ABLATION_VARIANTS, CHOICES, MODEL_KINDS, ModelConfig
+from .model import (ABLATION_VARIANTS, CHOICES, MODEL_KINDS, REMOVED_OPTIONS,
+                    ModelConfig, drop_removed_options)
 from .training import (TrainConfig, check_vocab, restore_model,
                        run_experiment)
 
@@ -67,10 +70,13 @@ def resolve_run_config(args):
               **TrainConfig().to_dict()}
 
     if getattr(args, "config", None):
+        protos = {**REMOVED_OPTIONS, **values}
+        parsed = {}
         for key, raw in parse_config_file(args.config).items():
-            if key not in values:
+            if key not in protos:
                 raise ConfigError(f"unknown config key {key!r}")
-            values[key] = _coerce(key, raw, values[key])
+            parsed[key] = _coerce(key, raw, protos[key])
+        values.update(drop_removed_options(parsed))
 
     for key in values:
         flag = getattr(args, key, None)

@@ -42,8 +42,23 @@ CHOICES = {
     "segmentation": ("frozen", "folding", "trainable", "none"),
     "update_order": ("sequential", "simultaneous"),
     "attn_scale": ("model_dim", "head_dim"),
-    "transe_norm": ("l1", "l2"),
 }
+
+# Options that checkpoints and config files written by earlier versions may
+# carry, each mapped to the one value it can take now that TransE has a
+# fixed form. Readers drop a key holding that value and reject any other.
+REMOVED_OPTIONS = {"transe_norm": "l1", "transe_gamma": TransE.GAMMA}
+
+
+def drop_removed_options(values):
+    """``values`` without the keys of ``REMOVED_OPTIONS``; a removed key
+    holding anything but its one value raises ``ConfigError`` naming it."""
+    for key, only in REMOVED_OPTIONS.items():
+        if key in values and values[key] != only:
+            raise ConfigError(f"option {key} was removed; only {key}={only} "
+                              f"is still read, got {values[key]!r}")
+    return {k: v for k, v in values.items() if k not in REMOVED_OPTIONS}
+
 
 # Named single-field deviations from a base configuration, for ablation runs.
 ABLATION_VARIANTS = {
@@ -107,8 +122,11 @@ class ModelConfig(Config):
     segmentation: str = "frozen"
     update_order: str = "sequential"
     attn_scale: str = "model_dim"
-    transe_gamma: float = 12.0
-    transe_norm: str = "l1"
+
+    @classmethod
+    def from_dict(cls, d):
+        return super().from_dict(
+            drop_removed_options(d) if isinstance(d, dict) else d)
 
     def validate(self):
         for name, allowed in CHOICES.items():
@@ -127,8 +145,6 @@ class ModelConfig(Config):
         for name, p in (("p1", self.p1), ("p2", self.p2), ("p3", self.p3)):
             if not 0.0 <= p < 1.0:
                 raise ConfigError(f"{name} must satisfy 0 <= p < 1, got {p}")
-        if not np.isfinite(self.transe_gamma):
-            raise ConfigError("transe_gamma must be finite")
 
     @property
     def k_e(self):

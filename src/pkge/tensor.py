@@ -37,12 +37,12 @@ Models produce logits. The sigmoid appears only inside the fused loss
 ``bce_with_logits``, which evaluates it without overflow for any finite logit.
 
 The forward ops that can turn finite inputs into inf or NaN (``add``,
-``mul``, ``matmul``, ``reduce_sum``, ``sqrt``, ``l1_distance``,
-``layer_norm``, ``dropout``, ``attention``, ``feed_forward`` and
-``bce_with_logits``) verify their result is finite; overflow raises
-``NumericError`` instead of propagating NaN/inf through the graph. The others
-only move, select, clamp or normalize finite values, so they skip the sweep;
-a non-finite value they pass on is caught by the next checking op.
+``mul``, ``matmul``, ``reduce_sum``, ``l1_distance``, ``layer_norm``,
+``dropout``, ``attention``, ``feed_forward`` and ``bce_with_logits``) verify
+their result is finite; overflow raises ``NumericError`` instead of
+propagating NaN/inf through the graph. The others only move, select, clamp
+or normalize finite values, so they skip the sweep; a non-finite value they
+pass on is caught by the next checking op.
 """
 
 import math
@@ -126,9 +126,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
 
     def __rsub__(self, other):
         return add(mul(self, -1.0), other)
@@ -346,17 +343,6 @@ def reduce_sum(x, axis=None, keepdims=False):
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, x.data.shape)
     return _make(data, (x,), "sum", grad)
-
-
-def sqrt(x):
-    """Square root; subgradient 0 where the output is 0."""
-    x = as_tensor(x)
-    data = np.sqrt(x.data)
-    _finite_or_raise(data, "sqrt")
-
-    def grad(g):
-        return g * np.divide(0.5, data, out=np.zeros_like(data), where=data > 0)
-    return _make(data, (x,), "sqrt", grad)
 
 
 # Size in bytes of each [B, rows, d] temporary ``l1_distance`` works in. At

@@ -6,7 +6,7 @@ import pytest
 from pkge import tensor
 from pkge.baselines import DistMult, TransE
 from pkge.model import ModelConfig
-from pkge.tensor import mul, no_grad, reduce_sum
+from pkge.tensor import no_grad
 from pkge.training import bce_smoothed_loss
 
 
@@ -37,14 +37,6 @@ class TestTransE:
         got = scores(m, 0, 0)
         d = [1.0, 0.0, 2.0]   # L1 distances to each entity row
         np.testing.assert_allclose(got, 12.0 - np.array(d), rtol=1e-6)
-
-    def test_l2_hand_example(self):
-        m = TransE(cfg(transe_norm="l2", transe_gamma=2.0), 3, 2,
-                   np.random.default_rng(0))
-        plant(m, [[0, 0], [1, 0], [0, 1]], [[1, 0], [0, -1]])
-        got = scores(m, 0, 0)
-        d = [1.0, 0.0, np.sqrt(2.0)]
-        np.testing.assert_allclose(got, 2.0 - np.array(d), rtol=1e-6)
 
     def test_reverse_relation_row_used(self):
         m = TransE(cfg(), 3, 2, np.random.default_rng(0))
@@ -95,19 +87,6 @@ class TestTransE:
         monkeypatch.setattr(tensor, "L1_BLOCK_BYTES", block_bytes)
         np.testing.assert_array_equal(m.score_all(ents, rels).data[5], alone)
 
-    def test_l2_zero_distance_has_finite_gradient(self):
-        # At distance 0 sqrt's derivative is unbounded; its subgradient 0
-        # must reach the embeddings, not NaN.
-        rng = np.random.default_rng(1)
-        m = TransE(cfg(d_e=8, transe_norm="l2"), 10, 4, rng)
-        emb = m.params["entity.embedding"].data
-        emb[7] = emb[2] + m.params["relation.embedding"].data[3]
-        logits = m.score_all([2], [3])
-        np.testing.assert_allclose(logits.data[0, 7], 12.0, rtol=1e-6)
-        reduce_sum(mul(logits, 20.0)).backward()
-        for name in ("entity.embedding", "relation.embedding"):
-            assert np.all(np.isfinite(m.params[name].grad))
-
 
 def traced_peak(fn):
     tracemalloc.start()
@@ -118,15 +97,13 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("norm", ["l1", "l2"])
 class TestTransEMemory:
     # One [B, N, d] float32 array here is 51.2 MB; scoring holds none.
     B, N, D = 64, 2000, 100
     BOUND = B * N * D * 4 // 2
 
-    def model(self, norm):
-        return TransE(cfg(d_e=self.D, transe_norm=norm), self.N, 8,
-                      np.random.default_rng(0))
+    def model(self):
+        return TransE(cfg(d_e=self.D), self.N, 8, np.random.default_rng(0))
 
     def batch(self):
         rng = np.random.default_rng(1)
@@ -134,8 +111,8 @@ class TestTransEMemory:
         targets[np.arange(self.B), rng.integers(0, self.N, self.B)] = 1.0
         return rng.integers(0, self.N, self.B), rng.integers(0, 8, self.B), targets
 
-    def test_training_step_bounded(self, norm):
-        m = self.model(norm)
+    def test_training_step_bounded(self):
+        m = self.model()
         ents, rels, targets = self.batch()
 
         def step():
@@ -143,8 +120,8 @@ class TestTransEMemory:
         assert traced_peak(step) < self.BOUND
         assert m.params["entity.embedding"].grad.shape == (self.N, self.D)
 
-    def test_inference_bounded(self, norm):
-        m = self.model(norm)
+    def test_inference_bounded(self):
+        m = self.model()
         ents, rels, _ = self.batch()
 
         def score():
@@ -191,14 +168,13 @@ class TestCommon:
 
     @pytest.mark.parametrize("cls", [TransE, DistMult])
     def test_scores_are_oracle_logits(self, cls):
-        # TransE with the L2 norm here; test_batch_oracle covers L1
-        m = cls(cfg(d_e=4, transe_norm="l2"), 5, 6, np.random.default_rng(5))
+        m = cls(cfg(d_e=4), 5, 6, np.random.default_rng(5))
         ents, rels = np.array([0, 4]), np.array([5, 2])
         E = m.params["entity.embedding"].data.astype(np.float64)
         R = m.params["relation.embedding"].data.astype(np.float64)
         if cls is TransE:
             q = E[ents] + R[rels]
-            want = 12.0 - np.linalg.norm(q[:, None, :] - E[None], axis=-1)
+            want = 12.0 - np.abs(q[:, None, :] - E[None]).sum(axis=-1)
         else:
             want = (E[ents] * R[rels]) @ E.T
         got = m.score_all(ents, rels).data

@@ -102,7 +102,7 @@ class TestConfigFile:
         lines = echo.splitlines()
         assert lines[0] == "model=patreformer"
         assert "d_e=100" in lines and "lr=0.001" in lines
-        assert len(lines) == 1 + 16 + 6   # model + model cfg + train cfg
+        assert len(lines) == 1 + 14 + 6   # model + model cfg + train cfg
         # the echo itself round-trips as a config file
         assert echo.endswith("\n")
 
@@ -214,6 +214,31 @@ class TestExitCodes:
         assert "unknown config key 'eval_batch'" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "o"))
 
+    def test_removed_transe_keys_at_their_value_train(self, memo_dir,
+                                                      tmp_path):
+        # config.txt files written while TransE had options carry both keys
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("transe_norm=l1\ntranse_gamma=12\n")
+        out = tmp_path / "o"
+        rc = main(["train", "--data", memo_dir, "--out", str(out),
+                   "--config", str(cfg), "--model", "transe"]
+                  + TINY_MODEL + schedule(1))
+        assert rc == 0
+        config = (out / "config.txt").read_text()
+        assert "transe_norm" not in config and "transe_gamma" not in config
+
+    @pytest.mark.parametrize("line", ["transe_norm=l2", "transe_gamma=5.0"])
+    def test_removed_transe_key_at_another_value(self, memo_dir, tmp_path,
+                                                 capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(["train", "--data", memo_dir, "--out", str(tmp_path / "o"),
+                   "--config", str(cfg), "--model", "transe"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and line.split("=")[0] in err[0]
+        assert not os.path.exists(str(tmp_path / "o"))
+
     def test_invalid_utf8_config_file(self, memo_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"lr=0.1\n\xfe\xff=1\n")
@@ -302,6 +327,13 @@ HEADER_FAULTS = {
     "float-heads": lambda h: h["config"].update(heads=2.0),
     "bool-layers": lambda h: h["config"].update(layers=True),
 }
+# Options TransE no longer has, each at a value other than the one it can
+# now take; the error names the option.
+REMOVED_OPTION_FAULTS = {"transe_norm-l2": ("transe_norm", "l2"),
+                         "transe_gamma-5.0": ("transe_gamma", 5.0)}
+HEADER_FAULTS.update({
+    fault: lambda h, key=key, value=value: h["config"].update({key: value})
+    for fault, (key, value) in REMOVED_OPTION_FAULTS.items()})
 # Each top-level field set to each kind of JSON value; string-entities above
 # already covers n_entities="x".
 JSON_VALUES = {"null": None, "true": True, "1": 1, "-1": -1, "1.5": 1.5,
@@ -324,6 +356,19 @@ def test_bad_checkpoint_header_exits_3(memo_dir, tmp_path, capsys, fault):
     assert rc == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    if fault in REMOVED_OPTION_FAULTS:
+        assert REMOVED_OPTION_FAULTS[fault][0] in err[0]
+
+
+def test_removed_transe_options_at_their_value_restore(memo_dir, tmp_path):
+    # checkpoints written while TransE had options carry both keys
+    cfg = ModelConfig(d_e=8, d_r=8, d=4, heads=2, layers=1, d_f=8)
+    path = str(tmp_path / "distmult.ckpt")
+    save_checkpoint(path, DistMult(cfg, 30, 8, np.random.default_rng(0)))
+    rewrite_header(path, lambda h: h["config"].update(transe_norm="l1",
+                                                      transe_gamma=12.0))
+    assert main(["eval", "--data", memo_dir, "--checkpoint", path]) == 0
+    assert restore_model(path)[0].config == cfg
 
 
 # A manifest trainable flag that is not a JSON boolean, each written over the
@@ -464,11 +509,10 @@ class TestTransEEvalAtScale:
             "valid": held, "test": held})
         return directory
 
-    @pytest.mark.parametrize("norm", ["l1", "l2"])
-    def test_cli_mrr_matches_in_process(self, chain_dir, tmp_path, norm):
+    def test_cli_mrr_matches_in_process(self, chain_dir, tmp_path):
         store = load_dataset(chain_dir)
         assert store.num_entities == self.N_ENTITIES
-        cfg = ModelConfig(d_e=16, d_r=16, d=4, heads=2, transe_norm=norm)
+        cfg = ModelConfig(d_e=16, d_r=16, d=4, heads=2)
         rng = np.random.default_rng(0)
         model = TransE(cfg, store.num_entities,
                        store.num_relations_with_reverse, rng)

@@ -12,7 +12,7 @@ from pkge.model import ModelConfig, build_model, multi_head_attention
 from pkge.tensor import (Tensor, add, attention, bce_with_logits, concat,
                          dropout, feed_forward, gather_rows, l1_distance,
                          layer_norm, matmul, mul, reduce_sum, relu, reshape,
-                         softmax_lastdim, sqrt, transpose)
+                         softmax_lastdim, transpose)
 from pkge.training import bce_smoothed_loss, seed_streams
 
 from gradcheck import check_gradients, numeric_grad
@@ -51,11 +51,6 @@ class TestElementwiseGrads:
         a = RNG.standard_normal((3, 4))
         b = RNG.standard_normal(4)
         check(lambda x, y: reduce_sum(mul(add(x, y), y)), [a, b])
-
-    @covers("sqrt")
-    def test_sqrt(self):
-        x = RNG.uniform(0.5, 4.0, size=(6,))
-        check(lambda t: reduce_sum(sqrt(t)), [x])
 
     # 200 bytes hold 2 rows of a [3, ., 4] float64 block: blocks of 2, 2, 1.
     @covers("l1_distance")

@@ -59,6 +59,8 @@ class TestConfig:
             ModelConfig.from_dict({"d_eeee": 3})
 
     @pytest.mark.parametrize("cls, name, bad", [(ModelConfig, "d", 3),
+                                                (ModelConfig, "layers", 0),
+                                                (ModelConfig, "d_f", 0),
                                                 (TrainConfig, "lr", -1.0)])
     def test_frozen_and_replace_validates(self, cls, name, bad):
         cfg = cls()

@@ -19,7 +19,7 @@ from pkge.model import ModelConfig, PatReFormer
 from pkge.tensor import (Tensor, add, attention, bce_with_logits, concat,
                          dropout, feed_forward, gather_rows, l1_distance,
                          layer_norm, matmul, mul, no_grad, reduce_sum,
-                         relu, reshape, softmax_lastdim, sqrt, transpose)
+                         relu, reshape, softmax_lastdim, transpose)
 from pkge.training import TrainConfig, bce_smoothed_loss
 
 
@@ -39,7 +39,6 @@ OP_CASES = {
     "concat": lambda: concat([leaf(2, 3), leaf(2, 2)], axis=-1),
     "gather_rows": lambda: gather_rows(leaf(4, 3), np.array([0, 2, 2])),
     "reduce_sum": lambda: reduce_sum(leaf(2, 3), axis=0),
-    "sqrt": lambda: sqrt(leaf(2, 3)),
     "l1_distance": lambda: l1_distance(leaf(2, 3), leaf(4, 3, lo=-1.0, hi=1.0)),
     "relu": lambda: relu(leaf(2, 3, lo=-1.0, hi=1.0)),
     "softmax_lastdim": lambda: softmax_lastdim(leaf(2, 3)),

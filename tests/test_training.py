@@ -363,6 +363,35 @@ class TestCheckpointValidation:
         with pytest.raises(CheckpointError):
             load_checkpoint(ckpt)
 
+    def test_header_length_past_the_end(self, ckpt):
+        blob = bytearray(open(ckpt, "rb").read())
+        blob[8:12] = np.uint32(len(blob)).tobytes()
+        open(ckpt, "wb").write(bytes(blob))
+        with pytest.raises(CheckpointError, match="truncated checkpoint header"):
+            load_checkpoint(ckpt)
+
+    @staticmethod
+    def replace_header(path, edit):
+        """Rewrite the JSON header as ``edit(header)``; payload and CRC stay."""
+        blob = open(path, "rb").read()
+        n = int.from_bytes(blob[8:12], "little")
+        head = json.dumps(edit(json.loads(blob[12:12 + n]))).encode("utf-8")
+        open(path, "wb").write(blob[:8] + len(head).to_bytes(4, "little")
+                               + head + blob[12 + n:])
+
+    def test_header_not_an_object(self, ckpt):
+        self.replace_header(ckpt, lambda h: [h])
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("key", ["model", "config", "n_entities",
+                                     "n_relations", "tensors"])
+    def test_header_missing_field(self, ckpt, key):
+        self.replace_header(ckpt, lambda h: {k: v for k, v in h.items()
+                                             if k != key})
+        with pytest.raises(CheckpointError, match=f"missing field '{key}'"):
+            load_checkpoint(ckpt)
+
 
 class TestTrainLoop:
     @pytest.fixture
