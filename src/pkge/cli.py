@@ -23,7 +23,7 @@ from .evaluation import evaluate, format_report, write_report_csv
 from .kg import (CATEGORIES, SCOPES, SPLIT_FILES, THRESHOLD, category_counts,
                  categorize_relations, dump_stats_json, load_dataset)
 from .model import (ABLATION_VARIANTS, CHOICES, MODEL_KINDS, REMOVED_OPTIONS,
-                    ModelConfig, drop_removed_options)
+                    ModelConfig, check_model, drop_removed_options)
 from .training import (TrainConfig, check_vocab, restore_model,
                        run_experiment)
 
@@ -132,6 +132,7 @@ def _print_progress(epoch, loss, valid_mrr):
 def cmd_train(args):
     store = _load_store(args.data)
     kind, model_cfg, train_cfg = resolve_run_config(args)
+    check_model(kind, model_cfg)
     echo = format_run_config(kind, model_cfg, train_cfg)
     print(echo, end="")
     _make_out_dir(args.out)
@@ -165,10 +166,12 @@ def cmd_ablate(args):
     if kind != "patreformer":
         raise ConfigError("ablate applies to the patreformer model only")
     names = list(ABLATION_VARIANTS) if args.variant == "all" else [args.variant]
-    # Built, and so validated, before any training: a variant the base
-    # sizes cannot take fails before the first run.
+    # Built and checked before any training: a variant the base sizes
+    # cannot take fails before the first run.
     variants = [(name, replace(base_cfg, **ABLATION_VARIANTS[name]))
                 for name in names]
+    for cfg in [base_cfg] + [cfg for _, cfg in variants]:
+        check_model(kind, cfg)
     _make_out_dir(args.out)
 
     def test_mrr(cfg):
@@ -179,7 +182,9 @@ def cmd_ablate(args):
     print(f"base test_mrr {base_mrr:.6f}")
     rows = []
     for name, cfg in variants:
-        mrr = test_mrr(cfg)
+        # A variant equal to the base (``frozen-seg`` and ``sequential`` at
+        # the defaults) would train the same run again, seed included.
+        mrr = base_mrr if cfg == base_cfg else test_mrr(cfg)
         rows.append((name, mrr, mrr - base_mrr))
         print(f"variant {name}  test_mrr {mrr:.6f}  delta {mrr - base_mrr:+.6f}")
 
@@ -209,15 +214,14 @@ def cmd_sweep_dim(args):
     kinds = [part.strip() for part in args.models.split(",") if part.strip()]
     if not kinds:
         raise ConfigError("--models is empty")
-    for kind in kinds:
-        if kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model {kind!r} in --models")
-    # Every config is built, and so validated, before the first run. The
-    # baselines have one embedding size for entities and relations alike,
-    # so their sweep moves both.
+    # Every config is built and checked before the first run. The baselines
+    # have one embedding size for entities and relations alike, so their
+    # sweep moves both.
     runs = [(kind, replace(base_cfg, d_r=dim) if kind == "patreformer"
              else replace(base_cfg, d_e=dim, d_r=dim))
             for kind in kinds for dim in dims]
+    for kind, cfg in runs:
+        check_model(kind, cfg)
     _make_out_dir(args.out)
 
     rows = []

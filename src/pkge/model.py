@@ -41,13 +41,14 @@ CHOICES = {
     "pe": ("none", "trainable", "sinusoidal"),
     "segmentation": ("frozen", "folding", "trainable", "none"),
     "update_order": ("sequential", "simultaneous"),
-    "attn_scale": ("model_dim", "head_dim"),
 }
 
 # Options that checkpoints and config files written by earlier versions may
 # carry, each mapped to the one value it can take now that TransE has a
-# fixed form. Readers drop a key holding that value and reject any other.
-REMOVED_OPTIONS = {"transe_norm": "l1", "transe_gamma": TransE.GAMMA}
+# fixed form and attention one temperature. Readers drop a key holding that
+# value and reject any other.
+REMOVED_OPTIONS = {"transe_norm": "l1", "transe_gamma": TransE.GAMMA,
+                   "attn_scale": "model_dim"}
 
 
 def drop_removed_options(values):
@@ -77,33 +78,14 @@ ABLATION_VARIANTS = {
 
 class Config:
     """Base of the option dataclasses: validated on construction, and
-    round-tripped through a plain dict for checkpoint headers. Subclasses are
-    frozen, so construction (``replace`` included) is the only validation."""
+    written out as a plain dict. Subclasses are frozen, so construction
+    (``replace`` included) is the only validation."""
 
     def __post_init__(self):
         self.validate()
 
     def to_dict(self):
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        """Build from a JSON object. Each value must have its field's type:
-        an int field takes an integer but not true/false, a float field an
-        integer or a float, a str field a string."""
-        if not isinstance(d, dict):
-            raise ConfigError(f"{cls.__name__} must be a JSON object, got {d!r}")
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = set(d) - set(types)
-        if unknown:
-            raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-        for name, value in d.items():
-            accepted = (int, float) if types[name] is float else types[name]
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ConfigError(
-                    f"{cls.__name__}.{name} must be {types[name].__name__}, "
-                    f"got {value!r}")
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -121,12 +103,27 @@ class ModelConfig(Config):
     pe: str = "none"
     segmentation: str = "frozen"
     update_order: str = "sequential"
-    attn_scale: str = "model_dim"
 
     @classmethod
     def from_dict(cls, d):
-        return super().from_dict(
-            drop_removed_options(d) if isinstance(d, dict) else d)
+        """Build from a checkpoint header's JSON object, less the removed
+        options it may carry. Each value must have its field's type: an int
+        field takes an integer but not true/false, a float field an integer
+        or a float, a str field a string."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"{cls.__name__} must be a JSON object, got {d!r}")
+        d = drop_removed_options(d)
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(d) - set(types)
+        if unknown:
+            raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        for name, value in d.items():
+            accepted = (int, float) if types[name] is float else types[name]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigError(
+                    f"{cls.__name__}.{name} must be {types[name].__name__}, "
+                    f"got {value!r}")
+        return cls(**d)
 
     def validate(self):
         for name, allowed in CHOICES.items():
@@ -139,9 +136,6 @@ class ModelConfig(Config):
             raise ConfigError(f"patch size {self.d} not divisible by {self.heads} heads")
         if self.d_e <= 0 or self.d_r <= 0:
             raise ConfigError("embedding sizes must be positive")
-        if self.segmentation != "none":
-            validate_patch_shape(self.d_e, self.d_e // self.d, self.d, "entity embedding")
-            validate_patch_shape(self.d_r, self.d_r // self.d, self.d, "relation embedding")
         for name, p in (("p1", self.p1), ("p2", self.p2), ("p3", self.p3)):
             if not 0.0 <= p < 1.0:
                 raise ConfigError(f"{name} must satisfy 0 <= p < 1, got {p}")
@@ -166,16 +160,15 @@ def sinusoidal_table(k, d):
     return table.astype(np.float32)
 
 
-def multi_head_attention(x_q, x_kv, wq, wk, wv, wo, heads, denom,
-                         p_drop=0.0, training=False, rng=None):
+def multi_head_attention(x_q, x_kv, wq, wk, wv, wo, heads, p_drop=0.0,
+                         training=False, rng=None):
     """Multi-head attention of queries ``x_q`` over keys/values ``x_kv``, as
     one tape node (``tensor.attention``).
 
-    Projections are single d-by-d matrices sliced into heads; ``denom`` is
-    the squared attention temperature (the model width by default).
+    Projections are single d-by-d matrices sliced into heads; scores are
+    scaled by 1/sqrt(d), d the model width.
     """
-    return attention(x_q, x_kv, wq, wk, wv, wo, heads, denom, p_drop,
-                     training, rng)
+    return attention(x_q, x_kv, wq, wk, wv, wo, heads, p_drop, training, rng)
 
 
 class PatReFormer:
@@ -266,12 +259,11 @@ class PatReFormer:
         """Post-norm residual block: LN(attn + x), then LN(ffn + x)."""
         cfg = self.config
         p = self.params
-        denom = float(cfg.d) if cfg.attn_scale == "model_dim" else cfg.d / cfg.heads
         a = multi_head_attention(
             x_q, x_kv,
             p[f"{prefix}.attn.wq"], p[f"{prefix}.attn.wk"],
             p[f"{prefix}.attn.wv"], p[f"{prefix}.attn.wo"],
-            cfg.heads, denom, cfg.p2, training, rng)
+            cfg.heads, cfg.p2, training, rng)
         x = layer_norm(a + x_q, p[f"{prefix}.ln1.gamma"], p[f"{prefix}.ln1.beta"])
         f = feed_forward(x, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"],
                          p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"])
@@ -320,7 +312,17 @@ MODELS = {cls.kind: cls for cls in (PatReFormer, TransE, DistMult)}
 MODEL_KINDS = tuple(MODELS)
 
 
-def build_model(kind, config, n_entities, n_relations, rng):
+def check_model(kind, config):
+    """Raise ``ConfigError`` unless a ``kind`` model can be built from
+    ``config``: PatReFormer's embeddings must factor into its patch grid,
+    which the baselines do not have."""
     if kind not in MODELS:
         raise ConfigError(f"model must be one of {MODEL_KINDS}, got {kind!r}")
+    if kind == "patreformer" and config.segmentation != "none":
+        validate_patch_shape(config.d_e, config.k_e, config.d, "entity embedding")
+        validate_patch_shape(config.d_r, config.k_r, config.d, "relation embedding")
+
+
+def build_model(kind, config, n_entities, n_relations, rng):
+    check_model(kind, config)
     return MODELS[kind](config, n_entities, n_relations, rng)

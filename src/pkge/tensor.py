@@ -46,7 +46,6 @@ pass on is caught by the next checking op.
 """
 
 import math
-import threading
 import weakref
 
 import numpy as np
@@ -121,9 +120,6 @@ class Tensor:
                 if node is not self:
                     node.grad = None
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, op={self.op!r})"
-
     def __add__(self, other):
         return add(self, other)
 
@@ -143,27 +139,25 @@ def _finite_or_raise(arr, op):
         raise NumericError(f"{op}: produced non-finite values")
 
 
-class _GradMode(threading.local):
-    enabled = True
-
-
-_grad_mode = _GradMode()
+_grad_enabled = True
 
 
 class no_grad:
     """Context manager under which ops record no tape: their outputs have no
-    parents, no backward rule and ``requires_grad=False``. The flag is per
-    thread, and leaving the block restores the state it was entered from."""
+    parents, no backward rule and ``requires_grad=False``. Leaving the block
+    restores the state it was entered from."""
 
     def __init__(self):
         self._prev = []
 
     def __enter__(self):
-        self._prev.append(_grad_mode.enabled)
-        _grad_mode.enabled = False
+        global _grad_enabled
+        self._prev.append(_grad_enabled)
+        _grad_enabled = False
 
     def __exit__(self, *exc):
-        _grad_mode.enabled = self._prev.pop()
+        global _grad_enabled
+        _grad_enabled = self._prev.pop()
 
 
 def _make(data, prev, op, *grads, rule=None):
@@ -175,7 +169,7 @@ def _make(data, prev, op, *grads, rule=None):
     computed once per backward. No rule writes into ``g``: ``_accum`` may
     store that very array as another node's gradient. The backward holds the
     node only weakly, so no node is reachable from its own backward closure."""
-    if not _grad_mode.enabled:
+    if not _grad_enabled:
         return Tensor(data, op=op)
     prev = tuple(prev)
     out = Tensor(data, _prev=prev, op=op)
@@ -197,7 +191,8 @@ def _make(data, prev, op, *grads, rule=None):
 
 def _accum(t, g):
     if g.dtype != t.data.dtype:
-        g = g.astype(t.data.dtype)
+        raise GraphError(f"{t.op} node of dtype {t.data.dtype} got a "
+                         f"{g.dtype} gradient")
     if t.grad is None:
         # Strided views (transposes, column splits) and read-only ones
         # (broadcast_to) are copied, so every grad is C-contiguous and
@@ -352,25 +347,18 @@ def reduce_sum(x, axis=None, keepdims=False):
 L1_BLOCK_BYTES = 1 << 22
 
 
-class _L1Scratch(threading.local):
-    """``l1_distance``'s block buffers per dtype, kept per thread between
-    calls: every step reuses the same pages instead of faulting in fresh ones
-    on each allocation."""
-
-    def __init__(self):
-        self.buffers = {}
-
-
-_l1_scratch = _L1Scratch()
+# ``l1_distance``'s block buffers per dtype, kept between calls: every step
+# reuses the same pages instead of faulting in fresh ones on each allocation.
+_l1_scratch = {}
 
 
 def _l1_buffers(dtype, size):
     """A flat buffer of at least ``size`` elements of ``dtype``, and two
     boolean masks of the same length."""
-    bufs = _l1_scratch.buffers.get(dtype)
+    bufs = _l1_scratch.get(dtype)
     if bufs is None or bufs[0].size < size:
-        bufs = _l1_scratch.buffers[dtype] = (np.empty(size, dtype),
-                                             np.empty((2, size), np.bool_))
+        bufs = _l1_scratch[dtype] = (np.empty(size, dtype),
+                                     np.empty((2, size), np.bool_))
     return bufs
 
 
@@ -552,15 +540,16 @@ def dropout(x, p, training, rng):
 # ---------------------------------------------------------------------------
 
 
-def attention(x_q, x_kv, wq, wk, wv, wo, heads, denom, p_drop=0.0,
-              training=False, rng=None):
+def attention(x_q, x_kv, wq, wk, wv, wo, heads, p_drop=0.0, training=False,
+              rng=None):
     """Multi-head attention of queries ``x_q`` [..., nq, d] over keys and
     values ``x_kv`` [..., nk, d], as one tape node.
 
     With q = x_q·wq, k = x_kv·wk and v = x_kv·wv, each split into ``heads``
     slices of d/heads, the output is
-    merge(dropout(softmax(q kᵀ / sqrt(denom))) v)·wo. The forward runs the
-    same numpy products on the same layouts as that composition of
+    merge(dropout(softmax(q kᵀ / sqrt(d))) v)·wo: every head's scores are
+    scaled by the full width d, not by its slice's d/heads. The forward runs
+    the same numpy products on the same layouts as that composition of
     ``matmul``, ``reshape``, ``transpose``, ``mul``, ``softmax_lastdim`` and
     ``dropout`` would, and draws the same dropout mask at the same point, so
     its output is bit-identical to theirs. The backward is written by hand:
@@ -589,7 +578,7 @@ def attention(x_q, x_kv, wq, wk, wv, wo, heads, denom, p_drop=0.0,
 
     xq2, xkv2 = xq.reshape(-1, d), xkv.reshape(-1, d)
     q4, k4, v4 = split(xq2 @ wq, nq), split(xkv2 @ wk, nk), split(xkv2 @ wv, nk)
-    s = np.asarray(1.0 / np.sqrt(denom), dtype=q4.dtype)
+    s = np.asarray(1.0 / np.sqrt(d), dtype=q4.dtype)
     scores = q4 @ np.swapaxes(k4, -1, -2)
     scores *= s
     probs = _softmax_into(scores, scores)

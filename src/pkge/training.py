@@ -256,11 +256,10 @@ def restore_model(path):
     any forward pass can run on it."""
     ck = load_checkpoint(path)
     try:
-        config = ModelConfig.from_dict(ck["config"])
+        model = build_model(ck["model"], ModelConfig.from_dict(ck["config"]),
+                            ck["n_entities"], ck["n_relations"], rng=None)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: bad model config: {exc}") from None
-    model = build_model(ck["model"], config, ck["n_entities"], ck["n_relations"],
-                        rng=None)
     try:
         model.params.load_arrays(ck["arrays"])
     except ConfigError as exc:

@@ -94,7 +94,7 @@ def test_p01_gradient_accuracy(announce):
     wq, wk, wv, wo = (rng.standard_normal((4, 4)) * 0.4 for _ in range(4))
     xs = rng.standard_normal((2, 3, 4))
     prim(lambda t, q, k, v, o: reduce_sum(
-        multi_head_attention(t, t, q, k, v, o, heads=2, denom=4.0)),
+        multi_head_attention(t, t, q, k, v, o, heads=2)),
         [xs, wq, wk, wv, wo])
 
     model = build_model("patreformer", small_config(d_e=8, d_r=8),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import pkge
+from pkge import cli
 from pkge.baselines import DistMult, TransE
 from pkge.cli import (_add_config_flags, _parser, format_run_config, main,
                       parse_config_file, resolve_run_config)
@@ -102,7 +103,7 @@ class TestConfigFile:
         lines = echo.splitlines()
         assert lines[0] == "model=patreformer"
         assert "d_e=100" in lines and "lr=0.001" in lines
-        assert len(lines) == 1 + 14 + 6   # model + model cfg + train cfg
+        assert len(lines) == 1 + 13 + 6   # model + model cfg + train cfg
         # the echo itself round-trips as a config file
         assert echo.endswith("\n")
 
@@ -126,6 +127,34 @@ class TestExitCodes:
         rc = main(["train", "--data", memo_dir, "--out", str(tmp_path),
                    "--d-e", "7"])
         assert rc == 2
+
+    @pytest.mark.parametrize("kind, rc", [("distmult", 0), ("patreformer", 2)])
+    def test_patch_grid_checked_for_patreformer_only(self, memo_dir, tmp_path,
+                                                     capsys, kind, rc):
+        # 64 does not factor into patches of the default size 50; only
+        # PatReFormer segments its embeddings
+        out = tmp_path / "o"
+        assert main(["train", "--data", memo_dir, "--out", str(out),
+                     "--model", kind, "--d-e", "64", "--epochs", "1"]) == rc
+        if rc:
+            assert "does not factor" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_config_file_model_names_no_kind(self, memo_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model=rotate\n")
+        out = tmp_path / "o"
+        rc = main(["train", "--data", memo_dir, "--out", str(out),
+                   "--config", str(cfg)])
+        assert rc == 2
+        assert "'rotate'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_split_file(self, memo_dir, tmp_path, capsys):
+        data = copy_dataset(memo_dir, tmp_path / "d")
+        os.remove(os.path.join(data, "valid.txt"))
+        assert main(["stats", "--data", data]) == 2
+        assert "missing valid.txt" in capsys.readouterr().err
 
     def test_unreadable_checkpoint(self, memo_dir, tmp_path, capsys):
         bad = tmp_path / "junk.ckpt"
@@ -216,18 +245,21 @@ class TestExitCodes:
 
     def test_removed_transe_keys_at_their_value_train(self, memo_dir,
                                                       tmp_path):
-        # config.txt files written while TransE had options carry both keys
+        # config.txt files written while TransE and attention had options
+        # carry these keys
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("transe_norm=l1\ntranse_gamma=12\n")
+        cfg.write_text("transe_norm=l1\ntranse_gamma=12\nattn_scale=model_dim\n")
         out = tmp_path / "o"
         rc = main(["train", "--data", memo_dir, "--out", str(out),
                    "--config", str(cfg), "--model", "transe"]
                   + TINY_MODEL + schedule(1))
         assert rc == 0
         config = (out / "config.txt").read_text()
-        assert "transe_norm" not in config and "transe_gamma" not in config
+        for key in ("transe_norm", "transe_gamma", "attn_scale"):
+            assert key not in config
 
-    @pytest.mark.parametrize("line", ["transe_norm=l2", "transe_gamma=5.0"])
+    @pytest.mark.parametrize("line", ["transe_norm=l2", "transe_gamma=5.0",
+                                      "attn_scale=head_dim"])
     def test_removed_transe_key_at_another_value(self, memo_dir, tmp_path,
                                                  capsys, line):
         cfg = tmp_path / "run.cfg"
@@ -327,10 +359,11 @@ HEADER_FAULTS = {
     "float-heads": lambda h: h["config"].update(heads=2.0),
     "bool-layers": lambda h: h["config"].update(layers=True),
 }
-# Options TransE no longer has, each at a value other than the one it can
-# now take; the error names the option.
+# Options TransE and attention no longer have, each at a value other than
+# the one it can now take; the error names the option.
 REMOVED_OPTION_FAULTS = {"transe_norm-l2": ("transe_norm", "l2"),
-                         "transe_gamma-5.0": ("transe_gamma", 5.0)}
+                         "transe_gamma-5.0": ("transe_gamma", 5.0),
+                         "attn_scale-head_dim": ("attn_scale", "head_dim")}
 HEADER_FAULTS.update({
     fault: lambda h, key=key, value=value: h["config"].update({key: value})
     for fault, (key, value) in REMOVED_OPTION_FAULTS.items()})
@@ -361,12 +394,13 @@ def test_bad_checkpoint_header_exits_3(memo_dir, tmp_path, capsys, fault):
 
 
 def test_removed_transe_options_at_their_value_restore(memo_dir, tmp_path):
-    # checkpoints written while TransE had options carry both keys
+    # checkpoints written while TransE and attention had options carry
+    # these keys
     cfg = ModelConfig(d_e=8, d_r=8, d=4, heads=2, layers=1, d_f=8)
     path = str(tmp_path / "distmult.ckpt")
     save_checkpoint(path, DistMult(cfg, 30, 8, np.random.default_rng(0)))
-    rewrite_header(path, lambda h: h["config"].update(transe_norm="l1",
-                                                      transe_gamma=12.0))
+    rewrite_header(path, lambda h: h["config"].update(
+        transe_norm="l1", transe_gamma=12.0, attn_scale="model_dim"))
     assert main(["eval", "--data", memo_dir, "--checkpoint", path]) == 0
     assert restore_model(path)[0].config == cfg
 
@@ -409,6 +443,16 @@ def test_absent_trainable_flag_means_trainable(memo_dir, tmp_path):
     patreformer_checkpoint_with_flags(path, None, True)
     assert restore_model(path)[1]["trainable"]["entity.embedding"] is True
     assert main(["eval", "--data", memo_dir, "--checkpoint", path]) == 0
+
+
+def test_patreformer_checkpoint_off_its_patch_grid_exits_3(memo_dir, tmp_path,
+                                                          capsys):
+    path = str(tmp_path / "patreformer.ckpt")
+    save_checkpoint(path, tiny_memo_model())
+    rewrite_header(path, lambda h: h["config"].update(d_e=10))
+    assert main(["eval", "--data", memo_dir, "--checkpoint", path]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "does not factor" in err[0]
 
 
 
@@ -662,6 +706,27 @@ class TestAblateCommand:
         base = open(os.path.join(ablate_out, "ablation.csv")).readlines()[1]
         assert base.split(",")[1] == overall.split(",")[4]
 
+    def test_variants_equal_to_the_base_reuse_its_run(self, memo_dir,
+                                                     tmp_path, monkeypatch):
+        # At this base (folding, sequential), the folding and sequential
+        # variants are the base config: 11 rows from 9 runs.
+        runs = []
+        real = cli.run_experiment
+
+        def counting(store, kind, cfg, *args, **kwargs):
+            runs.append(cfg)
+            return real(store, kind, cfg, *args, **kwargs)
+        monkeypatch.setattr(cli, "run_experiment", counting)
+        out = tmp_path / "ab"
+        rc = main(["ablate", "--data", memo_dir, "--variant", "all",
+                   "--out", str(out)] + TINY_MODEL + schedule(1))
+        assert rc == 0
+        assert len(runs) == 9 and len(set(runs)) == 9
+        mrrs = dict(line.split(",")[:2] for line in
+                    (out / "ablation.csv").read_text().splitlines()[1:])
+        assert len(mrrs) == 11
+        assert mrrs["folding"] == mrrs["sequential"] == mrrs["base"]
+
     def test_baselines_rejected(self, memo_dir):
         rc = main(["ablate", "--data", memo_dir, "--variant", "folding",
                    "--model", "distmult"] + TINY_MODEL + schedule(1))
@@ -699,13 +764,18 @@ class TestSweepCommand:
             assert all(0.0 <= float(mrr) <= 1.0 for mrr in row.split(",")[2:])
         assert "test_mrr" in capsys.readouterr().out
 
-    def test_bad_dims(self, memo_dir):
+    def test_bad_dims(self, memo_dir, capsys):
         rc = main(["sweep-dim", "--data", memo_dir, "--dims", "a,b",
                    "--models", "distmult"])
         assert rc == 2
         rc = main(["sweep-dim", "--data", memo_dir, "--dims", "4",
                    "--models", "rotate"])
         assert rc == 2
+        capsys.readouterr()
+        rc = main(["sweep-dim", "--data", memo_dir, "--dims", ",",
+                   "--models", "distmult"])
+        assert rc == 2
+        assert "--dims is empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("models", [",", ""])
     def test_empty_models(self, memo_dir, tmp_path, capsys, models):

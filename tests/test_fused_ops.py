@@ -50,12 +50,12 @@ def _merge_heads(x):
     return reshape(x, tuple(lead) + (n, heads * ds))
 
 
-def reference_attention(x_q, x_kv, wq, wk, wv, wo, heads, denom,
-                        p_drop=0.0, training=False, rng=None):
+def reference_attention(x_q, x_kv, wq, wk, wv, wo, heads, p_drop=0.0,
+                        training=False, rng=None):
     q = _split_heads(matmul(x_q, wq), heads)
     k = _split_heads(matmul(x_kv, wk), heads)
     v = _split_heads(matmul(x_kv, wv), heads)
-    ctx = scaled_dot_attention(q, k, v, denom, p_drop, training, rng)
+    ctx = scaled_dot_attention(q, k, v, x_q.shape[-1], p_drop, training, rng)
     return matmul(_merge_heads(ctx), wo)
 
 
@@ -127,14 +127,14 @@ def assert_grads_close(got, want):
 
 def fused_attention(p_drop, training, seed):
     def build(*inputs):
-        return attention(*inputs, HEADS, float(D), p_drop, training,
+        return attention(*inputs, HEADS, p_drop, training,
                          np.random.default_rng(seed))
     return build
 
 
 def composed_attention(p_drop, training, seed):
     def build(*inputs):
-        return reference_attention(*inputs, HEADS, float(D), p_drop, training,
+        return reference_attention(*inputs, HEADS, p_drop, training,
                                    np.random.default_rng(seed))
     return build
 
@@ -161,8 +161,8 @@ def test_attention_draws_the_reference_mask():
     # op drew exactly the reference's dropout values.
     inputs = attention_inputs("cross")
     rngs = [np.random.default_rng(9), np.random.default_rng(9)]
-    attention(*inputs, HEADS, float(D), 0.3, True, rngs[0])
-    reference_attention(*inputs, HEADS, float(D), 0.3, True, rngs[1])
+    attention(*inputs, HEADS, 0.3, True, rngs[0])
+    reference_attention(*inputs, HEADS, 0.3, True, rngs[1])
     assert rngs[0].random() == rngs[1].random()
 
 
@@ -179,7 +179,7 @@ def test_attention_gradients_match_reference(name, p_drop, training):
 
 def test_attention_is_one_node():
     inputs = attention_inputs("cross")
-    out = attention(*inputs, HEADS, float(D), 0.3, True, np.random.default_rng(0))
+    out = attention(*inputs, HEADS, 0.3, True, np.random.default_rng(0))
     assert out.op == "attention"
     assert all(p is t for p, t in zip(out._prev, inputs))
 
@@ -198,7 +198,7 @@ def test_attention_shape_errors(bad):
     if bad == "weight":
         wo = Tensor(np.zeros((D, D + 1), np.float32))
     with pytest.raises(ShapeError):
-        attention(x_q, x_kv, wq, wk, wv, wo, heads, float(D))
+        attention(x_q, x_kv, wq, wk, wv, wo, heads)
 
 
 # ---------------------------------------------------------------------------

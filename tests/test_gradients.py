@@ -171,7 +171,7 @@ class TestFusedGrads:
         def fn(a, *rest):
             b, ws = (a, rest) if case == "self" else (rest[0], rest[1:])
             rng = np.random.default_rng(17)   # same mask every call
-            out = attention(a, b, *ws, 3, 6.0, 0.3, True, rng)
+            out = attention(a, b, *ws, 3, 0.3, True, rng)
             return reduce_sum(mul(out, w))
 
         check(fn, [xq] + ([] if case == "self" else [xkv]) + mats)
@@ -198,7 +198,7 @@ class TestCompositeGrads:
         w = RNG.standard_normal((3, 4))
         eye = Tensor(np.eye(4))
         check(lambda a, b, c: reduce_sum(mul(
-            multi_head_attention(a, b, eye, eye, c, eye, heads=1, denom=4.0), w)),
+            multi_head_attention(a, b, eye, eye, c, eye, heads=1), w)),
               [q, kv, wv])
 
     def test_multi_head_attention(self):
@@ -209,7 +209,7 @@ class TestCompositeGrads:
         w = RNG.standard_normal((2, d))
 
         def fn(a, b, wq, wk, wv, wo):
-            out = multi_head_attention(a, b, wq, wk, wv, wo, heads=2, denom=6.0)
+            out = multi_head_attention(a, b, wq, wk, wv, wo, heads=2)
             return reduce_sum(mul(out, w))
 
         check(fn, [xq, xkv] + mats)

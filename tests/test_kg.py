@@ -20,6 +20,15 @@ class TestLoadTsv:
         triples = load_tsv(str(p))
         assert triples == [("a", "r1", "b"), ("b", "r2", "c"), ("a", "r1", "b")]
 
+    def test_blank_lines_skipped(self, tmp_path):
+        # the line count still advances past a blank, CRLF ones included
+        p = tmp_path / "train.txt"
+        p.write_bytes(b"\na\tr1\tb\n\r\nb\tr2\tc\n\nwrong\n")
+        with pytest.raises(DataFormatError, match=r"train\.txt:6"):
+            load_tsv(str(p))
+        p.write_bytes(b"\na\tr1\tb\n\r\nb\tr2\tc\n\n")
+        assert load_tsv(str(p)) == [("a", "r1", "b"), ("b", "r2", "c")]
+
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("a\tr\tb\nwrong line\n")

@@ -29,16 +29,20 @@ class TestConfig:
         assert cfg.k_e == 2 and cfg.k_r == 4
 
     def test_patch_grid_must_divide(self):
-        with pytest.raises(ConfigError):
-            tiny_cfg(d_e=10)
+        # the grid is PatReFormer's: the baselines take the same config
+        cfg = tiny_cfg(d_e=10)
+        with pytest.raises(ConfigError, match="does not factor"):
+            build_model("patreformer", cfg, N_ENT, N_REL2,
+                        np.random.default_rng(0))
+        for kind in ("transe", "distmult"):
+            build_model(kind, cfg, N_ENT, N_REL2, np.random.default_rng(0))
 
     def test_heads_must_divide_width(self):
         with pytest.raises(ConfigError):
             tiny_cfg(heads=3)
 
     def test_variant_names_checked(self):
-        for key in ("attention", "pe", "segmentation", "update_order",
-                    "attn_scale"):
+        for key in ("attention", "pe", "segmentation", "update_order"):
             with pytest.raises(ConfigError):
                 tiny_cfg(**{key: "bogus"})
 
@@ -111,7 +115,7 @@ class TestAttentionOps:
         wv = rng.standard_normal((4, 4)).astype(np.float32)
         eye = Tensor(np.eye(4, dtype=np.float32))
         out = multi_head_attention(Tensor(q), Tensor(k), eye, eye, Tensor(wv),
-                                   eye, heads=1, denom=4.0)
+                                   eye, heads=1)
         want = np_softmax(q @ k.swapaxes(-1, -2) / 2.0) @ (k @ wv)
         np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-6)
 
@@ -125,7 +129,7 @@ class TestAttentionOps:
         wq, wk, wv, wo = mats
         out = multi_head_attention(Tensor(xq), Tensor(xkv), Tensor(wq),
                                    Tensor(wk), Tensor(wv), Tensor(wo),
-                                   heads=heads, denom=float(d))
+                                   heads=heads)
         q, k, v = xq @ wq, xkv @ wk, xkv @ wv
         ctx = []
         for h in range(heads):
@@ -144,7 +148,7 @@ class TestAttentionOps:
                    .standard_normal((1, 5, 4)).astype(np.float32))
         zero = Tensor(np.zeros((4, 4), dtype=np.float32))
         eye = Tensor(np.eye(4, dtype=np.float32))
-        out = multi_head_attention(xq, v, zero, eye, eye, eye, heads=1, denom=4.0)
+        out = multi_head_attention(xq, v, zero, eye, eye, eye, heads=1)
         want = np.broadcast_to(v.data.mean(axis=1, keepdims=True), (1, 3, 4))
         np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-6)
 
@@ -222,7 +226,6 @@ def oracle_scores(model, ents, rels):
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
         return g * (x - mu) / np.sqrt(var + 1e-5) + b
 
-    denom = float(cfg.d) if cfg.attn_scale == "model_dim" else cfg.d / cfg.heads
     ds = cfg.d // cfg.heads
 
     def block(pre, xq, xkv):
@@ -232,7 +235,7 @@ def oracle_scores(model, ents, rels):
         for h in range(cfg.heads):
             s = slice(h * ds, (h + 1) * ds)
             probs = np_softmax(q[..., s] @ k[..., s].swapaxes(-1, -2)
-                               / np.sqrt(denom))
+                               / np.sqrt(cfg.d))
             ctx.append(probs @ v[..., s])
         a = np.concatenate(ctx, axis=-1) @ P[pre + ".attn.wo"]
         x = ln(a + xq, P[pre + ".ln1.gamma"], P[pre + ".ln1.beta"])
@@ -275,7 +278,6 @@ ORACLE_CASES = {
     "simultaneous": {"update_order": "simultaneous"},
     "full-self": {"attention": "full_self"},
     "separate-self": {"attention": "separate_self"},
-    "head-dim-scale": {"attn_scale": "head_dim"},
     "sinusoidal-pe": {"pe": "sinusoidal"},
     "trainable-pe": {"pe": "trainable"},
     "folding-seg": {"segmentation": "folding"},
@@ -368,12 +370,6 @@ class TestVariantBehavior:
                                     rng=np.random.default_rng(11)).data
                         for m in models)
             np.testing.assert_array_equal(seq, sim)
-
-    def test_attn_scales_differ(self):
-        a = make(tiny_cfg(), seed=8)
-        b = make(tiny_cfg(attn_scale="head_dim"), seed=8)
-        assert not np.allclose(a.score_all([0], [1]).data,
-                               b.score_all([0], [1]).data)
 
     def test_trainable_pe_starts_neutral(self):
         # zero-initialized trainable tables leave scores untouched

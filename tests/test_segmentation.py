@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pkge.segmentation as seg
-from pkge.errors import ConfigError
+from pkge.errors import ConfigError, NumericError
 from pkge.model import ModelConfig, build_model
 from pkge.params import glorot_uniform
 from pkge.tensor import Tensor, reduce_sum
@@ -156,6 +156,21 @@ class TestFrozenBasis:
     def test_deviation_detects_scaling(self):
         basis = seg.build_frozen_basis(2, 3, np.random.default_rng(11))
         assert seg.orthonormality_deviation(basis * 1.01) > 1e-3
+
+    def test_rank_deficient_draws_raise(self):
+        # every draw is the zero matrix, so each of the retries fails
+        class ZeroDraws:
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+        with pytest.raises(NumericError, match="full-rank"):
+            seg.build_frozen_basis(2, 3, ZeroDraws())
+
+    def test_non_orthonormal_rows_raise(self, monkeypatch):
+        real = seg._orthonormal_rows_qr
+        monkeypatch.setattr(seg, "_orthonormal_rows_qr",
+                            lambda rng, n, d: 1.01 * real(rng, n, d))
+        with pytest.raises(NumericError, match="orthonormality"):
+            seg.build_frozen_basis(2, 3, np.random.default_rng(11))
 
 
 class TestTrainableBasis:

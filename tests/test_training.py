@@ -66,12 +66,6 @@ class TestTrainConfig:
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
 
-    def test_dict_roundtrip(self):
-        cfg = TrainConfig(lr=0.01, epochs=7)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
-        with pytest.raises(ConfigError):
-            TrainConfig.from_dict({"momentum": 0.9})
-
 
 def reference_bce(z, y):
     """-mean(y·log σ(z) + (1-y)·log(1-σ(z))) and its gradient, in float64."""
@@ -391,6 +385,25 @@ class TestCheckpointValidation:
                                              if k != key})
         with pytest.raises(CheckpointError, match=f"missing field '{key}'"):
             load_checkpoint(ckpt)
+
+    def test_tensor_past_the_payload(self, ckpt):
+        def edit(header):
+            header["tensors"][-1]["offset"] += 4
+            return header
+        self.replace_header(ckpt, edit)
+        with pytest.raises(CheckpointError, match="extends past the payload"):
+            load_checkpoint(ckpt)
+
+    def test_trainable_flag_mismatch(self, ckpt):
+        # the frozen basis saved as trainable: the flag contradicts the config
+        def edit(header):
+            for entry in header["tensors"]:
+                if entry["name"] == "seg.entity.basis":
+                    entry["trainable"] = True
+            return header
+        self.replace_header(ckpt, edit)
+        with pytest.raises(CheckpointError, match="trainable flag mismatch"):
+            restore_model(ckpt)
 
 
 class TestTrainLoop:
