@@ -17,6 +17,8 @@ import os
 import sys
 from dataclasses import fields, replace
 
+import numpy as np
+
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      NumericError)
 from .evaluation import evaluate, format_report, write_report_csv
@@ -24,11 +26,13 @@ from .kg import (CATEGORIES, SCOPES, SPLIT_FILES, THRESHOLD, category_counts,
                  categorize_relations, dump_stats_json, load_dataset)
 from .model import (ABLATION_VARIANTS, CHOICES, MODEL_KINDS, REMOVED_OPTIONS,
                     ModelConfig, check_model, drop_removed_options)
-from .training import (TrainConfig, check_vocab, restore_model,
-                       run_experiment)
+from .training import (CKPT_NAME, LOG_NAME, TrainConfig, check_vocab,
+                       restore_model, run_experiment)
 
 _MODEL_KEYS = [f.name for f in fields(ModelConfig)]
 _TRAIN_KEYS = [f.name for f in fields(TrainConfig)]
+# What ``train`` writes into ``--out``.
+_RUN_FILES = ("config.txt", LOG_NAME, CKPT_NAME, "eval_test.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +102,6 @@ def format_run_config(kind, model_cfg, train_cfg):
     return "\n".join(lines) + "\n"
 
 
-def _load_store(data_dir):
-    if not os.path.isdir(data_dir):
-        raise ConfigError(f"dataset directory not found: {data_dir}")
-    for fname in SPLIT_FILES.values():
-        if not os.path.isfile(os.path.join(data_dir, fname)):
-            raise ConfigError(f"dataset directory {data_dir} is missing {fname}")
-    return load_dataset(data_dir)
-
-
 def _make_out_dir(path):
     """Create an optional ``--out`` directory up front, before any training."""
     if not path:
@@ -130,12 +125,22 @@ def _print_progress(epoch, loss, valid_mrr):
 
 
 def cmd_train(args):
-    store = _load_store(args.data)
+    store = load_dataset(args.data)
     kind, model_cfg, train_cfg = resolve_run_config(args)
     check_model(kind, model_cfg)
     echo = format_run_config(kind, model_cfg, train_cfg)
     print(echo, end="")
     _make_out_dir(args.out)
+    # A previous run's files go first: a rerun that dies before it rewrites
+    # them would otherwise leave them beside its own.
+    for fname in _RUN_FILES:
+        try:
+            os.remove(os.path.join(args.out, fname))
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise ConfigError(f"cannot remove {fname} from {args.out}: "
+                              f"{exc}") from None
     with open(os.path.join(args.out, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(echo)
 
@@ -148,7 +153,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    store = _load_store(args.data)
+    store = load_dataset(args.data)
     _make_out_dir(args.out)
     model, _ = restore_model(args.checkpoint)
     check_vocab(model, store)
@@ -161,7 +166,7 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
-    store = _load_store(args.data)
+    store = load_dataset(args.data)
     kind, base_cfg, train_cfg = resolve_run_config(args)
     if kind != "patreformer":
         raise ConfigError("ablate applies to the patreformer model only")
@@ -199,11 +204,13 @@ def cmd_ablate(args):
 
 
 def cmd_sweep_dim(args):
-    store = _load_store(args.data)
-    if args.model is not None or (args.config
-                                  and "model" in parse_config_file(args.config)):
-        raise ConfigError("sweep-dim takes its model kinds from --models, "
-                          "not from --model or a config file's model= key")
+    store = load_dataset(args.data)
+    from_file = parse_config_file(args.config) if args.config else {}
+    for key, source in (("model", "--models"), ("d_r", "--dims")):
+        if getattr(args, key) is not None or key in from_file:
+            raise ConfigError(
+                f"sweep-dim takes {key} from {source}, not from "
+                f"--{key.replace('_', '-')} or a config file's {key}= key")
     _, base_cfg, train_cfg = resolve_run_config(args)
     try:
         dims = [int(part) for part in args.dims.split(",") if part]
@@ -239,7 +246,7 @@ def cmd_sweep_dim(args):
 
 
 def cmd_stats(args):
-    store = _load_store(args.data)
+    store = load_dataset(args.data)
     if args.json:
         try:
             dump_stats_json(store, args.json)
@@ -251,19 +258,16 @@ def cmd_stats(args):
 
 
 def cmd_categorize(args):
-    store = _load_store(args.data)
+    store = load_dataset(args.data)
     scopes = tuple(SCOPES) if args.scope == "both" else (args.scope,)
     for scope in scopes:
-        cats = categorize_relations(store, threshold=args.threshold, scope=scope)
-        rel_counts = {c: 0 for c in CATEGORIES}
-        for rc in cats.values():
-            rel_counts[rc.category] += 1
-        triple_counts = category_counts(store, split=args.split,
-                                        threshold=args.threshold, scope=scope)
-        print(f"scope {scope} (threshold {args.threshold}):")
+        cats = categorize_relations(store, scope)
+        rel_counts = np.bincount(cats[cats >= 0], minlength=len(CATEGORIES))
+        triple_counts = category_counts(store, args.split, scope)
+        print(f"scope {scope} (threshold {THRESHOLD}):")
         print(f"  {'category':<8} {'relations':>9} {args.split + ' triples':>14}")
-        for cat in CATEGORIES:
-            print(f"  {cat:<8} {rel_counts[cat]:>9} {triple_counts[cat]:>14}")
+        for cat, n_rel in zip(CATEGORIES, rel_counts.tolist()):
+            print(f"  {cat:<8} {n_rel:>9} {triple_counts[cat]:>14}")
     return 0
 
 
@@ -330,7 +334,6 @@ def _parser():
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=tuple(SPLIT_FILES), default="test")
     p.add_argument("--scope", choices=(*SCOPES, "both"), default="all")
-    p.add_argument("--threshold", type=float, default=THRESHOLD)
     p.set_defaults(func=cmd_categorize)
     return parser
 

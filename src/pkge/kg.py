@@ -134,10 +134,15 @@ class TripleStore:
 
 
 def load_dataset(directory):
-    """Load the three split files from a dataset directory."""
-    raw = {}
-    for split, fname in SPLIT_FILES.items():
-        raw[split] = load_tsv(os.path.join(directory, fname), split)
+    """Load the three split files from a dataset directory. A missing
+    directory or split file is a ``ConfigError``."""
+    if not os.path.isdir(directory):
+        raise ConfigError(f"dataset directory not found: {directory}")
+    for fname in SPLIT_FILES.values():
+        if not os.path.isfile(os.path.join(directory, fname)):
+            raise ConfigError(f"dataset directory {directory} is missing {fname}")
+    raw = {split: load_tsv(os.path.join(directory, fname), split)
+           for split, fname in SPLIT_FILES.items()}
     store = build_store(raw["train"], raw["valid"], raw["test"])
     # Edge whitespace in a name is a format error, checked per distinct name.
     for name in store.entity_names + store.relation_names:
@@ -178,25 +183,15 @@ def build_store(train, valid, test):
     )
 
 
-@dataclass(frozen=True)
-class RelationCategory:
-    """Complexity class of a relation from its average fan-out statistics."""
-
-    category: str   # one of CATEGORIES
-    tph: float      # average tails per head
-    hpt: float      # average heads per tail
-
-
-def categorize_relations(store, threshold=THRESHOLD, scope="all"):
-    """Classify original relations as 1-1 / 1-N / N-1 / N-N.
+def categorize_relations(store, scope="all"):
+    """Index into CATEGORIES (1-1 / 1-N / N-1 / N-N) of each original
+    relation's category, an int64 array [num_relations]; -1 for a relation
+    that never occurs inside ``scope`` (possible when scope="train").
 
     tph(r) = #triples(r) / #distinct heads(r), hpt analogously over tails,
     computed on ``scope`` ("all" = union of splits, "train" = train only)
     using original (non-reversed) relations.
     """
-    if not np.isfinite(threshold) or threshold <= 0:
-        raise ConfigError(
-            f"categorization threshold must be finite and > 0, got {threshold}")
     if scope not in SCOPES:
         raise ConfigError(f"unknown categorization scope {scope!r}")
     h, r, t = np.concatenate([store.splits[s] for s in SCOPES[scope]]).T
@@ -205,30 +200,22 @@ def categorize_relations(store, threshold=THRESHOLD, scope="all"):
     # distinct (relation, head) and (relation, tail) pairs, counted per relation
     heads = np.bincount(np.unique(r * n_ent + h) // n_ent, minlength=n_rel)
     tails = np.bincount(np.unique(r * n_ent + t) // n_ent, minlength=n_rel)
-    out = {}
-    for rel in np.flatnonzero(counts).tolist():
-        tph = float(counts[rel] / heads[rel])
-        hpt = float(counts[rel] / tails[rel])
-        # CATEGORIES is ordered 1-1, 1-N, N-1, N-N
-        cat = CATEGORIES[(tph > threshold) + 2 * (hpt > threshold)]
-        out[rel] = RelationCategory(cat, tph, hpt)
-    return out
+    # counts > THRESHOLD * heads is tph > THRESHOLD without dividing by an
+    # absent relation's zero; CATEGORIES is ordered 1-1, 1-N, N-1, N-N
+    cats = (counts > THRESHOLD * heads) + 2 * (counts > THRESHOLD * tails)
+    return np.where(counts > 0, cats, -1)
 
 
-def triple_categories(store, split, threshold=THRESHOLD, scope="all"):
+def triple_categories(store, split, scope="all"):
     """Index into CATEGORIES of each ``split`` triple's category; -1 when its
-    relation never occurs inside the scope (possible when scope="train")."""
-    cats = categorize_relations(store, threshold=threshold, scope=scope)
-    by_relation = np.full(store.num_relations, -1, dtype=np.int64)
-    for rel, rc in cats.items():
-        by_relation[rel] = CATEGORIES.index(rc.category)
-    return by_relation[store.splits[split][:, 1]]
+    relation never occurs inside the scope."""
+    return categorize_relations(store, scope)[store.splits[split][:, 1]]
 
 
-def category_counts(store, split="test", threshold=THRESHOLD, scope="all"):
+def category_counts(store, split="test", scope="all"):
     """Number of ``split`` triples per relation category; a relation outside
     the categorization scope counts in none (see triple_categories)."""
-    cats = triple_categories(store, split, threshold, scope)
+    cats = triple_categories(store, split, scope)
     counts = np.bincount(cats[cats >= 0], minlength=len(CATEGORIES))
     return dict(zip(CATEGORIES, counts.tolist()))
 

@@ -308,14 +308,15 @@ class TestExitCodes:
                        for line in captured.out.splitlines())
         assert not (out / "config.txt").exists()
 
-    @pytest.mark.parametrize("threshold", ["nan", "inf"])
-    def test_nonfinite_categorize_threshold(self, memo_dir, capsys, threshold):
-        rc = main(["categorize", "--data", memo_dir, "--threshold", threshold])
-        assert rc == 2
+    @pytest.mark.parametrize("value", ["1.5", "nan"])
+    def test_categorize_threshold_is_a_usage_error(self, memo_dir, capsys,
+                                                   value):
+        # the cut is Bordes et al.'s fixed 1.5, not an option
+        with pytest.raises(SystemExit) as exc:
+            main(["categorize", "--data", memo_dir, "--threshold", value])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "threshold must be finite" in captured.err
-        assert not any(line.startswith("epoch ")
-                       for line in captured.out.splitlines())
+        assert "--threshold" in captured.err
         assert "N-N" not in captured.out
 
     @pytest.mark.parametrize("split", ["valid", "test"])
@@ -603,12 +604,11 @@ class TestStatsAndCategorize:
                 assert cells[2] == "617"
 
     def test_categorize_both_scopes(self, memo_dir, capsys):
-        rc = main(["categorize", "--data", memo_dir, "--scope", "both",
-                   "--threshold", "2.0"])
+        rc = main(["categorize", "--data", memo_dir, "--scope", "both"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "scope all (threshold 2.0):" in out
-        assert "scope train (threshold 2.0):" in out
+        assert "scope all (threshold 1.5):" in out
+        assert "scope train (threshold 1.5):" in out
 
 
 @pytest.fixture(scope="module")
@@ -669,6 +669,39 @@ class TestTrainCommand:
         a = open(os.path.join(out, "eval_test.csv")).read()
         b = open(str(tmp_path / "eval_test.csv")).read()
         assert a == b
+
+    def test_rerun_removes_the_previous_runs_files(self, memo_dir, tmp_path,
+                                                   monkeypatch):
+        # a rerun that dies before its first epoch leaves only its own
+        # config.txt, not the previous run's log, checkpoint and report
+        out = tmp_path / "o"
+        assert main(["train", "--data", memo_dir, "--out", str(out)]
+                    + TINY_MODEL + schedule(1)) == 0
+        assert sorted(os.listdir(out)) == [
+            "best.ckpt", "config.txt", "eval_test.csv", "train_log.csv"]
+
+        class Killed(Exception):
+            pass
+
+        def killed(*args, **kwargs):
+            raise Killed
+        monkeypatch.setattr(cli, "run_experiment", killed)
+        with pytest.raises(Killed):
+            main(["train", "--data", memo_dir, "--out", str(out),
+                  "--model", "distmult"] + schedule(1))
+        assert os.listdir(out) == ["config.txt"]
+        assert (out / "config.txt").read_text().startswith("model=distmult\n")
+
+    def test_run_file_that_cannot_be_removed(self, memo_dir, tmp_path, capsys):
+        # a directory where a run file goes: exit 2 before any training
+        out = tmp_path / "o"
+        (out / "best.ckpt").mkdir(parents=True)
+        rc = main(["train", "--data", memo_dir, "--out", str(out)]
+                  + TINY_MODEL + schedule(1))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "cannot remove best.ckpt" in captured.err
+        assert "epoch " not in captured.out
 
 
 class TestAblateCommand:
@@ -748,12 +781,16 @@ class TestAblateCommand:
         assert not (out / "ablation.csv").exists()
 
 
+# TINY_MODEL without --d-r, which sweep-dim takes from --dims
+SWEEP_MODEL = TINY_MODEL[:2] + TINY_MODEL[4:]
+
+
 class TestSweepCommand:
     def test_sweep_csv(self, memo_dir, tmp_path, capsys):
         out = str(tmp_path / "sw")
         rc = main(["sweep-dim", "--data", memo_dir, "--dims", "4,8",
                    "--models", "distmult", "--out", out]
-                  + TINY_MODEL + schedule(1))
+                  + SWEEP_MODEL + schedule(1))
         assert rc == 0
         rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
         assert rows[0] == "model,d_r,best_valid_mrr,test_mrr"
@@ -793,7 +830,7 @@ class TestSweepCommand:
         out = tmp_path / "o"
         rc = main(["sweep-dim", "--data", memo_dir, "--dims", dims,
                    "--models", models, "--out", str(out)]
-                  + TINY_MODEL + schedule(1))
+                  + SWEEP_MODEL + schedule(1))
         assert rc == 2
         assert "model " not in capsys.readouterr().out
         assert not (out / "sweep.csv").exists()
@@ -803,7 +840,7 @@ class TestSweepCommand:
         # --models names the kinds; a --model or model= key would be ignored
         out = tmp_path / "o"
         argv = ["sweep-dim", "--data", memo_dir, "--dims", "8",
-                "--out", str(out)] + TINY_MODEL + schedule(1)
+                "--out", str(out)] + SWEEP_MODEL + schedule(1)
         if source == "flag":
             argv += ["--model", "transe"]
         else:
@@ -813,5 +850,23 @@ class TestSweepCommand:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "--models" in captured.err
+        assert "model " not in captured.out
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_relation_size_rejected(self, memo_dir, tmp_path, capsys, source):
+        # --dims names the relation sizes; a --d-r or d_r= key would be ignored
+        out = tmp_path / "o"
+        argv = ["sweep-dim", "--data", memo_dir, "--dims", "8", "--models",
+                "distmult", "--out", str(out)] + SWEEP_MODEL + schedule(1)
+        if source == "flag":
+            argv += ["--d-r", "12"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("d_r=12\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--dims" in captured.err
         assert "model " not in captured.out
         assert not (out / "sweep.csv").exists()

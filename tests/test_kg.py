@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pkge.errors import ConfigError, DataFormatError
-from pkge.kg import (CATEGORIES, RelationCategory, build_store,
-                     categorize_relations, category_counts, dump_stats_json,
-                     load_dataset, load_tsv, triple_categories)
+from pkge.kg import (CATEGORIES, THRESHOLD, build_store, categorize_relations,
+                     category_counts, dump_stats_json, load_dataset, load_tsv,
+                     triple_categories)
 from pkge.synth import random_kg, write_dataset
 
 
@@ -194,34 +194,29 @@ class TestCategorization:
         ]
         return build_store(train, [], [("h0", "one2many", "t1")])
 
+    @staticmethod
+    def by_name(store, cats):
+        return {name: CATEGORIES[c]
+                for name, c in zip(store.relation_names, cats.tolist())
+                if c >= 0}
+
     def test_categories_and_ratios(self, mixed_store):
+        # scope="all" counts the extra test triple of one2many: tph 3.0 and
+        # hpt exactly 1.5, which is not above the cut
         cats = categorize_relations(mixed_store)
-        by_name = {mixed_store.relation_names[r]: c for r, c in cats.items()}
-        assert by_name["one2one"].category == "1-1"
-        assert by_name["one2many"].category == "1-N"
-        assert by_name["many2one"].category == "N-1"
-        assert by_name["many2many"].category == "N-N"
-        # scope="all" counts the extra test triple of one2many
-        assert by_name["one2many"].tph == pytest.approx(3.0)
-        assert by_name["one2many"].hpt == pytest.approx(1.5)
-        assert by_name["many2many"].tph == pytest.approx(2.0)
-        assert by_name["many2many"].hpt == pytest.approx(2.0)
+        assert cats.dtype == np.int64
+        assert self.by_name(mixed_store, cats) == {
+            "one2one": "1-1", "one2many": "1-N", "many2one": "N-1",
+            "many2many": "N-N"}
 
     def test_train_scope_ratios(self, mixed_store):
+        # in train alone one2many has tph 2.0 and hpt 1.0
         cats = categorize_relations(mixed_store, scope="train")
-        by_name = {mixed_store.relation_names[r]: c for r, c in cats.items()}
-        assert by_name["one2many"].tph == pytest.approx(2.0)
-        assert by_name["one2many"].hpt == pytest.approx(1.0)
+        assert self.by_name(mixed_store, cats) == {
+            "one2one": "1-1", "one2many": "1-N", "many2one": "N-1",
+            "many2many": "N-N"}
 
-    def test_threshold_moves_boundary(self, mixed_store):
-        cats = categorize_relations(mixed_store, threshold=3.0)
-        by_name = {mixed_store.relation_names[r]: c for r, c in cats.items()}
-        # At tau = 3 every ratio here is <= tau, so everything is 1-1.
-        assert all(c.category == "1-1" for c in by_name.values())
-
-    def test_bad_threshold_and_scope(self, mixed_store):
-        with pytest.raises(ConfigError):
-            categorize_relations(mixed_store, threshold=0.0)
+    def test_bad_scope(self, mixed_store):
         with pytest.raises(ConfigError):
             categorize_relations(mixed_store, scope="validonly")
 
@@ -241,8 +236,9 @@ class TestCategorization:
         assert triple_categories(store, "test").tolist() == [0]
 
 
-def loop_categories(store, threshold, scope):
-    """Per-triple reference for ``categorize_relations``."""
+def loop_categories(store, scope):
+    """Per-triple reference for ``categorize_relations``: relation id ->
+    category name, for the relations that occur inside ``scope``."""
     counts, heads, tails = {}, {}, {}
     split_names = ("train", "valid", "test") if scope == "all" else ("train",)
     for split in split_names:
@@ -254,10 +250,10 @@ def loop_categories(store, threshold, scope):
     out = {}
     for r, n in counts.items():
         tph, hpt = n / len(heads[r]), n / len(tails[r])
-        many_tails, many_heads = tph > threshold, hpt > threshold
+        many_tails, many_heads = tph > THRESHOLD, hpt > THRESHOLD
         cat = {(False, False): "1-1", (True, False): "1-N",
                (False, True): "N-1", (True, True): "N-N"}[many_tails, many_heads]
-        out[r] = RelationCategory(cat, tph, hpt)
+        out[r] = cat
     return out
 
 
@@ -271,11 +267,11 @@ def test_categorize_matches_loop_reference(seed, scope):
                        n_relations=int(rng.integers(1, 12)),
                        n_triples=int(rng.integers(10, 31)))
     store = build_store(splits["train"], splits["valid"], splits["test"])
-    threshold = float(rng.choice([1.0, 1.5, 2.5]))
-    got = categorize_relations(store, threshold=threshold, scope=scope)
-    want = loop_categories(store, threshold, scope)
-    assert got == want
-    assert list(got) == list(want)
+    got = categorize_relations(store, scope=scope)
+    want = loop_categories(store, scope)
+    assert got.shape == (store.num_relations,)
+    assert {r: CATEGORIES[c] for r, c in enumerate(got.tolist())
+            if c >= 0} == want
 
 
 class TestDatasetIO:
@@ -287,6 +283,16 @@ class TestDatasetIO:
         for name, triples in splits.items():
             assert len(store.splits[name]) == len(triples)
         assert store.num_entities <= 10
+
+    def test_missing_directory_or_split_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="dataset directory not found"):
+            load_dataset(str(tmp_path / "nope"))
+        splits = random_kg(np.random.default_rng(5), n_entities=10,
+                           n_relations=3, n_triples=40)
+        write_dataset(str(tmp_path / "kg"), splits)
+        os.remove(tmp_path / "kg" / "valid.txt")
+        with pytest.raises(ConfigError, match="is missing valid.txt"):
+            load_dataset(str(tmp_path / "kg"))
 
     def test_stats_and_json(self, tmp_path, tiny_store):
         stats = tiny_store.stats()
