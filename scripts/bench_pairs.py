@@ -17,8 +17,11 @@ Each run records its return code, wall time, the benchmark's result line
 around it: minor page faults and user and system CPU seconds. The summary
 gives, per workload and end-to-end metric, each side's median and quartiles,
 the pairs the change won (ties count for neither side), the parent's
-interquartile range as a share of its median, and whether the change's
-median is worse than the parent's by more than the metric's bound.
+interquartile range as a share of its median, whether the change's median
+is worse than the parent's by more than the metric's bound, and whether a
+claim that the change improves the metric holds (``claim_met``): the change
+won at least 9 in 10 of the completed pairs, and its median beats the
+parent's by more than the parent's interquartile range.
 """
 
 import argparse
@@ -136,32 +139,35 @@ def summarize(runs, workloads, metrics):
             if not all(values.values()):
                 entry["metrics"][name] = None
                 continue
-            wins = ties = 0
+            wins = ties = completed = 0
             for pair in pairs.values():
                 if len(pair) < 2:
                     continue
                 p, c = (metric_value(pair[side], name) for side in SIDES)
                 if p is None or c is None:
                     continue
+                completed += 1
                 ties += p == c
                 wins += (c < p) if lower else (c > p)
             stats = {side: dict(zip(("q1", "median", "q3"), quartiles(values[side])))
                      for side in SIDES}
             parent_median = stats["parent"]["median"]
             change_median = stats["change"]["median"]
-            worse = ((change_median - parent_median) if lower
-                     else (parent_median - change_median)) / parent_median
+            worse_by = ((change_median - parent_median) if lower
+                        else (parent_median - change_median))
+            parent_iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
             entry["metrics"][name] = {
                 **stats,
                 "change_wins": wins,
                 "ties": ties,
                 "pairs": sum(1 for pair in pairs.values() if len(pair) == 2),
-                "parent_iqr_share": ((stats["parent"]["q3"] - stats["parent"]["q1"])
-                                     / parent_median),
+                "parent_iqr_share": parent_iqr / parent_median,
                 "change_over_parent": change_median / parent_median,
                 "bound": spec.get("bound"),
                 "worse_than_bound": (spec.get("bound") is not None
-                                     and worse > spec["bound"]),
+                                     and worse_by / parent_median > spec["bound"]),
+                "claim_met": (completed > 0 and 10 * wins >= 9 * completed
+                              and -worse_by > parent_iqr),
             }
         for key in ("ru_minflt", "user_cpu_s", "sys_cpu_s", "wall_s"):
             entry["rusage"][key] = {

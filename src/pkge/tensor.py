@@ -22,9 +22,12 @@ all, which is what inference uses.
 Data is float32 by default (float64 graphs are accepted so gradient checks
 can run at full precision). Reductions that feed normalizations (softmax
 denominator, layer-norm moments) accumulate in float64 regardless of the
-storage dtype. ``softmax_lastdim``, ``layer_norm`` and ``dropout`` work in
-place on arrays they allocated themselves, and dropout keeps its mask as a
-boolean array; their values are bit-identical to the out-of-place formulas.
+storage dtype. The softmax's row max is taken by halving the last axis with
+``np.maximum``, not by a reduction, since NumPy reduces a short axis one row
+at a time; a max is exact in any order. ``softmax_lastdim``, ``layer_norm``
+and ``dropout`` work in place on arrays they allocated themselves, and
+dropout keeps its mask as a boolean array; their values are bit-identical to
+the out-of-place formulas.
 
 A transformer sublayer is one node: ``attention`` (projections, heads,
 scores, softmax, dropout, context and output) and ``feed_forward``
@@ -433,11 +436,25 @@ def relu(x):
     return _make(np.maximum(x.data, 0), (x,), "relu", lambda g: g * (x.data > 0))
 
 
+def _row_max(x):
+    """``x.max(axis=-1, keepdims=True)`` taken by halving the last axis: the
+    elementwise max of its two halves, an odd last column folded in, until
+    one column is left. Only the sign of a zero maximum may differ."""
+    while x.shape[-1] > 1:
+        half = x.shape[-1] // 2
+        top = np.maximum(x[..., :half], x[..., half:2 * half])
+        if x.shape[-1] % 2:
+            np.maximum(top[..., -1:], x[..., -1:], out=top[..., -1:])
+        x = top
+    return x
+
+
 def _softmax_into(out, x):
     """Row-stable softmax of ``x`` over its last axis, written into ``out``
-    (which may be ``x``). The denominator is summed in float64 and each
-    quotient is rounded once into ``out``'s dtype."""
-    np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    (which may be ``x``). The row max is ``_row_max``'s; exp(x − m) is the
+    same for m = ±0. The denominator is summed in float64 and each quotient
+    is rounded once into ``out``'s dtype."""
+    np.subtract(x, _row_max(x), out=out)
     np.exp(out, out=out)
     np.divide(out, out.sum(axis=-1, keepdims=True, dtype=np.float64), out=out)
     return out

@@ -341,6 +341,8 @@ def train_model(store, model, cfg, out_dir=None, progress=None):
             loss.backward()
             adam.step()
             loss_sum += loss.item() * len(idx)
+            # Free this step's tape before the next forward builds its own.
+            del scores, loss
         epoch_loss = loss_sum / n_queries
 
         valid_mrr = None

@@ -117,6 +117,46 @@ def test_summary_medians_quartiles_and_wins(report):
     assert w2["metrics"]["queries_per_s"]["change_wins"] == 2   # one pair failed
 
 
+def test_claim_met_from_the_stub_runs(report):
+    w1 = report["summary"]["w1"]["metrics"]
+    assert w1["queries_per_s"]["claim_met"]          # 3/3 wins, +20 against IQR 2
+    assert not w1["run_s"]["claim_met"]              # 1 win, 2 ties
+    # The failed pair counts for neither side: 2/2 completed pairs won.
+    assert report["summary"]["w2"]["metrics"]["queries_per_s"]["claim_met"]
+
+
+def synthetic_runs(parent, change):
+    """Run records of one workload whose pair i measured ``parent[i]`` and
+    ``change[i]`` queries/s."""
+    runs = []
+    for pair, values in enumerate(zip(parent, change)):
+        for side, value in zip(bench_pairs.SIDES, values):
+            runs.append({"workload": "w", "pair": pair, "side": side,
+                         "result": {"correct": True, "metrics": {
+                             "queries_per_s": {"value": value}}},
+                         "ru_minflt": 0, "user_cpu_s": 0.0, "sys_cpu_s": 0.0,
+                         "wall_s": 1.0})
+    return runs
+
+
+PARENT_QPS = [100.0 + i for i in range(10)]      # median 104.5, IQR 5.5
+
+
+@pytest.mark.parametrize("change, met", [
+    ([v + 10 for v in PARENT_QPS[:9]] + [90.0], True),         # 9/10 wins
+    ([v + 10 for v in PARENT_QPS[:8]] + [90.0, 90.0], False),  # 8/10 wins
+    ([v + 10 for v in PARENT_QPS[:9]] + [109.0], True),        # 9 wins, 1 tie
+    ([v + 10 for v in PARENT_QPS[:8]] + [108.0, 109.0], False),  # 8 wins, 2 ties
+    ([v + 5 for v in PARENT_QPS], False),     # 10/10, but +5 is inside the IQR
+])
+def test_claim_met_needs_nine_in_ten_wins_and_a_gain_past_the_iqr(change, met):
+    spec = [{"name": "queries_per_s", "better": "higher", "bound": 0.25}]
+    qps = bench_pairs.summarize(synthetic_runs(PARENT_QPS, change), ["w"],
+                                spec)["w"]["metrics"]["queries_per_s"]
+    assert qps["parent"]["q3"] - qps["parent"]["q1"] == pytest.approx(5.5)
+    assert qps["claim_met"] is met
+
+
 @pytest.mark.parametrize("change_qps, flagged", [("80", False), ("50", True)])
 def test_worse_than_bound_flagged(tmp_path, change_qps, flagged):
     # The parent's median is 101; 81 is 20% worse, 51 is 50% worse (bound 25%).

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -702,6 +703,55 @@ class TestTrainCommand:
         captured = capsys.readouterr()
         assert "cannot remove best.ckpt" in captured.err
         assert "epoch " not in captured.out
+
+    def test_kill_anywhere(self, memo_dir, tmp_path, capsys):
+        # A 20-epoch run (about 2 s) SIGKILLed at 4 seeded instants: a seeded
+        # delay after its log holds a seeded number of epochs, one in each
+        # quarter of the run. Each time best.ckpt is absent or restores
+        # through eval to this run's config, and train_log.csv is a byte
+        # prefix of an uninterrupted run's; a stale best.ckpt.tmp may remain.
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(pkge.__file__)))
+
+        def start(out):
+            return subprocess.Popen(
+                [sys.executable, "-m", "pkge", "train", "--data", memo_dir,
+                 "--epochs", "20", "--eval-every", "5", "--out", str(out)],
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
+
+        full = tmp_path / "full"
+        assert start(full).wait(timeout=120) == 0
+        run_files = ("config.txt", "train_log.csv", "best.ckpt", "eval_test.csv")
+        want = {f: (full / f).read_bytes() for f in run_files}
+        rng = np.random.default_rng(6)
+        for quarter in range(4):
+            epochs = 5 * quarter + int(rng.integers(0, 5))
+            out = tmp_path / f"killed{quarter}"
+            log = out / "train_log.csv"
+            proc = start(out)
+            # the header and one row per epoch
+            while proc.poll() is None and (
+                    not log.exists() or log.read_bytes().count(b"\n") <= epochs):
+                time.sleep(0.005)
+            time.sleep(rng.uniform(0.0, 0.1))
+            proc.kill()
+            proc.wait(timeout=60)
+            left = set(os.listdir(out))
+            assert left <= set(run_files) | {"best.ckpt.tmp"}, epochs
+            got = {f: (out / f).read_bytes() for f in run_files if f in left}
+            for f in ("config.txt", "train_log.csv"):
+                assert want[f].startswith(got.get(f, b"")), (epochs, f)
+            assert got.get("eval_test.csv", want["eval_test.csv"]) == want["eval_test.csv"]
+            if "best.ckpt" in got:
+                assert got["config.txt"] == want["config.txt"]
+                ckpt = str(out / "best.ckpt")
+                assert main(["eval", "--data", memo_dir, "--checkpoint", ckpt]) == 0
+                _, header = restore_model(ckpt)
+                config = got["config.txt"].decode().splitlines()
+                assert f"model={header['model']}" in config
+                for key, value in header["config"].items():
+                    assert f"{key}={value}" in config, key
+        capsys.readouterr()
 
 
 class TestAblateCommand:

@@ -1,9 +1,14 @@
 import os
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pkge import evaluation
 from pkge.baselines import DistMult
 from pkge.errors import ConfigError, NumericError
 from pkge.evaluation import (EvalReport, evaluate, filtered_rank,
@@ -60,6 +65,60 @@ class TestFilteredRank:
         for i, target in enumerate(targets):
             known = set(known_answers[known_rows == i].tolist())
             assert rank_one(scores[i], target, known) == ranks[i]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_row_reference(self, data):
+        # Tie-heavy integer scores with signed zeros, on tiles with fewer, as
+        # many and more rows than a block, and entity counts off a multiple
+        # of 8. Known answers include some rows' targets.
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        n_ent = data.draw(st.integers(1, 3000) | st.sampled_from([1, 7, 8, 9, 135]))
+        itemsize = np.dtype(dtype).itemsize
+        if data.draw(st.booleans()):
+            block_bytes = evaluation.RANK_BLOCK_BYTES
+        else:
+            block_bytes = data.draw(st.integers(1, 4)) * n_ent * itemsize
+        block = max(1, block_bytes // (n_ent * itemsize))
+        n = data.draw(st.sampled_from(
+            sorted({r for r in (1, block - 1, block, block + 1, 2 * block + 1)
+                    if 1 <= r <= 64})))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scores = rng.integers(-2, 3, (n, n_ent)).astype(dtype)
+        scores[rng.random(scores.shape) < 0.1] = -0.0
+        targets = rng.integers(0, n_ent, n)
+        known = rng.random((n, n_ent)) < data.draw(st.floats(0.0, 0.5))
+        known[np.arange(n), targets] |= rng.random(n) < 0.5
+        known_rows, known_answers = np.nonzero(known)
+        order = rng.permutation(len(known_rows))
+        with mock.patch.object(evaluation, "RANK_BLOCK_BYTES", block_bytes):
+            ranks = filtered_rank(scores, targets, known_rows[order],
+                                  known_answers[order])
+        want = []
+        for i, target in enumerate(targets):
+            rivals = ~known[i]
+            rivals[target] = False
+            row, t = scores[i][rivals], scores[i, target]
+            want.append(1.0 + np.sum(row > t) + 0.5 * np.sum(row == t))
+        np.testing.assert_array_equal(ranks, want)
+
+    def test_memory_bounded_at_paper_scale(self):
+        # A float32 [512, 13234] tile, as at FB15k-237 scale, with ~10k known
+        # pairs. Full-tile comparisons would build two 6.8 MB boolean masks;
+        # the row blocks reuse one buffer of about 120 kB.
+        rng = np.random.default_rng(0)
+        scores = rng.standard_normal((512, 13234)).astype(np.float32)
+        targets = rng.integers(0, 13234, 512)
+        pairs = np.unique(np.stack([rng.integers(0, 512, 10_000),
+                                    rng.integers(0, 13234, 10_000)]), axis=1)
+        tracemalloc.start()
+        try:
+            ranks = filtered_rank(scores, targets, *pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ranks.shape == (512,)
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_metrics_hand_case(self):
         mrr, hits = metrics_from_ranks([1.0, 2.0, 4.0, 12.0])

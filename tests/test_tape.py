@@ -19,7 +19,7 @@ from pkge.tensor import (Tensor, add, attention, bce_with_logits, concat,
                          dropout, feed_forward, gather_rows, l1_distance,
                          layer_norm, matmul, mul, no_grad, reduce_sum,
                          relu, reshape, softmax_lastdim, transpose)
-from pkge.training import TrainConfig, bce_smoothed_loss
+from pkge.training import TrainConfig, bce_smoothed_loss, train_model
 
 
 def leaf(*shape, lo=0.5, hi=1.5):
@@ -122,6 +122,30 @@ def test_patreformer_training_graph_freed_by_refcount(gc_off):
     refs = [weakref.ref(scores), weakref.ref(loss)]
     del scores, loss
     assert all(ref() is None for ref in refs)
+
+
+def test_train_model_frees_each_step_tape_before_the_next_forward(
+        gc_off, memo_store):
+    # Every score_all call, training step or validation tile, finds the
+    # previous call's scores, and with them that step's tape, already freed.
+    model = PatReFormer(ModelConfig(d_e=8, d_r=8, d=4, heads=2, layers=1,
+                                    d_f=8),
+                        memo_store.num_entities,
+                        memo_store.num_relations_with_reverse,
+                        np.random.default_rng(0))
+    score_all, last, calls = model.score_all, [None], []
+
+    def checked(*args, **kwargs):
+        assert last[0] is None or last[0]() is None, f"call {len(calls)}"
+        out = score_all(*args, **kwargs)
+        last[0] = weakref.ref(out)
+        calls.append(kwargs.get("training", False))
+        return out
+
+    model.score_all = checked
+    train_model(memo_store, model, TrainConfig(batch_size=64, epochs=2,
+                                               eval_every=2, seed=0))
+    assert calls.count(True) > 2 and calls.count(False) >= 1
 
 
 class TestNoGrad:

@@ -242,6 +242,19 @@ class TestNonlinearities:
         b = softmax_lastdim(Tensor(x + c)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    @given(st.integers(1, 33), st.sampled_from([np.float32, np.float64]),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_halving_row_max_equals_the_reduction(self, n, dtype, data):
+        # NaN wins either way; a zero maximum may come out as +0 or -0, which
+        # compare equal and give softmax the same exp(x - m).
+        elements = (st.sampled_from([0.0, -0.0, np.nan, -np.inf, 1.5])
+                    | st.floats(-1e3, 1e3, width=32))
+        x = data.draw(hnp.arrays(dtype, (3, 2, n), elements=elements))
+        got = tensor._row_max(x)
+        assert got.shape == (3, 2, 1) and got.dtype == dtype
+        np.testing.assert_array_equal(got, x.max(axis=-1, keepdims=True))
+
     def test_layer_norm_moments(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((6, 16)).astype(np.float32)
