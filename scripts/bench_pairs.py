@@ -11,6 +11,9 @@ each side, ``--workload W --seed S --seconds T --trace 0``, where T is the
 odd pairs the change. Every run starts in a fresh copy of its checkout's
 working tree, so no run sees another's build or work files. The report is
 rewritten after every run, so a session cut short keeps the runs it made.
+It names what each side ran twice: by git HEAD when the side is a git
+checkout (``commits``), and by a SHA-256 over the files its runs copy,
+taken before the first run (``tree_sha256``), which an exported tree has too.
 
 Each run records its return code, wall time, the benchmark's result line
 (the last line of stdout), its ``env`` line, and the child-process rusage
@@ -25,6 +28,7 @@ parent's by more than the parent's interquartile range.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -57,6 +61,24 @@ def commit_of(checkout):
     except (OSError, subprocess.CalledProcessError):
         return None
     return {"head": head.stdout.strip(), "dirty": bool(dirty.stdout.strip())}
+
+
+def tree_digest(checkout):
+    """SHA-256 over the files ``run_once`` copies from ``checkout``: each
+    relative path, in sorted order, then its size and bytes. Names that
+    ``SKIP`` matches are left out, as in the copy."""
+    paths = []
+    for dirpath, dirnames, filenames in os.walk(checkout, followlinks=True):
+        skipped = SKIP(dirpath, dirnames + filenames)
+        dirnames[:] = [d for d in dirnames if d not in skipped]
+        paths += [os.path.join(dirpath, f) for f in filenames if f not in skipped]
+    digest = hashlib.sha256()
+    for rel in sorted(os.path.relpath(p, checkout) for p in paths):
+        with open(os.path.join(checkout, rel), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def run_once(checkout, command, workload, seed, seconds, work_root):
@@ -206,6 +228,7 @@ def main(argv=None):
 
     runs = []
     commits = {side: commit_of(path) for side, path in checkouts.items()}
+    trees = {side: tree_digest(path) for side, path in checkouts.items()}
 
     def write_report():
         report = {
@@ -214,6 +237,7 @@ def main(argv=None):
                 "--trace", "0"],
             "pr": args.pr,
             "commits": commits,
+            "tree_sha256": trees,
             "workloads": workloads,
             "seeds": seeds,
             "order": "pair i runs the parent first when i is even, the change "

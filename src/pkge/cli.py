@@ -69,7 +69,8 @@ def parse_config_file(path):
 
 
 def resolve_run_config(args):
-    """Merge defaults, config file, and flags into concrete config objects."""
+    """Merge defaults, config file, and flags into concrete config objects.
+    The model kind is left to ``check_model``, which every command calls."""
     values = {"model": "patreformer", **ModelConfig().to_dict(),
               **TrainConfig().to_dict()}
 
@@ -88,8 +89,6 @@ def resolve_run_config(args):
             values[key] = flag
 
     kind = values.pop("model")
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"model must be one of {MODEL_KINDS}, got {kind!r}")
     model_cfg = ModelConfig(**{k: values[k] for k in _MODEL_KEYS})
     train_cfg = TrainConfig(**{k: values[k] for k in _TRAIN_KEYS})
     return kind, model_cfg, train_cfg
@@ -169,7 +168,8 @@ def cmd_ablate(args):
     store = load_dataset(args.data)
     kind, base_cfg, train_cfg = resolve_run_config(args)
     if kind != "patreformer":
-        raise ConfigError("ablate applies to the patreformer model only")
+        raise ConfigError("ablate applies to the patreformer model only, "
+                          f"got {kind!r}")
     names = list(ABLATION_VARIANTS) if args.variant == "all" else [args.variant]
     # Built and checked before any training: a variant the base sizes
     # cannot take fails before the first run.

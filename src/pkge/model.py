@@ -4,7 +4,8 @@ An entity embedding and a relation embedding are each segmented into
 fixed-size patches, refined by a stack of residual attention layers, then
 flattened and projected back to entity space; the scores against every
 entity are logits, the dot products with the entity table. The sigmoid lives
-only in the training loss, since ranking depends on order alone.
+only in the training loss, since ranking depends on order alone. The tables,
+zero skeleton and id lookup come from ``params.Model``.
 
 Attention variants:
 
@@ -27,12 +28,12 @@ import numpy as np
 
 from .baselines import DistMult, TransE
 from .errors import ConfigError
-from .params import ParamStore, glorot_uniform
+from .params import Model
 from .segmentation import (build_frozen_basis, build_trainable_basis,
                            segment_folding, segment_mapped, segment_none,
                            validate_patch_shape)
-from .tensor import (attention, concat, dropout, feed_forward, gather_rows,
-                     layer_norm, matmul, reshape, transpose)
+from .tensor import (attention, concat, dropout, feed_forward, layer_norm,
+                     matmul, reshape, transpose)
 
 # Allowed values of each ModelConfig field that names a choice, read by
 # ModelConfig.validate and by the command-line flags.
@@ -171,48 +172,29 @@ def multi_head_attention(x_q, x_kv, wq, wk, wv, wo, heads, p_drop=0.0,
     return attention(x_q, x_kv, wq, wk, wv, wo, heads, p_drop, training, rng)
 
 
-class PatReFormer:
+class PatReFormer(Model):
     """Two-tower patch encoder scored by logits against the shared entity
     table."""
 
     kind = "patreformer"
-
-    def __init__(self, config, n_entities, n_relations, rng):
-        """``n_relations`` counts forward and reverse relations together.
-
-        ``rng=None`` builds a zero-valued skeleton of the right shapes, for
-        callers about to overwrite every parameter from a checkpoint.
-        """
-        self.config = config
-        self.n_entities = n_entities
-        self.n_relations = n_relations
-        self.params = ParamStore()
-        self._build(rng)
+    relation_dim = "d_r"
 
     # -- construction -------------------------------------------------------
 
-    def _build(self, rng):
+    def _build(self):
         cfg = self.config
         p = self.params
-
-        def init(shape):
-            if rng is None:
-                return np.zeros(shape, dtype=np.float32)
-            return glorot_uniform(rng, shape)
-
-        p.add("entity.embedding", init((self.n_entities, cfg.d_e)))
-        p.add("relation.embedding", init((self.n_relations, cfg.d_r)))
 
         for side, dim, k in (("entity", cfg.d_e, cfg.k_e),
                              ("relation", cfg.d_r, cfg.k_r)):
             if cfg.segmentation in ("frozen", "trainable"):
                 frozen = cfg.segmentation == "frozen"
                 build = build_frozen_basis if frozen else build_trainable_basis
-                basis = (np.zeros((k, cfg.d, k * cfg.d), dtype=np.float32)
-                         if rng is None else build(k, cfg.d, rng))
-                p.add(f"seg.{side}.basis", basis, trainable=not frozen)
+                self.add_drawn(f"seg.{side}.basis", (k, cfg.d, k * cfg.d),
+                               lambda rng, _: build(k, cfg.d, rng),
+                               trainable=not frozen)
             elif cfg.segmentation == "none":
-                p.add(f"seg.{side}.proj", init((dim, cfg.d)))
+                self.add_drawn(f"seg.{side}.proj", (dim, cfg.d))
 
         if cfg.pe == "trainable":
             p.add("pe.entity", np.zeros((cfg.k_e, cfg.d), dtype=np.float32))
@@ -227,17 +209,17 @@ class PatReFormer:
             for i in range(cfg.layers):
                 pre = f"enc.{tower}.{i}"
                 for w in ("wq", "wk", "wv", "wo"):
-                    p.add(f"{pre}.attn.{w}", init((cfg.d, cfg.d)))
+                    self.add_drawn(f"{pre}.attn.{w}", (cfg.d, cfg.d))
                 p.add(f"{pre}.ln1.gamma", np.ones(cfg.d, dtype=np.float32))
                 p.add(f"{pre}.ln1.beta", np.zeros(cfg.d, dtype=np.float32))
-                p.add(f"{pre}.ffn.w1", init((cfg.d, cfg.d_f)))
+                self.add_drawn(f"{pre}.ffn.w1", (cfg.d, cfg.d_f))
                 p.add(f"{pre}.ffn.b1", np.zeros(cfg.d_f, dtype=np.float32))
-                p.add(f"{pre}.ffn.w2", init((cfg.d_f, cfg.d)))
+                self.add_drawn(f"{pre}.ffn.w2", (cfg.d_f, cfg.d))
                 p.add(f"{pre}.ffn.b2", np.zeros(cfg.d, dtype=np.float32))
                 p.add(f"{pre}.ln2.gamma", np.ones(cfg.d, dtype=np.float32))
                 p.add(f"{pre}.ln2.beta", np.zeros(cfg.d, dtype=np.float32))
 
-        p.add("scorer.weight", init(((cfg.k_e + cfg.k_r) * cfg.d, cfg.d_e)))
+        self.add_drawn("scorer.weight", ((cfg.k_e + cfg.k_r) * cfg.d, cfg.d_e))
         p.add("scorer.bias", np.zeros(cfg.d_e, dtype=np.float32))
 
     # -- forward ------------------------------------------------------------
@@ -300,12 +282,6 @@ class PatReFormer:
         flat = dropout(flat, self.config.p3, training, rng)
         out = matmul(flat, self.params["scorer.weight"]) + self.params["scorer.bias"]
         return matmul(out, transpose(self.params["entity.embedding"]))
-
-    def score_all(self, entities, relations, training=False, rng=None):
-        """Logits [B, n_entities] for query pairs given as integer id arrays."""
-        e_emb = gather_rows(self.params["entity.embedding"], np.asarray(entities))
-        r_emb = gather_rows(self.params["relation.embedding"], np.asarray(relations))
-        return self.score_from_embeddings(e_emb, r_emb, training, rng)
 
 
 MODELS = {cls.kind: cls for cls in (PatReFormer, TransE, DistMult)}

@@ -174,9 +174,11 @@ def _is_count(value):
 
 
 def _read_manifest(entries, payload):
+    """{name: array}; names unique and byte ranges disjoint. Payload past
+    them is allowed: older writers appended optimizer moments there."""
     if not isinstance(entries, list):
         raise CheckpointError(f"tensor manifest {entries!r} is not a list")
-    arrays = {}
+    arrays, spans = {}, []
     for entry in entries:
         try:
             name, shape, start = entry["name"], entry["shape"], entry["offset"]
@@ -187,12 +189,19 @@ def _read_manifest(entries, payload):
                 or not all(map(_is_count, shape + [start]))
                 or not isinstance(entry.get("trainable", True), bool)):
             raise CheckpointError(f"tensor entry {entry!r} is malformed")
+        if name in arrays:
+            raise CheckpointError(f"tensor {name!r} is listed twice")
         shape = tuple(shape)
         nbytes = 4 * math.prod(shape)
         if start + nbytes > len(payload):
             raise CheckpointError(f"tensor {name!r} extends past the payload")
         arr = np.frombuffer(payload, dtype="<f4", count=nbytes // 4, offset=start)
         arrays[name] = arr.reshape(shape).copy()
+        spans.append((start, start + nbytes, name))
+    spans.sort()
+    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+        if start < end:
+            raise CheckpointError(f"tensors {first!r} and {second!r} overlap")
     return arrays
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from pkge import tensor
 from pkge.baselines import DistMult, TransE
-from pkge.model import ModelConfig
-from pkge.tensor import no_grad
+from pkge.model import ModelConfig, build_model
+from pkge.tensor import Tensor, no_grad
 from pkge.training import bce_smoothed_loss
 
 
@@ -158,7 +158,59 @@ class TestDistMult:
         np.testing.assert_allclose(s_ht, s_th, rtol=1e-6)
 
 
+# Every model kind, PatReFormer under each way of building its parameters:
+# a drawn frozen or trainable basis, a drawn projection with a fixed position
+# table, and folding with trainable position encodings.
+CONTRACT_MODELS = {
+    "patreformer-frozen": ("patreformer", {}),
+    "patreformer-trainable": ("patreformer", {"segmentation": "trainable"}),
+    "patreformer-none": ("patreformer", {"segmentation": "none", "pe": "sinusoidal"}),
+    "patreformer-folding": ("patreformer", {"pe": "trainable", "p1": 0.3,
+                                            "p2": 0.3, "p3": 0.3}),
+    "transe": ("transe", {}),
+    "distmult": ("distmult", {}),
+}
+
+
+def contract_model(name, rng):
+    kind, over = CONTRACT_MODELS[name]
+    config = cfg(**{"d_e": 4, "d_r": 6, "segmentation": "frozen", **over})
+    return build_model(kind, config, 5, 7, rng)
+
+
 class TestCommon:
+    """What every kind shares through ``params.Model``, and the baselines'
+    tables."""
+
+    @pytest.mark.parametrize("name", CONTRACT_MODELS)
+    @pytest.mark.parametrize("training", [False, True])
+    def test_score_all_is_the_fusion_of_the_gathered_rows(self, name, training):
+        m = contract_model(name, np.random.default_rng(5))
+        ents, rels = np.array([0, 4, 4, 2]), np.array([6, 2, 0, 6])
+        e = Tensor(m.params["entity.embedding"].data[ents])
+        r = Tensor(m.params["relation.embedding"].data[rels])
+        got = m.score_all(ents, rels, training, np.random.default_rng(8)).data
+        want = m.score_from_embeddings(e, r, training, np.random.default_rng(8)).data
+        assert got.shape == (4, 5)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", CONTRACT_MODELS)
+    def test_skeleton_is_the_seeded_model_with_draws_zeroed(self, name):
+        # A parameter that two seeds draw differently came from the init
+        # stream: the skeleton holds zeros there, and the fixed value elsewhere.
+        a, b = (contract_model(name, np.random.default_rng(s)) for s in (1, 2))
+        blank = contract_model(name, None)
+        assert blank.params.names() == a.params.names()
+        drawn = 0
+        for param, t in a.params.items():
+            want = t.data
+            if not np.array_equal(want, b.params[param].data):
+                want, drawn = np.zeros_like(want), drawn + 1
+            np.testing.assert_array_equal(blank.params[param].data, want,
+                                          strict=True)
+            assert blank.params[param].requires_grad == t.requires_grad, param
+        assert drawn >= 2    # the embedding tables at least
+
     @pytest.mark.parametrize("cls", [TransE, DistMult])
     def test_skeleton_and_tables(self, cls):
         m = cls(cfg(d_e=4), 5, 6, None)

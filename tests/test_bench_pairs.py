@@ -212,3 +212,30 @@ def test_report_written_after_each_run(tmp_path, monkeypatch):
     assert [(r["seed"], r["side"]) for r in report["runs"]] == [
         (1, "parent"), (1, "change")]
     assert report["summary"]["w1"]["metrics"]["queries_per_s"]["pairs"] == 1
+
+
+def test_report_names_each_tree_by_its_digest(tmp_path):
+    # The stub checkouts are not git checkouts: no commit, but a digest.
+    trees = {side: checkout(tmp_path / side, side) for side in bench_pairs.SIDES}
+    want = {side: bench_pairs.tree_digest(path) for side, path in trees.items()}
+    out = tmp_path / "pairs.json"
+    bench_pairs.main(["--parent", trees["parent"], "--change", trees["change"],
+                      "--pr", "1", "--seed", "1", "--pairs", "1",
+                      "--workloads", "w1", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert report["commits"] == {"parent": None, "change": None}
+    assert report["tree_sha256"] == want
+    assert len(want["parent"]) == 64 and want["parent"] != want["change"]
+
+
+def test_digest_follows_every_copied_byte_and_only_those(tmp_path):
+    tree = checkout(tmp_path / "tree", "parent")
+    before = bench_pairs.tree_digest(tree)
+    for skipped in ("__pycache__", ".git", os.path.join("src", "__pycache__")):
+        os.makedirs(os.path.join(tree, skipped))
+        with open(os.path.join(tree, skipped, "x.pyc"), "wb") as fh:
+            fh.write(b"\0")
+    assert bench_pairs.tree_digest(tree) == before
+    with open(os.path.join(tree, "SIDE"), "r+b") as fh:
+        fh.write(b"q")       # "parent" becomes "qarent"
+    assert bench_pairs.tree_digest(tree) != before

@@ -151,6 +151,16 @@ class TestExitCodes:
         assert "'rotate'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ablate_config_file_model_names_the_kind(self, memo_dir, tmp_path,
+                                                     capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model=rotate\n")
+        out = tmp_path / "o"
+        assert main(["ablate", "--data", memo_dir, "--variant", "tpe",
+                     "--out", str(out), "--config", str(cfg)]) == 2
+        assert "'rotate'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_split_file(self, memo_dir, tmp_path, capsys):
         data = copy_dataset(memo_dir, tmp_path / "d")
         os.remove(os.path.join(data, "valid.txt"))

@@ -394,6 +394,26 @@ class TestCheckpointValidation:
         with pytest.raises(CheckpointError, match="extends past the payload"):
             load_checkpoint(ckpt)
 
+    def test_tensor_listed_twice(self, ckpt):
+        def edit(header):
+            header["tensors"].append(dict(header["tensors"][0]))
+            return header
+        self.replace_header(ckpt, edit)
+        with pytest.raises(CheckpointError,
+                           match="'entity.embedding' is listed twice"):
+            load_checkpoint(ckpt)
+
+    def test_overlapping_tensors(self, ckpt):
+        # The tables are packed end to end: the first, moved 4 bytes on,
+        # shares its last 4 bytes with the second.
+        def edit(header):
+            header["tensors"][0]["offset"] += 4
+            return header
+        self.replace_header(ckpt, edit)
+        with pytest.raises(CheckpointError, match="'entity.embedding' and "
+                           "'relation.embedding' overlap"):
+            load_checkpoint(ckpt)
+
     def test_trainable_flag_mismatch(self, ckpt):
         # the frozen basis saved as trainable: the flag contradicts the config
         def edit(header):
