@@ -13,9 +13,9 @@ from .kg import TripleStore, build_store, load_dataset
 from .model import ModelConfig, PatReFormer, build_model
 from .baselines import DistMult, TransE
 from .evaluation import EvalReport, evaluate, filtered_rank
-from .training import (Adam, TrainConfig, bce_smoothed_loss, load_checkpoint,
-                       restore_model, run_experiment, save_checkpoint,
-                       seed_streams, train_model)
+from .training import (Adam, TrainConfig, bce_smoothed_loss, restore_model,
+                       run_experiment, save_checkpoint, seed_streams,
+                       train_model)
 from .tensor import Tensor
 
 __version__ = "0.1.0"
@@ -25,7 +25,7 @@ __all__ = [
     "EvalReport", "GraphError", "ModelConfig", "NumericError", "PatReFormer",
     "PkgeError", "ShapeError", "Tensor", "TrainConfig", "TransE",
     "TripleStore", "VocabMismatchError", "bce_smoothed_loss", "build_model",
-    "build_store", "evaluate", "filtered_rank", "load_checkpoint",
-    "load_dataset", "restore_model", "run_experiment", "save_checkpoint",
-    "seed_streams", "train_model",
+    "build_store", "evaluate", "filtered_rank", "load_dataset",
+    "restore_model", "run_experiment", "save_checkpoint", "seed_streams",
+    "train_model",
 ]

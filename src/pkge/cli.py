@@ -4,9 +4,8 @@ Subcommands: train, eval, ablate, sweep-dim, stats, categorize.
 
 Configuration precedence is flags > config file > built-in defaults. Config
 files are flat ``key=value`` lines ('#' starts a comment); keys are the
-model and training option names shown by ``--help``. A key of an option
-earlier versions had (``model.REMOVED_OPTIONS``) is dropped when it holds
-the one value that option can now take, and rejected otherwise.
+model and training option names shown by ``--help``, and any other key is
+an error.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data or checkpoint
 mismatch, 4 numeric failure.
@@ -24,8 +23,8 @@ from .errors import (CheckpointError, ConfigError, DataFormatError,
 from .evaluation import evaluate, format_report, write_report_csv
 from .kg import (CATEGORIES, SCOPES, SPLIT_FILES, THRESHOLD, category_counts,
                  categorize_relations, dump_stats_json, load_dataset)
-from .model import (ABLATION_VARIANTS, CHOICES, MODEL_KINDS, REMOVED_OPTIONS,
-                    ModelConfig, check_model, drop_removed_options)
+from .model import (ABLATION_VARIANTS, CHOICES, MODEL_KINDS, ModelConfig,
+                    check_model)
 from .training import (CKPT_NAME, LOG_NAME, TrainConfig, check_vocab,
                        restore_model, run_experiment)
 
@@ -75,13 +74,10 @@ def resolve_run_config(args):
               **TrainConfig().to_dict()}
 
     if getattr(args, "config", None):
-        protos = {**REMOVED_OPTIONS, **values}
-        parsed = {}
         for key, raw in parse_config_file(args.config).items():
-            if key not in protos:
+            if key not in values:
                 raise ConfigError(f"unknown config key {key!r}")
-            parsed[key] = _coerce(key, raw, protos[key])
-        values.update(drop_removed_options(parsed))
+            values[key] = _coerce(key, raw, values[key])
 
     for key in values:
         flag = getattr(args, key, None)

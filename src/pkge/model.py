@@ -44,24 +44,6 @@ CHOICES = {
     "update_order": ("sequential", "simultaneous"),
 }
 
-# Options that checkpoints and config files written by earlier versions may
-# carry, each mapped to the one value it can take now that TransE has a
-# fixed form and attention one temperature. Readers drop a key holding that
-# value and reject any other.
-REMOVED_OPTIONS = {"transe_norm": "l1", "transe_gamma": TransE.GAMMA,
-                   "attn_scale": "model_dim"}
-
-
-def drop_removed_options(values):
-    """``values`` without the keys of ``REMOVED_OPTIONS``; a removed key
-    holding anything but its one value raises ``ConfigError`` naming it."""
-    for key, only in REMOVED_OPTIONS.items():
-        if key in values and values[key] != only:
-            raise ConfigError(f"option {key} was removed; only {key}={only} "
-                              f"is still read, got {values[key]!r}")
-    return {k: v for k, v in values.items() if k not in REMOVED_OPTIONS}
-
-
 # Named single-field deviations from a base configuration, for ablation runs.
 ABLATION_VARIANTS = {
     "full-self-attn": {"attention": "full_self"},
@@ -107,13 +89,12 @@ class ModelConfig(Config):
 
     @classmethod
     def from_dict(cls, d):
-        """Build from a checkpoint header's JSON object, less the removed
-        options it may carry. Each value must have its field's type: an int
-        field takes an integer but not true/false, a float field an integer
-        or a float, a str field a string."""
+        """Build from a checkpoint header's JSON object. Each value must
+        have its field's type: an int field takes an integer but not
+        true/false, a float field an integer or a float, a str field a
+        string."""
         if not isinstance(d, dict):
             raise ConfigError(f"{cls.__name__} must be a JSON object, got {d!r}")
-        d = drop_removed_options(d)
         types = {f.name: f.type for f in fields(cls)}
         unknown = set(d) - set(types)
         if unknown:

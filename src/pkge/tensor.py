@@ -24,10 +24,10 @@ can run at full precision). Reductions that feed normalizations (softmax
 denominator, layer-norm moments) accumulate in float64 regardless of the
 storage dtype. The softmax's row max is taken by halving the last axis with
 ``np.maximum``, not by a reduction, since NumPy reduces a short axis one row
-at a time; a max is exact in any order. ``softmax_lastdim``, ``layer_norm``
-and ``dropout`` work in place on arrays they allocated themselves, and
-dropout keeps its mask as a boolean array; their values are bit-identical to
-the out-of-place formulas.
+at a time; a max is exact in any order. The softmax, ``layer_norm`` and
+``dropout`` work in place on arrays they allocated themselves, and dropout
+keeps its mask as a boolean array; their values are bit-identical to the
+out-of-place formulas.
 
 A transformer sublayer is one node: ``attention`` (projections, heads,
 scores, softmax, dropout, context and output) and ``feed_forward``
@@ -40,12 +40,12 @@ Models produce logits. The sigmoid appears only inside the fused loss
 ``bce_with_logits``, which evaluates it without overflow for any finite logit.
 
 The forward ops that can turn finite inputs into inf or NaN (``add``,
-``mul``, ``matmul``, ``reduce_sum``, ``l1_distance``, ``layer_norm``,
-``dropout``, ``attention``, ``feed_forward`` and ``bce_with_logits``) verify
-their result is finite; overflow raises ``NumericError`` instead of
-propagating NaN/inf through the graph. The others only move, select, clamp
-or normalize finite values, so they skip the sweep; a non-finite value they
-pass on is caught by the next checking op.
+``mul``, ``matmul``, ``l1_distance``, ``layer_norm``, ``dropout``,
+``attention``, ``feed_forward`` and ``bce_with_logits``) verify their result
+is finite; overflow raises ``NumericError`` instead of propagating NaN/inf
+through the graph. The others (``reshape``, ``transpose``, ``concat`` and
+``gather_rows``) only move or select finite values, so they skip the sweep;
+a non-finite value they pass on is caught by the next checking op.
 """
 
 import math
@@ -329,20 +329,6 @@ def gather_rows(table, ids):
     return _make(table.data[ids], (table,), "gather_rows", grad)
 
 
-def reduce_sum(x, axis=None, keepdims=False):
-    """Sum with float64 accumulation, cast back to the input dtype."""
-    x = as_tensor(x)
-    data = np.asarray(x.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64),
-                      dtype=x.dtype)
-    _finite_or_raise(data, "sum")
-
-    def grad(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, x.data.shape)
-    return _make(data, (x,), "sum", grad)
-
-
 # Size in bytes of each [B, rows, d] temporary ``l1_distance`` works in. At
 # 4 MB a block streams from the shared L3 cache. At 1 MB the backward's
 # working set filled a 2 MB per-core L2, and a TransE step, equally fast,
@@ -430,12 +416,6 @@ def l1_distance(q, table):
 # ---------------------------------------------------------------------------
 
 
-def relu(x):
-    """max(0, x); subgradient at 0 is 0."""
-    x = as_tensor(x)
-    return _make(np.maximum(x.data, 0), (x,), "relu", lambda g: g * (x.data > 0))
-
-
 def _row_max(x):
     """``x.max(axis=-1, keepdims=True)`` taken by halving the last axis: the
     elementwise max of its two halves, an odd last column folded in, until
@@ -467,15 +447,6 @@ def _softmax_grad(g, y):
     np.subtract(g, inner, out=gx)
     gx *= y
     return gx
-
-
-def softmax_lastdim(x):
-    """Row-stable softmax over the last axis; denominator accumulated in float64."""
-    x = as_tensor(x)
-    if x.data.shape[-1] < 1:
-        raise ShapeError("softmax over an empty axis")
-    y = _softmax_into(np.empty_like(x.data), x.data)
-    return _make(y, (x,), "softmax", lambda g: _softmax_grad(g, y))
 
 
 # Added to the variance under the square root: guards zero-variance rows.
@@ -567,7 +538,7 @@ def attention(x_q, x_kv, wq, wk, wv, wo, heads, p_drop=0.0, training=False,
     merge(dropout(softmax(q kᵀ / sqrt(d))) v)·wo: every head's scores are
     scaled by the full width d, not by its slice's d/heads. The forward runs
     the same numpy products on the same layouts as that composition of
-    ``matmul``, ``reshape``, ``transpose``, ``mul``, ``softmax_lastdim`` and
+    ``matmul``, ``reshape``, ``transpose``, ``mul``, a row softmax and
     ``dropout`` would, and draws the same dropout mask at the same point, so
     its output is bit-identical to theirs. The backward is written by hand:
     it reuses the projections, the probabilities and the mask, and gives
@@ -635,8 +606,8 @@ def feed_forward(x, w1, b1, w2, b2):
     """Position-wise feed-forward relu(x·w1 + b1)·w2 + b2 over the last axis
     of ``x`` [..., d], as one tape node.
 
-    The forward runs the same products and sums as ``matmul``, ``add``,
-    ``relu``, ``matmul``, ``add`` would, so its output is bit-identical to
+    The forward runs the same products and sums as ``matmul``, ``add``, a
+    relu, ``matmul`` and ``add`` would, so its output is bit-identical to
     theirs; the backward keeps only the hidden activations.
     """
     ins = tuple(as_tensor(t) for t in (x, w1, b1, w2, b2))

@@ -11,7 +11,6 @@ wall-clock time into logs or checkpoints.
 """
 
 import json
-import math
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -25,7 +24,9 @@ from .model import MODEL_KINDS, Config, ModelConfig, build_model
 from .tensor import bce_with_logits
 
 CHECKPOINT_MAGIC = b"PKGE"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# The header's fields, each required and no other allowed.
+HEADER_FIELDS = ("model", "config", "n_entities", "n_relations", "tensors")
 
 LOG_NAME = "train_log.csv"
 CKPT_NAME = "best.ckpt"
@@ -123,43 +124,33 @@ def save_checkpoint(path, model):
     are synced, and then replace ``path``, so a failed save leaves the
     previous file intact.
 
-    Layout: magic, u32 version, u32 header length, UTF-8 JSON header
-    (model kind, config, vocab sizes, and a manifest of every parameter's
-    shape, byte offset and trainable flag), raw little-endian float32
-    payload, u32 CRC-32 of the payload. The file holds the model only, no
-    optimizer or random-stream state, so a run cannot resume from it.
+    Layout: magic, u32 version, u32 header length, UTF-8 JSON header,
+    payload, and a u32 CRC-32 of every byte before it. The header holds
+    exactly the model kind, its config, the vocab sizes and ``tensors``: the
+    ``[name, shape]`` of each parameter in ``params.items()`` order. The
+    payload is those parameters as little-endian float32, end to end in the
+    same order. The config fixes the parameter list and which parameters
+    train, so the file states neither offsets nor flags. It holds the model
+    only, no optimizer or random-stream state, so a run cannot resume from it.
     """
-    chunks = []
-    offset = 0
-
-    def pack(name, t):
-        nonlocal offset
-        raw = np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-        entry = {"name": name, "shape": list(t.shape), "offset": offset,
-                 "trainable": t.requires_grad}
-        chunks.append(raw)
-        offset += len(raw)
-        return entry
-
     header = {
         "model": model.kind,
         "config": model.config.to_dict(),
         "n_entities": model.n_entities,
         "n_relations": model.n_relations,
-        "tensors": [pack(name, t) for name, t in model.params.items()],
+        "tensors": _layout(model),
     }
-
-    payload = b"".join(chunks)
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = b"".join(
+        [CHECKPOINT_MAGIC, np.uint32(CHECKPOINT_VERSION).tobytes(),
+         np.uint32(len(head)).tobytes(), head]
+        + [np.ascontiguousarray(t.data, dtype="<f4").tobytes()
+           for _, t in model.params.items()])
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(np.uint32(CHECKPOINT_VERSION).tobytes())
-            fh.write(np.uint32(len(head)).tobytes())
-            fh.write(head)
-            fh.write(payload)
-            fh.write(np.uint32(zlib.crc32(payload) & 0xFFFFFFFF).tobytes())
+            fh.write(body)
+            fh.write(np.uint32(zlib.crc32(body)).tobytes())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -168,119 +159,78 @@ def save_checkpoint(path, model):
             os.remove(tmp)
 
 
-def _is_count(value):
-    """A JSON integer >= 0 (``true``/``false`` are not counts)."""
-    return type(value) is int and value >= 0
+def _layout(model):
+    """``[name, shape]`` of each parameter, in ``params.items()`` order."""
+    return [[name, list(t.shape)] for name, t in model.params.items()]
 
 
-def _read_manifest(entries, payload):
-    """{name: array}; names unique and byte ranges disjoint. Payload past
-    them is allowed: older writers appended optimizer moments there."""
-    if not isinstance(entries, list):
-        raise CheckpointError(f"tensor manifest {entries!r} is not a list")
-    arrays, spans = {}, []
-    for entry in entries:
-        try:
-            name, shape, start = entry["name"], entry["shape"], entry["offset"]
-        except (KeyError, TypeError):
-            raise CheckpointError(
-                f"tensor entry {entry!r} lacks a name, shape or offset") from None
-        if (not isinstance(name, str) or not isinstance(shape, list)
-                or not all(map(_is_count, shape + [start]))
-                or not isinstance(entry.get("trainable", True), bool)):
-            raise CheckpointError(f"tensor entry {entry!r} is malformed")
-        if name in arrays:
-            raise CheckpointError(f"tensor {name!r} is listed twice")
-        shape = tuple(shape)
-        nbytes = 4 * math.prod(shape)
-        if start + nbytes > len(payload):
-            raise CheckpointError(f"tensor {name!r} extends past the payload")
-        arr = np.frombuffer(payload, dtype="<f4", count=nbytes // 4, offset=start)
-        arrays[name] = arr.reshape(shape).copy()
-        spans.append((start, start + nbytes, name))
-    spans.sort()
-    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
-        if start < end:
-            raise CheckpointError(f"tensors {first!r} and {second!r} overlap")
-    return arrays
+def restore_model(path):
+    """Rebuild the model a checkpoint describes and load its parameters;
+    returns the model and the file's JSON header.
 
-
-def load_checkpoint(path):
-    """Parse and validate a checkpoint; returns a dict of the header fields,
-    the parameter arrays and their trainable flags. Other header keys, such
-    as the ``optimizer`` entry older files carry, are ignored."""
+    Any file but one ``save_checkpoint`` wrote raises ``CheckpointError``: the
+    CRC covers header and payload, the header must hold exactly its five
+    fields, and its tensor list must be that of the zero skeleton its kind,
+    config and vocab sizes build. A parameter holding inf or NaN raises
+    ``NumericError`` naming it, before any forward pass can run on it."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
-    if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
+    if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version = int(np.frombuffer(blob, dtype="<u4", count=1, offset=4)[0])
+    if len(blob) < 16:
+        raise CheckpointError(f"{path}: truncated checkpoint")
+    version = int.from_bytes(blob[4:8], "little")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    head_len = int(np.frombuffer(blob, dtype="<u4", count=1, offset=8)[0])
-    if 12 + head_len + 4 > len(blob):
+    head_end = 12 + int.from_bytes(blob[8:12], "little")
+    if head_end + 4 > len(blob):
         raise CheckpointError(f"{path}: truncated checkpoint header")
+    if zlib.crc32(memoryview(blob)[:-4]) != int.from_bytes(blob[-4:], "little"):
+        raise CheckpointError(f"{path}: checksum mismatch")
     try:
-        header = json.loads(blob[12:12 + head_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = json.loads(blob[12:head_end].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:    # UnicodeDecodeError too
         raise CheckpointError(f"{path}: corrupt checkpoint header: {exc}") from None
-    payload = blob[12 + head_len:-4]
-    stored_crc = int(np.frombuffer(blob, dtype="<u4", count=1, offset=len(blob) - 4)[0])
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != stored_crc:
-        raise CheckpointError(f"{path}: payload checksum mismatch")
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: checkpoint header is not a JSON object")
-    for key in ("model", "config", "n_entities", "n_relations", "tensors"):
+    for key in HEADER_FIELDS:
         if key not in header:
             raise CheckpointError(f"{path}: header missing field {key!r}")
-    if header["model"] not in MODEL_KINDS:
-        raise CheckpointError(f"{path}: unknown model kind {header['model']!r}")
-    arrays = _read_manifest(header["tensors"], payload)
-    # The vocab sizes set the model skeleton's shape, so they must be the
-    # row counts of the embedding tables the payload holds.
-    for key, table in (("n_entities", "entity.embedding"),
-                       ("n_relations", "relation.embedding")):
-        n = header[key]
-        rows = arrays[table].shape[:1] if table in arrays else None
-        if not _is_count(n) or n == 0 or rows != (n,):
-            raise CheckpointError(
-                f"{path}: {key}={n!r} is not the row count of {table!r}")
-    trainable = {e["name"]: e.get("trainable", True) for e in header["tensors"]}
-    return {
-        "model": header["model"],
-        "config": header["config"],
-        "n_entities": header["n_entities"],
-        "n_relations": header["n_relations"],
-        "arrays": arrays,
-        "trainable": trainable,
-    }
-
-
-def restore_model(path):
-    """Rebuild the model a checkpoint describes and load its parameters.
-
-    A parameter holding inf or NaN raises ``NumericError`` naming it, before
-    any forward pass can run on it."""
-    ck = load_checkpoint(path)
+    if len(header) != len(HEADER_FIELDS):
+        raise CheckpointError(f"{path}: unknown header fields "
+                              f"{sorted(set(header) - set(HEADER_FIELDS))}")
+    kind, n_ent, n_rel = (header[k] for k in ("model", "n_entities", "n_relations"))
+    if kind not in MODEL_KINDS:
+        raise CheckpointError(f"{path}: unknown model kind {kind!r}")
+    if not all(type(n) is int and n > 0 for n in (n_ent, n_rel)):
+        raise CheckpointError(f"{path}: vocab sizes {n_ent!r} and {n_rel!r} "
+                              "are not positive integers")
     try:
-        model = build_model(ck["model"], ModelConfig.from_dict(ck["config"]),
-                            ck["n_entities"], ck["n_relations"], rng=None)
-    except ConfigError as exc:
-        raise CheckpointError(f"{path}: bad model config: {exc}") from None
-    try:
-        model.params.load_arrays(ck["arrays"])
-    except ConfigError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
-    for name, flag in ck["trainable"].items():
-        if name in model.params and model.params[name].requires_grad != flag:
-            raise CheckpointError(
-                f"{path}: parameter {name!r} trainable flag mismatch")
-    for name, t in model.params.items():
+        model = build_model(kind, ModelConfig.from_dict(header["config"]),
+                            n_ent, n_rel, rng=None)
+    except (ConfigError, MemoryError) as exc:
+        # Sizes no memory holds come only from a header edited with its CRC.
+        raise CheckpointError(f"{path}: cannot build the model its header "
+                              f"describes: {exc}") from None
+    if header["tensors"] != _layout(model):
+        raise CheckpointError(f"{path}: tensor list is not the parameter list "
+                              f"of the {kind} model its config builds")
+    items = model.params.items()
+    size = 4 * sum(t.data.size for _, t in items)
+    if len(blob) - 4 - head_end != size:
+        raise CheckpointError(f"{path}: payload holds {len(blob) - 4 - head_end} "
+                              f"bytes, its tensors {size}")
+    offset = head_end
+    for name, t in items:
+        t.data = np.frombuffer(blob, "<f4", t.data.size, offset).reshape(
+            t.shape).astype(np.float32)
+        offset += 4 * t.data.size
         if not np.all(np.isfinite(t.data)):
             raise NumericError(f"{path}: parameter {name!r} holds non-finite values")
-    return model, ck
+    return model, header
 
 
 def check_vocab(model, store):

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import re
@@ -6,17 +7,21 @@ import shutil
 import subprocess
 import sys
 import time
+import zlib
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pkge
 from pkge import cli
 from pkge.baselines import DistMult, TransE
 from pkge.cli import (_add_config_flags, _parser, format_run_config, main,
                       parse_config_file, resolve_run_config)
-from pkge.errors import ConfigError
+from pkge.errors import CheckpointError, ConfigError
 from pkge.evaluation import evaluate, write_report_csv
 from pkge.kg import load_dataset
 from pkge.model import CHOICES, ModelConfig, PatReFormer
@@ -60,6 +65,12 @@ def tiny_memo_model(seed=0):
     return PatReFormer(cfg, 30, 8, np.random.default_rng(seed))
 
 
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    """A directory the generated-input tests overwrite one file in."""
+    return tmp_path_factory.mktemp("scratch")
+
+
 class TestConfigFile:
     def test_parse_comments_and_spacing(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -96,6 +107,44 @@ class TestConfigFile:
         p.write_text("epochs=ten\n")
         with pytest.raises(ConfigError, match="epochs"):
             resolve_run_config(args)
+
+    # Lines: an option at its default or one of its choices, or any key
+    # (every option, the model, the options earlier versions had, other
+    # text) with any value (numbers, choices, other text).
+    VALID = st.sampled_from(
+        [(k, str(v)) for k, v in {**ModelConfig().to_dict(),
+                                  **TrainConfig().to_dict()}.items()]
+        + [(k, c) for k, choices in CHOICES.items() for c in choices]
+        + [("model", kind) for kind in ("patreformer", "transe", "distmult")])
+    KEYS = st.one_of(
+        st.sampled_from(["model", *ModelConfig().to_dict(),
+                         *TrainConfig().to_dict(), "transe_norm",
+                         "transe_gamma", "attn_scale"]),
+        st.text(min_size=1, max_size=8))
+    VALUES = st.one_of(
+        st.integers(-3, 300).map(str), st.floats().map(str),
+        st.sampled_from([c for choices in CHOICES.values() for c in choices]
+                        + ["patreformer", "transe", "distmult", "l1",
+                           "model_dim"]),
+        st.text(max_size=8))
+
+    @given(st.lists(st.one_of(VALID, st.tuples(KEYS, VALUES)), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_generated_file_gives_configs_or_a_config_error(
+            self, scratch, lines):
+        path = scratch / "run.cfg"
+        path.write_text("".join(f"{k}={v}\n" for k, v in lines),
+                        encoding="utf-8", errors="surrogatepass")
+        args = _parser().parse_args(
+            ["train", "--data", "x", "--out", "y", "--config", str(path)])
+        removed = {"transe_norm", "transe_gamma", "attn_scale"}
+        try:
+            kind, model_cfg, train_cfg = resolve_run_config(args)
+        except ConfigError:
+            return
+        assert isinstance(model_cfg, ModelConfig)
+        assert isinstance(train_cfg, TrainConfig)
+        assert not removed & {k for k, _ in lines}
 
     def test_echo_format(self):
         args = _parser().parse_args(["train", "--data", "x", "--out", "y"])
@@ -255,19 +304,19 @@ class TestExitCodes:
         assert not os.path.exists(str(tmp_path / "o"))
 
     def test_removed_transe_keys_at_their_value_train(self, memo_dir,
-                                                      tmp_path):
+                                                      tmp_path, capsys):
         # config.txt files written while TransE and attention had options
-        # carry these keys
+        # carry these keys; they are unknown keys now, whatever their value
         cfg = tmp_path / "run.cfg"
         cfg.write_text("transe_norm=l1\ntranse_gamma=12\nattn_scale=model_dim\n")
         out = tmp_path / "o"
         rc = main(["train", "--data", memo_dir, "--out", str(out),
                    "--config", str(cfg), "--model", "transe"]
                   + TINY_MODEL + schedule(1))
-        assert rc == 0
-        config = (out / "config.txt").read_text()
-        for key in ("transe_norm", "transe_gamma", "attn_scale"):
-            assert key not in config
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: unknown config key 'transe_norm'"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", ["transe_norm=l2", "transe_gamma=5.0",
                                       "attn_scale=head_dim"])
@@ -346,25 +395,13 @@ class TestExitCodes:
         assert main(["categorize", "--data", data, "--split", "train"]) == 0
 
 
-def rewrite_header(path, edit):
-    """Apply ``edit`` to a checkpoint's JSON header in place; the payload and
-    its CRC stay as they were."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    n = int.from_bytes(blob[8:12], "little")
-    header = json.loads(blob[12:12 + n])
-    edit(header)
-    head = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(blob[:8] + len(head).to_bytes(4, "little") + head
-                 + blob[12 + n:])
-
-
 HEADER_FAULTS = {
     "negative-entities": lambda h: h.update(n_entities=-3),
     "string-entities": lambda h: h.update(n_entities="x"),
-    "missing-offset": lambda h: h["tensors"][0].pop("offset"),
     "unknown-model": lambda h: h.update(model="foo"),
+    # an entity table of 8e14 floats, more than any address space holds:
+    # exit 3, not a MemoryError
+    "huge-entities": lambda h: h.update(n_entities=10**14),
     # model config values of the wrong JSON type, each equal to the saved one
     "float-d": lambda h: h["config"].update(d=4.0),
     "float-layers": lambda h: h["config"].update(layers=1.0),
@@ -372,7 +409,7 @@ HEADER_FAULTS = {
     "bool-layers": lambda h: h["config"].update(layers=True),
 }
 # Options TransE and attention no longer have, each at a value other than
-# the one it can now take; the error names the option.
+# the one it once took; the error names the option as an unknown key.
 REMOVED_OPTION_FAULTS = {"transe_norm-l2": ("transe_norm", "l2"),
                          "transe_gamma-5.0": ("transe_gamma", 5.0),
                          "attn_scale-head_dim": ("attn_scale", "head_dim")}
@@ -391,81 +428,246 @@ HEADER_FAULTS.update({
     if (key, label) != ("n_entities", "str")})
 
 
-@pytest.mark.parametrize("fault", list(HEADER_FAULTS))
-def test_bad_checkpoint_header_exits_3(memo_dir, tmp_path, capsys, fault):
+def distmult_checkpoint(path):
     cfg = ModelConfig(d_e=8, d_r=8, d=4, heads=2, layers=1, d_f=8)
-    path = str(tmp_path / "distmult.ckpt")
     save_checkpoint(path, DistMult(cfg, 30, 8, np.random.default_rng(0)))
-    rewrite_header(path, HEADER_FAULTS[fault])
+
+
+def eval_error(memo_dir, path, capsys):
+    """``pkge eval``'s exit code on ``path`` and its one stderr line."""
     rc = main(["eval", "--data", memo_dir, "--checkpoint", path])
-    assert rc == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
-    if fault in REMOVED_OPTION_FAULTS:
-        assert REMOVED_OPTION_FAULTS[fault][0] in err[0]
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return rc, err[0]
 
 
-def test_removed_transe_options_at_their_value_restore(memo_dir, tmp_path):
-    # checkpoints written while TransE and attention had options carry
-    # these keys
-    cfg = ModelConfig(d_e=8, d_r=8, d=4, heads=2, layers=1, d_f=8)
+@pytest.mark.parametrize("fault", list(HEADER_FAULTS))
+def test_bad_checkpoint_header_exits_3(memo_dir, tmp_path, capsys,
+                                       rewrite_checkpoint, fault):
     path = str(tmp_path / "distmult.ckpt")
-    save_checkpoint(path, DistMult(cfg, 30, 8, np.random.default_rng(0)))
-    rewrite_header(path, lambda h: h["config"].update(
+    distmult_checkpoint(path)
+    rewrite_checkpoint(path, HEADER_FAULTS[fault])
+    rc, err = eval_error(memo_dir, path, capsys)
+    assert rc == 3
+    # the header check refused it, not the checksum
+    assert "checksum" not in err
+    if fault in REMOVED_OPTION_FAULTS:
+        assert REMOVED_OPTION_FAULTS[fault][0] in err
+
+
+def replace_entry(index, entry):
+    def edit(header):
+        header["tensors"][index] = entry
+    return edit
+
+
+# A tensor list or payload that is not the layout of the model the header's
+# config builds (DistMult: entity [30, 8], then relation [8, 8]): (header
+# edit, body edit, the error's words).
+LAYOUT_FAULTS = {
+    "renamed-tensor": (replace_entry(0, ["entity.embeddings", [30, 8]]), None,
+                       "tensor list"),
+    "changed-shape": (replace_entry(1, ["relation.embedding", [8, 9]]), None,
+                      "tensor list"),
+    "swapped-order": (lambda h: h["tensors"].reverse(), None, "tensor list"),
+    "extra-entry": (lambda h: h["tensors"].append(["extra", [1]]), None,
+                    "tensor list"),
+    "missing-entry": (lambda h: h.update(tensors=h["tensors"][:-1]), None,
+                      "tensor list"),
+    "payload-4-bytes-short": (None, lambda b: b[:-4], "payload holds"),
+    "payload-4-bytes-long": (None, lambda b: b + bytes(4), "payload holds"),
+}
+
+
+@pytest.mark.parametrize("fault", list(LAYOUT_FAULTS))
+def test_checkpoint_layout_fault_exits_3(memo_dir, tmp_path, capsys,
+                                         rewrite_checkpoint, fault):
+    edit_header, edit_body, words = LAYOUT_FAULTS[fault]
+    path = str(tmp_path / "distmult.ckpt")
+    distmult_checkpoint(path)
+    rewrite_checkpoint(path, edit_header, edit_body)
+    rc, err = eval_error(memo_dir, path, capsys)
+    assert rc == 3 and words in err
+
+
+def test_removed_transe_options_at_their_value_restore(memo_dir, tmp_path,
+                                                       capsys,
+                                                       rewrite_checkpoint):
+    # checkpoints written while TransE and attention had options carry
+    # these keys; the config has no such fields, so they are refused
+    path = str(tmp_path / "distmult.ckpt")
+    distmult_checkpoint(path)
+    rewrite_checkpoint(path, lambda h: h["config"].update(
         transe_norm="l1", transe_gamma=12.0, attn_scale="model_dim"))
-    assert main(["eval", "--data", memo_dir, "--checkpoint", path]) == 0
-    assert restore_model(path)[0].config == cfg
+    rc, err = eval_error(memo_dir, path, capsys)
+    assert rc == 3
+    assert "['attn_scale', 'transe_gamma', 'transe_norm']" in err
 
 
-# A manifest trainable flag that is not a JSON boolean, each written over the
-# saved flag it is truthy or falsy like, so only its type can reject it.
+def write_version_1(path, model):
+    """Write ``model`` as the version-1 format did: each manifest entry with
+    its byte offset and trainable flag, and a CRC of the payload alone."""
+    entries, chunks, offset = [], [], 0
+    for name, t in model.params.items():
+        chunks.append(np.asarray(t.data, dtype="<f4").tobytes())
+        entries.append({"name": name, "shape": list(t.shape), "offset": offset,
+                        "trainable": t.requires_grad})
+        offset += len(chunks[-1])
+    head = json.dumps({"model": model.kind, "config": model.config.to_dict(),
+                       "n_entities": model.n_entities,
+                       "n_relations": model.n_relations,
+                       "tensors": entries}).encode("utf-8")
+    payload = b"".join(chunks)
+    with open(path, "wb") as fh:
+        fh.write(b"PKGE" + (1).to_bytes(4, "little")
+                 + len(head).to_bytes(4, "little") + head + payload
+                 + zlib.crc32(payload).to_bytes(4, "little"))
+
+
+def test_version_1_checkpoint_exits_3(memo_dir, tmp_path, capsys):
+    path = str(tmp_path / "v1.ckpt")
+    write_version_1(path, tiny_memo_model())
+    rc, err = eval_error(memo_dir, path, capsys)
+    assert rc == 3 and "unsupported checkpoint version 1" in err
+
+
+# Header edits that keep every parameter's name and shape but change the
+# model the payload runs in. The CRC covers the header, so a file edited
+# without it being recomputed is refused.
+SAME_LAYOUT_EDITS = {"update_order": "simultaneous",
+                     "attention": "separate_self", "heads": 10}
+
+
+@pytest.mark.parametrize("key", list(SAME_LAYOUT_EDITS))
+def test_header_edit_without_its_crc_exits_3(memo_dir, tmp_path, capsys, key):
+    cfg = ModelConfig(d_e=20, d_r=20, d=10, heads=2, layers=1, d_f=8,
+                      p1=0.0, p2=0.0, p3=0.0)
+    path = str(tmp_path / "patreformer.ckpt")
+    save_checkpoint(path, PatReFormer(cfg, 30, 8, np.random.default_rng(0)))
+    blob = open(path, "rb").read()
+    end = 12 + int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:end])
+    header["config"][key] = SAME_LAYOUT_EDITS[key]
+    head = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(blob[:8] + len(head).to_bytes(4, "little") + head + blob[end:])
+    rc, err = eval_error(memo_dir, path, capsys)
+    assert rc == 3 and "checksum mismatch" in err
+
+
+# A tensor entry that carries a trainable flag, as version-1 files did, each
+# value written on the entries saved with the flag it is truthy or falsy
+# like. The config alone sets the flags, so the file is refused.
 FLAG_FAULTS = {"str-false": ("false", True), "zero": (0, False),
                "empty-list": ([], False)}
 
 
-def patreformer_checkpoint_with_flags(path, value, saved):
-    """A frozen-basis PatReFormer checkpoint whose entries saved with flag
-    ``saved`` carry ``value`` instead; ``None`` drops the flag."""
+def patreformer_checkpoint_with_flags(path, value, saved, rewrite_checkpoint):
+    """A frozen-basis PatReFormer checkpoint whose entries of parameters
+    with ``requires_grad`` ``saved`` carry ``value`` as a third element."""
     cfg = ModelConfig(d_e=8, d_r=8, d=4, heads=2, layers=1, d_f=8)
-    save_checkpoint(path, PatReFormer(cfg, 30, 8, np.random.default_rng(0)))
+    model = PatReFormer(cfg, 30, 8, np.random.default_rng(0))
+    save_checkpoint(path, model)
+    names = {name for name, t in model.params.items()
+             if t.requires_grad is saved}
+    assert names
 
     def edit(header):
-        entries = [e for e in header["tensors"] if e["trainable"] is saved]
-        assert entries
-        for e in entries:
-            if value is None:
-                del e["trainable"]
-            else:
-                e["trainable"] = value
-    rewrite_header(path, edit)
+        for entry in header["tensors"]:
+            if entry[0] in names:
+                entry.append(value)
+    rewrite_checkpoint(path, edit)
 
 
 @pytest.mark.parametrize("fault", list(FLAG_FAULTS))
-def test_non_boolean_trainable_flag_exits_3(memo_dir, tmp_path, capsys, fault):
+def test_non_boolean_trainable_flag_exits_3(memo_dir, tmp_path, capsys,
+                                            rewrite_checkpoint, fault):
     path = str(tmp_path / "patreformer.ckpt")
-    patreformer_checkpoint_with_flags(path, *FLAG_FAULTS[fault])
-    rc = main(["eval", "--data", memo_dir, "--checkpoint", path])
-    assert rc == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
+    patreformer_checkpoint_with_flags(path, *FLAG_FAULTS[fault],
+                                      rewrite_checkpoint)
+    rc, err = eval_error(memo_dir, path, capsys)
+    assert rc == 3 and "tensor list" in err
 
 
 def test_absent_trainable_flag_means_trainable(memo_dir, tmp_path):
+    # no entry carries a flag; the restored model takes each from its config
+    cfg = ModelConfig(d_e=8, d_r=8, d=4, heads=2, layers=1, d_f=8)
+    model = PatReFormer(cfg, 30, 8, np.random.default_rng(0))
     path = str(tmp_path / "patreformer.ckpt")
-    patreformer_checkpoint_with_flags(path, None, True)
-    assert restore_model(path)[1]["trainable"]["entity.embedding"] is True
+    save_checkpoint(path, model)
+    restored, header = restore_model(path)
+    assert all(len(entry) == 2 for entry in header["tensors"])
+    assert restored.params["entity.embedding"].requires_grad is True
+    assert restored.params["seg.entity.basis"].requires_grad is False
+    assert ([t.requires_grad for _, t in restored.params.items()]
+            == [t.requires_grad for _, t in model.params.items()])
     assert main(["eval", "--data", memo_dir, "--checkpoint", path]) == 0
 
 
+class TestCheckpointBytes:
+    """Every one-byte change and every cut of a small checkpoint is refused:
+    the CRC-32 covers each byte before it, and the lengths come first."""
+
+    @pytest.fixture(scope="class")
+    def blob(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("ckpt") / "distmult.ckpt")
+        distmult_checkpoint(path)
+        return open(path, "rb").read()
+
+    @staticmethod
+    def changed(blob, pos, value):
+        return blob[:pos] + bytes([value]) + blob[pos + 1:]
+
+    def assert_refused(self, path, data):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with pytest.raises(CheckpointError):
+            restore_model(path)
+
+    @pytest.mark.parametrize("mask", [0x01, 0xFF])
+    def test_every_changed_byte_is_refused(self, blob, tmp_path, mask):
+        path = str(tmp_path / "c.ckpt")
+        for pos in range(len(blob)):
+            self.assert_refused(path, self.changed(blob, pos, blob[pos] ^ mask))
+
+    def test_every_cut_is_refused(self, blob, tmp_path):
+        path = str(tmp_path / "c.ckpt")
+        for n in range(len(blob)):
+            self.assert_refused(path, blob[:n])
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        restore_model(path)     # the whole file reads
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_eval_exits_3_with_one_error_line(self, blob, data_dir,
+                                              scratch, data):
+        if data.draw(st.booleans(), label="cut"):
+            faulty = blob[:data.draw(st.integers(0, len(blob) - 1), label="n")]
+        else:
+            pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+            value = data.draw(st.integers(0, 255).filter(
+                lambda v: v != blob[pos]), label="value")
+            faulty = self.changed(blob, pos, value)
+        path = scratch / "c.ckpt"
+        path.write_bytes(faulty)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["eval", "--data", os.path.join(data_dir, "memo30"),
+                       "--checkpoint", str(path)])
+        lines = err.getvalue().splitlines()
+        assert rc == 3 and out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_patreformer_checkpoint_off_its_patch_grid_exits_3(memo_dir, tmp_path,
-                                                          capsys):
+                                                          capsys,
+                                                          rewrite_checkpoint):
     path = str(tmp_path / "patreformer.ckpt")
     save_checkpoint(path, tiny_memo_model())
-    rewrite_header(path, lambda h: h["config"].update(d_e=10))
-    assert main(["eval", "--data", memo_dir, "--checkpoint", path]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "does not factor" in err[0]
-
+    rewrite_checkpoint(path, lambda h: h["config"].update(d_e=10))
+    rc, err = eval_error(memo_dir, path, capsys)
+    assert rc == 3 and "does not factor" in err
 
 
 # Each command that takes the option set, with its other required flags.

@@ -159,12 +159,9 @@ def test_detects_unused_public_function():
         (10, "dead"), (13, "numpy_named")]
 
 
-# Public ops of ``pkge.tensor`` with no caller in the package, each kept for
-# a test: ``test_fused_ops`` composes its reference attention from
-# ``softmax_lastdim`` and its reference feed-forward from ``relu``; gate P1
-# and the gradient tests reduce each checked output to a scalar with
-# ``reduce_sum``.
-TENSOR_OPS_KEPT_FOR_TESTS = {"softmax_lastdim", "relu", "reduce_sum"}
+# Public ops of ``pkge.tensor`` with no caller in the package. The ops only
+# tests use live in ``tests/reference_ops.py``.
+TENSOR_OPS_KEPT_FOR_TESTS = set()
 
 
 def test_every_tensor_op_has_a_package_caller():

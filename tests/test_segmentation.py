@@ -9,7 +9,9 @@ import pkge.segmentation as seg
 from pkge.errors import ConfigError, NumericError
 from pkge.model import ModelConfig, build_model
 from pkge.params import glorot_uniform
-from pkge.tensor import Tensor, reduce_sum
+from pkge.tensor import Tensor
+
+from reference_ops import reduce_sum
 
 
 def t(arr):

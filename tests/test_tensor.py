@@ -8,9 +8,10 @@ from pkge import tensor
 from pkge.errors import ConfigError, GraphError, NumericError, ShapeError
 from pkge.tensor import (Tensor, add, as_tensor, attention, bce_with_logits,
                          concat, dropout, feed_forward, gather_rows,
-                         l1_distance, layer_norm, matmul, mul, reduce_sum,
-                         relu, reshape, softmax_lastdim, transpose)
+                         l1_distance, layer_norm, matmul, mul, reshape,
+                         transpose)
 
+from reference_ops import reduce_sum, relu, softmax_lastdim
 from test_tape import public_ops
 
 

@@ -1,4 +1,3 @@
-import json
 import zlib
 
 import numpy as np
@@ -13,8 +12,8 @@ from pkge.tensor import Tensor
 from pkge import training
 from pkge.evaluation import evaluate
 from pkge.training import (Adam, TrainConfig, bce_smoothed_loss, check_vocab,
-                           load_checkpoint, restore_model, run_experiment,
-                           save_checkpoint, seed_streams, train_model)
+                           restore_model, run_experiment, save_checkpoint,
+                           seed_streams, train_model)
 
 
 def tiny_model(seed=0, n_ent=6, n_rel2=8, **over):
@@ -23,28 +22,6 @@ def tiny_model(seed=0, n_ent=6, n_rel2=8, **over):
     base.update(over)
     cfg = ModelConfig(**base)
     return PatReFormer(cfg, n_ent, n_rel2, np.random.default_rng(seed))
-
-
-def add_optimizer_entry(path, moments, step):
-    """Give a checkpoint the ``optimizer`` header entry earlier writers added:
-    ``null`` when ``moments`` is empty, else ``{"step", "tensors"}`` with each
-    moment array appended to the payload and the CRC recomputed."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    n = int.from_bytes(blob[8:12], "little")
-    header = json.loads(blob[12:12 + n])
-    payload = blob[12 + n:-4]
-    entries = []
-    for name, arr in moments.items():
-        entries.append({"name": name, "shape": list(arr.shape),
-                        "offset": len(payload)})
-        payload += np.asarray(arr, dtype="<f4").tobytes()
-    header["optimizer"] = {"step": step, "tensors": entries} if entries else None
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(blob[:8] + len(head).to_bytes(4, "little") + head + payload
-                 + crc.to_bytes(4, "little"))
 
 
 class TestSeedStreams:
@@ -255,28 +232,19 @@ class TestCheckpointRoundtrip:
             assert np.array_equal(got.data, t.data)
             assert got.requires_grad == t.requires_grad
 
-    @pytest.mark.parametrize("section", ["null", "populated"])
-    def test_older_optimizer_entry_is_ignored(self, tmp_path, section):
-        # Earlier writers added an "optimizer" header entry: null, or the
-        # Adam step count and moments stored after the parameters.
-        model = tiny_model(seed=2)
-        adam = Adam(model.params, lr=0.01)
-        scores = model.score_all([0, 1], [2, 3], training=True,
-                                 rng=np.random.default_rng(0))
-        model.params.zero_grad()
-        bce_smoothed_loss(scores, np.zeros((2, 6)), 0.1).backward()
-        adam.step()
-        path = str(tmp_path / "older.ckpt")
+    def test_header_holds_the_five_fields_and_no_offsets_or_flags(
+            self, tmp_path):
+        model = tiny_model(seed=2, segmentation="trainable", pe="sinusoidal")
+        path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, model)
-        moments = {} if section == "null" else {
-            f"{prefix}.{name}": store[name] for name in adam.m
-            for prefix, store in (("m", adam.m), ("v", adam.v))}
-        add_optimizer_entry(path, moments, adam.step_count)
-
-        restored, ck = restore_model(path)
-        assert "optimizer" not in ck
-        for name, t in model.params.items():
-            assert restored.params[name].data.tobytes() == t.data.tobytes()
+        header = restore_model(path)[1]
+        assert training.CHECKPOINT_VERSION == 2
+        assert sorted(header) == sorted(training.HEADER_FIELDS)
+        assert header["tensors"] == [[name, list(t.shape)]
+                                     for name, t in model.params.items()]
+        blob = open(path, "rb").read()
+        assert int.from_bytes(blob[4:8], "little") == 2
+        assert zlib.crc32(blob[:-4]) == int.from_bytes(blob[-4:], "little")
 
     def test_vocab_check(self, tmp_path):
         model = tiny_model(seed=3, n_ent=5, n_rel2=4)
@@ -321,108 +289,96 @@ class TestCheckpointValidation:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
-            load_checkpoint(str(tmp_path / "nope.ckpt"))
+            restore_model(str(tmp_path / "nope.ckpt"))
 
     def test_bad_magic(self, ckpt):
         blob = bytearray(open(ckpt, "rb").read())
         blob[:4] = b"ELF\x7f"
         open(ckpt, "wb").write(bytes(blob))
         with pytest.raises(CheckpointError, match="magic"):
-            load_checkpoint(ckpt)
+            restore_model(ckpt)
 
     def test_unsupported_version(self, ckpt):
         blob = bytearray(open(ckpt, "rb").read())
         blob[4:8] = np.uint32(99).tobytes()
         open(ckpt, "wb").write(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(ckpt)
+            restore_model(ckpt)
 
     def test_flipped_payload_bit_fails_checksum(self, ckpt):
         blob = bytearray(open(ckpt, "rb").read())
         blob[-20] ^= 0x01   # inside the payload, ahead of the trailing CRC
         open(ckpt, "wb").write(bytes(blob))
         with pytest.raises(CheckpointError, match="checksum"):
-            load_checkpoint(ckpt)
+            restore_model(ckpt)
 
     def test_truncation(self, ckpt):
         blob = open(ckpt, "rb").read()
         open(ckpt, "wb").write(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):
-            load_checkpoint(ckpt)
+            restore_model(ckpt)
 
-    def test_corrupt_header_json(self, ckpt):
-        blob = bytearray(open(ckpt, "rb").read())
-        blob[14] = 0xFF   # stomp the JSON header
-        open(ckpt, "wb").write(bytes(blob))
-        with pytest.raises(CheckpointError):
-            load_checkpoint(ckpt)
+    def test_corrupt_header_json(self, ckpt, rewrite_checkpoint):
+        # stomp the JSON header with a byte that is not UTF-8
+        rewrite_checkpoint(ckpt, edit_body=lambda b: b[:14] + b"\xff" + b[15:])
+        with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
+            restore_model(ckpt)
+
+    def test_header_nested_past_the_recursion_limit(self, ckpt,
+                                                    rewrite_checkpoint):
+        head = b"[" * 100_000
+        rewrite_checkpoint(ckpt, edit_body=lambda b: (
+            b[:8] + len(head).to_bytes(4, "little") + head))
+        with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
+            restore_model(ckpt)
 
     def test_header_length_past_the_end(self, ckpt):
         blob = bytearray(open(ckpt, "rb").read())
         blob[8:12] = np.uint32(len(blob)).tobytes()
         open(ckpt, "wb").write(bytes(blob))
         with pytest.raises(CheckpointError, match="truncated checkpoint header"):
-            load_checkpoint(ckpt)
+            restore_model(ckpt)
 
-    @staticmethod
-    def replace_header(path, edit):
-        """Rewrite the JSON header as ``edit(header)``; payload and CRC stay."""
-        blob = open(path, "rb").read()
-        n = int.from_bytes(blob[8:12], "little")
-        head = json.dumps(edit(json.loads(blob[12:12 + n]))).encode("utf-8")
-        open(path, "wb").write(blob[:8] + len(head).to_bytes(4, "little")
-                               + head + blob[12 + n:])
-
-    def test_header_not_an_object(self, ckpt):
-        self.replace_header(ckpt, lambda h: [h])
+    def test_header_not_an_object(self, ckpt, rewrite_checkpoint):
+        rewrite_checkpoint(ckpt, lambda h: [h])
         with pytest.raises(CheckpointError, match="not a JSON object"):
-            load_checkpoint(ckpt)
+            restore_model(ckpt)
 
     @pytest.mark.parametrize("key", ["model", "config", "n_entities",
                                      "n_relations", "tensors"])
-    def test_header_missing_field(self, ckpt, key):
-        self.replace_header(ckpt, lambda h: {k: v for k, v in h.items()
-                                             if k != key})
+    def test_header_missing_field(self, ckpt, rewrite_checkpoint, key):
+        rewrite_checkpoint(ckpt, lambda h: {k: v for k, v in h.items()
+                                            if k != key})
         with pytest.raises(CheckpointError, match=f"missing field '{key}'"):
-            load_checkpoint(ckpt)
+            restore_model(ckpt)
 
-    def test_tensor_past_the_payload(self, ckpt):
-        def edit(header):
-            header["tensors"][-1]["offset"] += 4
-            return header
-        self.replace_header(ckpt, edit)
-        with pytest.raises(CheckpointError, match="extends past the payload"):
-            load_checkpoint(ckpt)
-
-    def test_tensor_listed_twice(self, ckpt):
-        def edit(header):
-            header["tensors"].append(dict(header["tensors"][0]))
-            return header
-        self.replace_header(ckpt, edit)
+    @pytest.mark.parametrize("value", [None, {"step": 1, "tensors": []}])
+    def test_header_extra_field(self, ckpt, rewrite_checkpoint, value):
+        # the optimizer entry earlier writers added
+        rewrite_checkpoint(ckpt, lambda h: h.update(optimizer=value))
         with pytest.raises(CheckpointError,
-                           match="'entity.embedding' is listed twice"):
-            load_checkpoint(ckpt)
+                           match=r"unknown header fields \['optimizer'\]"):
+            restore_model(ckpt)
 
-    def test_overlapping_tensors(self, ckpt):
-        # The tables are packed end to end: the first, moved 4 bytes on,
-        # shares its last 4 bytes with the second.
-        def edit(header):
-            header["tensors"][0]["offset"] += 4
-            return header
-        self.replace_header(ckpt, edit)
-        with pytest.raises(CheckpointError, match="'entity.embedding' and "
-                           "'relation.embedding' overlap"):
-            load_checkpoint(ckpt)
+    def test_tensor_past_the_payload(self, ckpt, rewrite_checkpoint):
+        rewrite_checkpoint(ckpt, edit_body=lambda b: b[:-4])
+        with pytest.raises(CheckpointError, match="payload holds"):
+            restore_model(ckpt)
 
-    def test_trainable_flag_mismatch(self, ckpt):
-        # the frozen basis saved as trainable: the flag contradicts the config
+    def test_tensor_listed_twice(self, ckpt, rewrite_checkpoint):
+        rewrite_checkpoint(ckpt, lambda h: h["tensors"].append(h["tensors"][0]))
+        with pytest.raises(CheckpointError, match="tensor list"):
+            restore_model(ckpt)
+
+    def test_trainable_flag_mismatch(self, ckpt, rewrite_checkpoint):
+        # the frozen basis saved as trainable: the config alone sets the
+        # flags, so any flag in the file is refused
         def edit(header):
             for entry in header["tensors"]:
-                if entry["name"] == "seg.entity.basis":
-                    entry["trainable"] = True
-            return header
-        self.replace_header(ckpt, edit)
-        with pytest.raises(CheckpointError, match="trainable flag mismatch"):
+                if entry[0] == "seg.entity.basis":
+                    entry.append(True)
+        rewrite_checkpoint(ckpt, edit)
+        with pytest.raises(CheckpointError, match="tensor list"):
             restore_model(ckpt)
 
 
