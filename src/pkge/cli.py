@@ -64,6 +64,8 @@ def parse_config_file(path):
                 values[key] = raw
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return values
 
 

@@ -28,7 +28,8 @@ def load_tsv(path, split="train"):
 
     Order-preserving, no deduplication. A malformed line, one with an empty
     field included, raises ``DataFormatError`` naming the line number; bytes
-    that are not UTF-8 raise it naming the file.
+    that are not UTF-8, or a file that cannot be read, raise it naming the
+    file.
     """
     triples = []
     try:
@@ -51,6 +52,9 @@ def load_tsv(path, split="train"):
     except UnicodeDecodeError as exc:
         raise DataFormatError(
             f"{path}: not valid UTF-8 ({split} split): {exc}") from None
+    except OSError as exc:
+        raise DataFormatError(
+            f"cannot read {path} ({split} split): {exc}") from None
     return triples
 
 

@@ -39,20 +39,6 @@ class ParamStore:
         for t in self._params.values():
             t.grad = None
 
-    def load_arrays(self, arrays):
-        """Overwrite parameter values in place from {name: ndarray}."""
-        missing = set(self._params) - set(arrays)
-        extra = set(arrays) - set(self._params)
-        if missing or extra:
-            raise ConfigError(
-                f"parameter name mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        for name, t in self._params.items():
-            arr = np.ascontiguousarray(arrays[name], dtype=np.float32)
-            if arr.shape != t.data.shape:
-                raise ConfigError(
-                    f"parameter {name}: shape {arr.shape} != expected {t.data.shape}")
-            t.data = arr
-
 
 def glorot_uniform(rng, shape):
     """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out)), where fan_in is

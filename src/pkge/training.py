@@ -13,7 +13,7 @@ wall-clock time into logs or checkpoints.
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -250,20 +250,22 @@ def check_vocab(model, store):
 
 @dataclass
 class TrainResult:
+    """What a run measured; the trained model itself is the one passed to
+    ``train_model``, left at its best-validation parameters."""
     history: list           # rows of (epoch, mean loss, valid MRR or None)
     best_epoch: int
     best_valid_mrr: float
     checkpoint_path: str
-    best_params: dict = field(repr=False)   # {name: array copy} at best_epoch
 
 
 def train_model(store, model, cfg, out_dir=None, progress=None):
-    """Run the full loop; returns history and the best-validation parameters.
+    """Train ``model`` in place and leave it at the parameters with the best
+    validation MRR, not those of its last epoch; returns the TrainResult.
 
     Validation MRR is measured every ``eval_every`` epochs (and at the last
-    epoch); the best model by that number is kept in ``best_params`` and,
-    with ``out_dir``, checkpointed to ``best.ckpt`` next to ``train_log.csv``,
-    which gains one row per epoch as the epoch ends.
+    epoch). With ``out_dir``, the best model by that number is checkpointed
+    to ``best.ckpt`` next to ``train_log.csv``, which gains one row per epoch
+    as the epoch ends; the trained model then equals what ``best.ckpt`` holds.
     """
     check_split(store, "valid")
     streams = seed_streams(cfg.seed)
@@ -324,22 +326,22 @@ def train_model(store, model, cfg, out_dir=None, progress=None):
         if progress:
             progress(epoch, epoch_loss, valid_mrr)
 
+    for name, t in model.params.items():
+        t.data = best_params[name]
     return TrainResult(history=history, best_epoch=best_epoch,
-                       best_valid_mrr=best_mrr, checkpoint_path=ckpt_path,
-                       best_params=best_params)
+                       best_valid_mrr=best_mrr, checkpoint_path=ckpt_path)
 
 
 def run_experiment(store, kind, model_cfg, train_cfg, out_dir=None,
                    progress=None):
     """Build a ``kind`` model from the seed's init stream, train it, and test
-    the parameters with the best validation MRR; returns the TrainResult and
-    the test-split EvalReport."""
+    the best-validation model ``train_model`` leaves; returns the TrainResult
+    and the test-split EvalReport."""
     check_split(store, "test")
     model = build_model(kind, model_cfg, store.num_entities,
                         store.num_relations_with_reverse,
                         seed_streams(train_cfg.seed)["init"])
     result = train_model(store, model, train_cfg, out_dir=out_dir,
                          progress=progress)
-    model.params.load_arrays(result.best_params)
     report = evaluate(store, model, "test")
     return result, report

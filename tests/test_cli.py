@@ -17,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pkge
-from pkge import cli
+from pkge import cli, kg
 from pkge.baselines import DistMult, TransE
 from pkge.cli import (_add_config_flags, _parser, format_run_config, main,
                       parse_config_file, resolve_run_config)
 from pkge.errors import CheckpointError, ConfigError
 from pkge.evaluation import evaluate, write_report_csv
-from pkge.kg import load_dataset
+from pkge.kg import SPLIT_FILES, load_dataset
 from pkge.model import CHOICES, ModelConfig, PatReFormer
 from pkge.synth import write_dataset
 from pkge.training import TrainConfig, restore_model, save_checkpoint
@@ -158,6 +158,17 @@ class TestConfigFile:
         assert echo.endswith("\n")
 
 
+def deny_open(monkeypatch, module, denied):
+    """Make ``module``'s ``open`` raise PermissionError on the path
+    ``denied``, as a file without read permission does for a user that
+    ``chmod`` binds (root reads past it)."""
+    def fake_open(path, *args, **kwargs):
+        if os.fspath(path) == os.fspath(denied):
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return open(path, *args, **kwargs)
+    monkeypatch.setattr(module, "open", fake_open, raising=False)
+
+
 class TestExitCodes:
     def test_missing_dataset_dir(self, tmp_path, capsys):
         rc = main(["stats", "--data", str(tmp_path / "nope")])
@@ -271,6 +282,16 @@ class TestExitCodes:
         assert rc == 3
         assert "valid.txt" in capsys.readouterr().err
 
+    def test_unreadable_split_file(self, memo_dir, monkeypatch, capsys):
+        deny_open(monkeypatch, kg, os.path.join(memo_dir, "valid.txt"))
+        rc = main(["stats", "--data", memo_dir])
+        assert rc == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "valid.txt" in err[0] and "Permission denied" in err[0]
+        assert captured.out == ""
+
     def test_empty_field_in_split_file(self, memo_dir, tmp_path, capsys):
         data = copy_dataset(memo_dir, tmp_path / "d",
                             test=b"e1\tr\te2\n\t\t\n")
@@ -337,6 +358,21 @@ class TestExitCodes:
         rc = main(["train", "--data", memo_dir, "--out", str(tmp_path / "o"),
                    "--config", str(cfg)])
         assert rc == 2
+
+    def test_unreadable_config_file(self, memo_dir, tmp_path, monkeypatch,
+                                    capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr=0.1\n")
+        deny_open(monkeypatch, cli, cfg)
+        out = tmp_path / "o"
+        rc = main(["train", "--data", memo_dir, "--out", str(out),
+                   "--config", str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "run.cfg" in err[0] and "Permission denied" in err[0]
+        assert captured.out == "" and not out.exists()
 
     def test_out_is_a_regular_file(self, memo_dir, tmp_path):
         out = tmp_path / "taken"
@@ -822,6 +858,65 @@ class TestStatsAndCategorize:
         out = capsys.readouterr().out
         assert "scope all (threshold 1.5):" in out
         assert "scope train (threshold 1.5):" in out
+
+
+class TestGeneratedSplitFiles:
+    """Split files of generated lines and bytes, one of them sometimes
+    missing, through ``stats``, ``categorize`` and ``eval`` in-process: each
+    exits 0, 2 or 3 and writes at most one line to stderr, an ``error:``
+    line, never a traceback. A file holds triples over the vocabulary of a
+    fixed DistMult checkpoint, alone or among other lines, so ``eval`` also
+    reaches evaluation."""
+
+    ENTITIES, RELATIONS = ("a", "b", "c", "d"), ("r", "s")
+    TRIPLE = st.tuples(st.sampled_from(ENTITIES), st.sampled_from(RELATIONS),
+                       st.sampled_from(ENTITIES)).map(
+                           lambda t: "\t".join(t).encode())
+    NOISE = st.one_of(
+        st.binary(max_size=12),
+        st.text(alphabet="ar\t \r\x00\x85é", max_size=8).map(str.encode))
+    SPLIT_FILE = st.one_of(st.lists(TRIPLE, max_size=8),
+                           st.lists(st.one_of(TRIPLE, NOISE), max_size=8)).map(
+                               b"\n".join)
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("ckpt") / "distmult.ckpt")
+        cfg = ModelConfig(d_e=8, d_r=8)
+        save_checkpoint(path, DistMult(cfg, len(self.ENTITIES),
+                                       2 * len(self.RELATIONS),
+                                       np.random.default_rng(0)))
+        return path
+
+    @staticmethod
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+        lines = err.getvalue().splitlines()
+        assert rc in (0, 2, 3), (argv, lines)
+        assert len(lines) == (rc != 0)
+        assert all(line.startswith("error:") for line in lines)
+
+    @given(files=st.fixed_dictionaries(dict.fromkeys(SPLIT_FILES, SPLIT_FILE)),
+           missing=st.sampled_from((None, None, None, *SPLIT_FILES)),
+           split=st.sampled_from(tuple(SPLIT_FILES)))
+    @settings(max_examples=120, deadline=None)
+    def test_exit_0_2_or_3_with_at_most_one_error_line(
+            self, scratch, checkpoint, files, missing, split):
+        data = scratch / "dataset"
+        data.mkdir(exist_ok=True)
+        for name, content in files.items():
+            path = data / SPLIT_FILES[name]
+            if name == missing:
+                path.unlink(missing_ok=True)
+            else:
+                path.write_bytes(content)
+        self.run(["stats", "--data", str(data)])
+        self.run(["categorize", "--data", str(data), "--scope", "both",
+                  "--split", split])
+        self.run(["eval", "--data", str(data), "--checkpoint", checkpoint,
+                  "--split", split])
 
 
 @pytest.fixture(scope="module")

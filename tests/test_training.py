@@ -137,19 +137,6 @@ class TestParamStore:
         with pytest.raises(ConfigError):
             store.add("w", np.zeros(1, dtype=np.float32))
 
-    def test_load_arrays_validates_names_and_shapes(self):
-        store = ParamStore()
-        store.add("w", np.ones((2, 2), dtype=np.float32))
-        with pytest.raises(ConfigError):
-            store.load_arrays({})
-        with pytest.raises(ConfigError):
-            store.load_arrays({"w": np.ones((2, 2), dtype=np.float32),
-                               "extra": np.ones(1, dtype=np.float32)})
-        with pytest.raises(ConfigError):
-            store.load_arrays({"w": np.ones((4,), dtype=np.float32)})
-        store.load_arrays({"w": np.full((2, 2), 7.0, dtype=np.float32)})
-        assert np.all(store["w"].data == 7.0)
-
     def test_zero_grad(self):
         store = ParamStore()
         store.add("w", np.ones(2, dtype=np.float32))
@@ -382,6 +369,12 @@ class TestCheckpointValidation:
             restore_model(ckpt)
 
 
+# This run peaks on validation before its last epoch, so the best
+# parameters are not the final ones.
+PEAKS_EARLY = (ModelConfig(d_e=16, d_r=16, d=4, heads=2, layers=1, d_f=16),
+               TrainConfig(lr=0.1, epochs=8, eval_every=2, seed=2))
+
+
 class TestTrainLoop:
     @pytest.fixture
     def train_setup(self, memo_store):
@@ -454,18 +447,27 @@ class TestTrainLoop:
         _, b = self.run(store, mcfg, other)
         assert a.history != b.history
 
+    def test_leaves_the_model_at_its_best_validation_parameters(
+            self, memo_store, tmp_path):
+        mcfg, tcfg = PEAKS_EARLY
+        model = PatReFormer(mcfg, memo_store.num_entities,
+                            memo_store.num_relations_with_reverse,
+                            seed_streams(tcfg.seed)["init"])
+        result = train_model(memo_store, model, tcfg, out_dir=str(tmp_path))
+        assert result.best_epoch < tcfg.epochs
+        restored, _ = restore_model(result.checkpoint_path)
+        assert restored.params.names() == model.params.names()
+        for name, t in model.params.items():
+            assert np.array_equal(t.data, restored.params[name].data), name
+        assert evaluate(memo_store, model, "valid").mrr == result.best_valid_mrr
+
 
 class TestRunExperiment:
     def test_tests_the_checkpointed_best_model(self, memo_store, tmp_path):
-        # this run peaks on validation before its last epoch, so the best
-        # parameters are not the final ones
-        mcfg = ModelConfig(d_e=16, d_r=16, d=4, heads=2, layers=1, d_f=16)
-        tcfg = TrainConfig(lr=0.1, epochs=8, eval_every=2, seed=2)
+        mcfg, tcfg = PEAKS_EARLY
         result, report = run_experiment(memo_store, "patreformer", mcfg, tcfg,
                                         out_dir=str(tmp_path))
         assert result.best_epoch < tcfg.epochs
         restored, _ = restore_model(result.checkpoint_path)
-        for name, arr in result.best_params.items():
-            assert np.array_equal(restored.params[name].data, arr)
         again = evaluate(memo_store, restored, "test")
         assert np.array_equal(report.ranks, again.ranks)
