@@ -24,7 +24,9 @@ interquartile range as a share of its median, whether the change's median
 is worse than the parent's by more than the metric's bound, and whether a
 claim that the change improves the metric holds (``claim_met``): the change
 won at least 9 in 10 of the completed pairs, and its median beats the
-parent's by more than the parent's interquartile range.
+parent's by more than the parent's interquartile range. At the end one
+line per workload and metric prints the medians, the pairs won and these
+verdicts.
 """
 
 import argparse
@@ -199,6 +201,25 @@ def summarize(runs, workloads, metrics):
     return summary
 
 
+def summary_lines(summary):
+    """One line per workload and end-to-end metric: both sides' medians, the
+    pairs the change won out of all pairs, and the verdicts of ``summarize``."""
+    lines = []
+    for workload, entry in summary.items():
+        for name, m in entry["metrics"].items():
+            head = f"{workload} {name}:"
+            if m is None:
+                lines.append(f"{head} no successful run on one side")
+                continue
+            lines.append(
+                f"{head} parent {m['parent']['median']:.6g} change "
+                f"{m['change']['median']:.6g} won {m['change_wins']}/{m['pairs']} "
+                f"parent_iqr_share {m['parent_iqr_share']:.3f} "
+                f"worse_than_bound {m['worse_than_bound']} "
+                f"claim_met {m['claim_met']}")
+    return lines
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="the parent checkout")
@@ -265,6 +286,8 @@ def main(argv=None):
                           f"{'ok' if succeeded(runs[-1]) else 'FAILED'}", flush=True)
     finally:
         shutil.rmtree(work_root, ignore_errors=True)
+    for line in summary_lines(summarize(runs, workloads, spec["end_to_end"])):
+        print(line)
     print(f"wrote {out}")
     return 0
 

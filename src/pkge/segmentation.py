@@ -21,8 +21,8 @@ from .tensor import matmul, reshape, transpose
 
 
 def validate_patch_shape(dim, k, d, what="embedding"):
-    if k <= 0 or d <= 0:
-        raise ConfigError(f"patch grid must be positive, got k={k}, d={d}")
+    if d <= 0:
+        raise ConfigError(f"patch size must be positive, got d={d}")
     if k * d != dim:
         raise ConfigError(
             f"{what} size {dim} does not factor into {k} patches of size {d}")

@@ -329,33 +329,40 @@ def gather_rows(table, ids):
     return _make(table.data[ids], (table,), "gather_rows", grad)
 
 
-# Size in bytes of each [B, rows, d] temporary ``l1_distance`` works in. At
-# 4 MB a block streams from the shared L3 cache. At 1 MB the backward's
-# working set filled a 2 MB per-core L2, and a TransE step, equally fast,
-# varied about a quarter more from one second to the next on a shared host.
-L1_BLOCK_BYTES = 1 << 22
+# Size in bytes of the [B, rows, d] difference block ``l1_distance`` works
+# in. The tiled query is as large, and the backward's two masks add half that
+# again, so a 512 KB block keeps 1.25 MB in use: it fits a 2 MB per-core L2,
+# where a 4 MB block streamed from the shared L3 and its tile took 4 MB more.
+# A TransE step on blocks135 (B=256, N=135, d=100, float32; 2 vCPUs) took
+# 8.9-10.7 ms at 512 KB, 9.2-9.4 ms at 1 MB and 10.9-11.4 ms at 4 MB (medians
+# of 150 steps, three rounds), against 12.8-16.7 ms before the tiling. In 10
+# alternating benchmark pairs 1 MB matched 512 KB's train-baselines
+# throughput (6 of 10 pairs, +1% in the median) and peaked 1.2 MB higher.
+L1_BLOCK_BYTES = 1 << 19
 
 
-# ``l1_distance``'s block buffers per dtype, kept between calls: every step
-# reuses the same pages instead of faulting in fresh ones on each allocation.
+# ``l1_distance``'s buffers per dtype, kept between calls: every step reuses
+# the same pages instead of faulting in fresh ones on each allocation.
 _l1_scratch = {}
 
 
 def _l1_buffers(dtype, size):
-    """A flat buffer of at least ``size`` elements of ``dtype``, and two
-    boolean masks of the same length."""
+    """Two flat buffers of at least ``size`` elements of ``dtype``, one for
+    the tiled query and one for a block, and two boolean masks as long."""
     bufs = _l1_scratch.get(dtype)
-    if bufs is None or bufs[0].size < size:
-        bufs = _l1_scratch[dtype] = (np.empty(size, dtype),
+    if bufs is None or bufs[0].shape[1] < size:
+        bufs = _l1_scratch[dtype] = (np.empty((2, size), dtype),
                                      np.empty((2, size), np.bool_))
     return bufs
 
 
-def _block_diff(q, rows, buf):
-    """q[:, None] - rows[None], written into the front of the flat ``buf``."""
-    shape = (q.shape[0], rows.shape[0], q.shape[1])
-    return np.subtract(q[:, None, :], rows[None, :, :],
-                       out=buf[:math.prod(shape)].reshape(shape))
+def _tile(q, rows, buf):
+    """q [B, d] repeated ``rows`` times along each row, as [B, rows * d] in
+    the front of the flat ``buf``."""
+    b, d = q.shape
+    tile = buf[:b * rows * d].reshape(b, rows, d)
+    tile[...] = q[:, None, :]
+    return tile.reshape(b, rows * d)
 
 
 def l1_distance(q, table):
@@ -363,10 +370,14 @@ def l1_distance(q, table):
     table [N, d] give [B, N], out[b, j] = sum_k |q[b, k] - table[j, k]|.
 
     The table is walked in blocks of rows, so no [B, N, d] array is built or
-    kept on the tape; the block buffers are reused from call to call. Each
-    (query, row) sum is accumulated in float64 and cast back. The backward
-    recomputes each block's signs once and forms both inputs' gradients from
-    them; the subgradient is 0 where a difference is 0.
+    kept on the tape. The query is tiled once per call to the width of a
+    block, so each block's differences are one contiguous subtraction; the
+    buffers are reused from call to call. Each (query, row) sum is
+    accumulated in float64 and cast back. The backward takes each block's
+    signs by comparing the tiled query with the rows, which for finite
+    values with gradual underflow is exactly the sign of their difference,
+    and forms both inputs' gradients from them; the subgradient is 0 where a
+    difference is 0.
     """
     q, table = as_tensor(q), as_tensor(table)
     if (q.data.ndim != 2 or table.data.ndim != 2
@@ -376,32 +387,36 @@ def l1_distance(q, table):
             f"and {table.data.shape}")
     (b, d), n = q.data.shape, table.data.shape[0]
     dtype = np.result_type(q.data, table.data)
-    rows = max(1, L1_BLOCK_BYTES // max(1, b * d * dtype.itemsize))
+    rows = max(1, min(n, L1_BLOCK_BYTES // max(1, b * d * dtype.itemsize)))
     blocks = [slice(j, min(j + rows, n)) for j in range(0, n, rows)]
-    size = b * min(rows, n) * d
+    size = b * rows * d
     data = np.empty((b, n), dtype=dtype)
-    buf = _l1_buffers(dtype, size)[0]
+    (tile_buf, buf), _ = _l1_buffers(dtype, size)
+    tile = _tile(q.data, rows, tile_buf)
     for blk in blocks:
-        diff = _block_diff(q.data, table.data[blk], buf)
+        r = blk.stop - blk.start
+        diff = np.subtract(tile[:, :r * d], table.data[blk].reshape(-1),
+                           out=buf[:b * r * d].reshape(b, r * d))
         np.abs(diff, out=diff)
-        data[:, blk] = diff.sum(axis=-1, dtype=np.float64)
+        data[:, blk] = diff.reshape(b, r, d).sum(axis=-1, dtype=np.float64)
     _finite_or_raise(data, "l1_distance")
 
     def rule(g, need):
-        buf, masks = _l1_buffers(dtype, size)
+        (tile_buf, buf), masks = _l1_buffers(dtype, size)
+        tile = _tile(q.data, rows, tile_buf)
         dq = np.zeros((b, d), dtype) if need[0] else None
         dtable = np.empty((n, d), dtype) if need[1] else None
         for blk in blocks:
-            diff = _block_diff(q.data, table.data[blk], buf)
-            # The signs as (diff > 0) - (diff < 0), written over diff: no
-            # branch per element, unlike np.sign, whose time swung with the
-            # host's load (and in place ran several times slower).
-            pos, neg = (m[:diff.size].reshape(diff.shape) for m in masks)
-            np.greater(diff, 0, out=pos)
-            np.less(diff, 0, out=neg)
-            signs = diff
+            r = blk.stop - blk.start
+            t = table.data[blk].reshape(-1)
+            pos, neg = (m[:b * r * d].reshape(b, r * d) for m in masks)
+            np.greater(tile[:, :r * d], t, out=pos)
+            np.less(tile[:, :r * d], t, out=neg)
+            # The signs as (q > t) - (q < t): no branch per element, unlike
+            # np.sign, whose time swung with the host's load.
+            signs = buf[:b * r * d].reshape(b, r, d)
             np.copyto(signs, np.subtract(pos.view(np.int8), neg.view(np.int8),
-                                         out=pos.view(np.int8)))
+                                         out=pos.view(np.int8)).reshape(b, r, d))
             g_blk = g[:, blk]
             if need[0]:
                 dq += np.matmul(g_blk[:, None, :], signs)[:, 0, :]

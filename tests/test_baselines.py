@@ -78,7 +78,10 @@ class TestTransE:
         want = np.float32(12.0) - dist.astype(np.float32)
         np.testing.assert_array_equal(m.score_all(ents, rels).data, want)
 
-    @pytest.mark.parametrize("block_bytes", [1, 4096, tensor.L1_BLOCK_BYTES])
+    # 4 MB holds all 300 rows for one query but splits the batch's rows
+    # 243 + 57: a partial last block of a block larger than the default.
+    @pytest.mark.parametrize("block_bytes",
+                             sorted({1, 4096, 1 << 22, tensor.L1_BLOCK_BYTES}))
     def test_query_logits_independent_of_batch_and_blocks(self, monkeypatch,
                                                           block_bytes):
         m = TransE(cfg(d_e=100), 300, 4, np.random.default_rng(6))

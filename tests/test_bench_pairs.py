@@ -63,7 +63,8 @@ def checkout(path, side, **files):
 
 
 @pytest.fixture
-def report(tmp_path):
+def report(tmp_path, capsys):
+    # Requests capsys, so a test that also does reads what main printed.
     parent = checkout(tmp_path / "parent", "parent", FAIL="w2 11")
     change = checkout(tmp_path / "change", "change")
     assert bench_pairs.main(["--parent", parent, "--change", change, "--pr", "99",
@@ -123,6 +124,28 @@ def test_claim_met_from_the_stub_runs(report):
     assert not w1["run_s"]["claim_met"]              # 1 win, 2 ties
     # The failed pair counts for neither side: 2/2 completed pairs won.
     assert report["summary"]["w2"]["metrics"]["queries_per_s"]["claim_met"]
+
+
+def test_summary_lines_printed_at_the_end(report, capsys):
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].startswith("wrote ")
+    assert out[-5:-1] == bench_pairs.summary_lines(report["summary"])
+    assert out[-5:-1] == [
+        "w1 queries_per_s: parent 111 change 131 won 3/3 parent_iqr_share "
+        "0.018 worse_than_bound False claim_met True",
+        "w1 run_s: parent 1 change 1 won 1/3 parent_iqr_share 0.000 "
+        "worse_than_bound False claim_met False",
+        "w2 queries_per_s: parent 111 change 131 won 2/3 parent_iqr_share "
+        "0.027 worse_than_bound False claim_met True",
+        # The change's 0.9 s at seed 11 has no parent run to beat.
+        "w2 run_s: parent 1 change 1 won 0/3 parent_iqr_share 0.000 "
+        "worse_than_bound False claim_met False"]
+
+
+def test_summary_line_for_a_metric_without_runs():
+    summary = {"w": {"metrics": {"run_s": None}}}
+    assert bench_pairs.summary_lines(summary) == [
+        "w run_s: no successful run on one side"]
 
 
 def synthetic_runs(parent, change):

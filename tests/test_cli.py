@@ -201,6 +201,19 @@ class TestExitCodes:
             assert "does not factor" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["train", "--d-r", "20"],
+                                      ["sweep-dim", "--dims", "20"]])
+    def test_embedding_smaller_than_a_patch(self, blocks_dir, tmp_path, capsys,
+                                            argv):
+        # 20 // 50 gives zero patches; the error names the option's value.
+        out = tmp_path / "o"
+        assert main(argv[:1] + ["--data", blocks_dir, "--out", str(out)]
+                    + argv[1:]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "relation embedding size 20" in err[0]
+        assert not out.exists()
+
     def test_config_file_model_names_no_kind(self, memo_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model=rotate\n")

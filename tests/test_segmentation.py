@@ -36,8 +36,10 @@ class TestFolding:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             seg.segment_folding(t(np.zeros((2, 12))), 5, 3)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="size 12 does not factor into 0"):
             seg.validate_patch_shape(12, 0, 4)
+        with pytest.raises(ConfigError, match="patch size must be positive"):
+            seg.validate_patch_shape(0, 3, 0)
 
 
 class TestMapped:

@@ -109,6 +109,34 @@ class TestElementwise:
             want_table = want_table + dtable
         np.testing.assert_allclose(t.grad, want_table, rtol=1e-12)
 
+    # One [3, 1, 4] float32 row block is 48 bytes: 96 bytes gives blocks of
+    # 2, 2 and 1 table rows.
+    @pytest.mark.parametrize("block_bytes", [1, 96, tensor.L1_BLOCK_BYTES],
+                             ids=["row-per-block", "partial-last-block",
+                                  "default"])
+    def test_l1_distance_signs_at_ties_ulps_and_subnormals(self, monkeypatch,
+                                                           block_bytes):
+        monkeypatch.setattr(tensor, "L1_BLOCK_BYTES", block_bytes)
+        f32 = np.float32
+        tiny = np.finfo(f32).smallest_subnormal
+        up, down = np.nextafter(f32(1), f32(2)), np.nextafter(f32(1), f32(0))
+        q = np.array([[0, 1, 0, -0.0],
+                      [1, 0, tiny, 2 * tiny],
+                      [-1, up, -tiny, 0]], f32)
+        table = np.array([[0, 1, 0, 0],            # ties, also 0 against -0
+                          [tiny, up, -tiny, 0],    # subnormal and ulp gaps
+                          [-tiny, down, 0, tiny],
+                          [1, 0, tiny, 2 * tiny],  # row 1 of q exactly
+                          [up, down, 2 * tiny, -tiny]], f32)
+        signs = np.sign(q[:, None] - table[None])
+        assert {-1, 0, 1} <= set(signs.ravel())
+        # Small integer weights keep every gradient sum exact in any order.
+        g = np.arange(15, dtype=f32).reshape(3, 5) % 7 - 3
+        q_t, t_t = Tensor(q, requires_grad=True), Tensor(table, requires_grad=True)
+        scalar_loss(mul(l1_distance(q_t, t_t), g)).backward()
+        np.testing.assert_array_equal(q_t.grad, (g[:, :, None] * signs).sum(1))
+        np.testing.assert_array_equal(t_t.grad, -(g[:, :, None] * signs).sum(0))
+
     def test_l1_distance_feature_mismatch_raises(self):
         with pytest.raises(ShapeError):
             l1_distance(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
