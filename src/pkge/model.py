@@ -32,8 +32,8 @@ from .params import Model
 from .segmentation import (build_frozen_basis, build_trainable_basis,
                            segment_folding, segment_mapped, segment_none,
                            validate_patch_shape)
-from .tensor import (attention, concat, dropout, feed_forward, layer_norm,
-                     matmul, reshape, transpose)
+from .tensor import (attention, concat, dropout, feed_forward, matmul,
+                     reshape, transpose)
 
 # Allowed values of each ModelConfig field that names a choice, read by
 # ModelConfig.validate and by the command-line flags.
@@ -142,15 +142,16 @@ def sinusoidal_table(k, d):
     return table.astype(np.float32)
 
 
-def multi_head_attention(x_q, x_kv, wq, wk, wv, wo, heads, p_drop=0.0,
-                         training=False, rng=None):
-    """Multi-head attention of queries ``x_q`` over keys/values ``x_kv``, as
-    one tape node (``tensor.attention``).
+def multi_head_attention(x_q, x_kv, wq, wk, wv, wo, gamma, beta, heads,
+                         p_drop=0.0, training=False, rng=None):
+    """Post-norm attention sublayer LN(x_q + MHA(x_q, x_kv)) with the layer
+    norm's affine ``gamma``/``beta``, as one tape node (``tensor.attention``).
 
     Projections are single d-by-d matrices sliced into heads; scores are
     scaled by 1/sqrt(d), d the model width.
     """
-    return attention(x_q, x_kv, wq, wk, wv, wo, heads, p_drop, training, rng)
+    return attention(x_q, x_kv, wq, wk, wv, wo, gamma, beta, heads, p_drop,
+                     training, rng)
 
 
 class PatReFormer(Model):
@@ -219,19 +220,20 @@ class PatReFormer(Model):
         return dropout(x, cfg.p1, training, rng)
 
     def _block(self, prefix, x_q, x_kv, training, rng):
-        """Post-norm residual block: LN(attn + x), then LN(ffn + x)."""
+        """Post-norm residual block of two tape nodes: x = LN(x_q + attn),
+        then LN(x + dropout(ffn(x)))."""
         cfg = self.config
         p = self.params
-        a = multi_head_attention(
+        x = multi_head_attention(
             x_q, x_kv,
             p[f"{prefix}.attn.wq"], p[f"{prefix}.attn.wk"],
             p[f"{prefix}.attn.wv"], p[f"{prefix}.attn.wo"],
+            p[f"{prefix}.ln1.gamma"], p[f"{prefix}.ln1.beta"],
             cfg.heads, cfg.p2, training, rng)
-        x = layer_norm(a + x_q, p[f"{prefix}.ln1.gamma"], p[f"{prefix}.ln1.beta"])
-        f = feed_forward(x, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"],
-                         p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"])
-        f = dropout(f, cfg.p2, training, rng)
-        return layer_norm(f + x, p[f"{prefix}.ln2.gamma"], p[f"{prefix}.ln2.beta"])
+        return feed_forward(x, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"],
+                            p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"],
+                            p[f"{prefix}.ln2.gamma"], p[f"{prefix}.ln2.beta"],
+                            cfg.p2, training, rng)
 
     def encode(self, e_emb, r_emb, training=False, rng=None):
         """Refined patches [..., k_e + k_r, d]: entity, then relation patches."""

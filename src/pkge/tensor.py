@@ -22,30 +22,39 @@ all, which is what inference uses.
 Data is float32 by default (float64 graphs are accepted so gradient checks
 can run at full precision). Reductions that feed normalizations (softmax
 denominator, layer-norm moments) accumulate in float64 regardless of the
-storage dtype. The softmax's row max is taken by halving the last axis with
-``np.maximum``, not by a reduction, since NumPy reduces a short axis one row
-at a time; a max is exact in any order. The softmax, ``layer_norm`` and
-``dropout`` work in place on arrays they allocated themselves, and dropout
-keeps its mask as a boolean array; their values are bit-identical to the
-out-of-place formulas.
+storage dtype. NumPy reduces a last axis one row at a time, which is slow
+on a short one. So the softmax's row max is taken by halving the last axis
+with ``np.maximum`` (a max is exact in any order), and a sum over fewer
+than 8 columns, the softmax denominator over a short key axis included, is
+taken as column adds in NumPy's own order, so its bytes are NumPy's. The
+softmax, the layer norm and ``dropout`` work in place on arrays they
+allocated themselves, and dropout keeps its mask as a boolean array; their
+values are bit-identical to the out-of-place formulas.
 
-A transformer sublayer is one node: ``attention`` (projections, heads,
-scores, softmax, dropout, context and output) and ``feed_forward``
-(relu(x·w1 + b1)·w2 + b2). Their forwards are bit-identical to the
-compositions of primitive ops they replace; their hand-written backwards sum
-some terms in another order, so gradients agree with the composition's to
-float rounding, not bit for bit.
+A post-norm transformer sublayer is one node, its residual add and layer
+norm included: ``attention`` is LN(x_q + MHA(x_q, x_kv)), with projections,
+heads, scores, softmax, dropout, context and output inside, and
+``feed_forward`` is LN(x + dropout(relu(x·w1 + b1)·w2 + b2)). Their forwards
+are bit-identical to the compositions of primitive ops they replace; their
+hand-written backwards sum some terms in another order, so gradients agree
+with the composition's to float rounding, not bit for bit. Every row mean
+and column sum in those backwards (the layer norm's two means, the γ, β and
+bias gradients, the softmax gradient's inner sum) is taken by ``np.einsum``
+or by column adds, never by a BLAS product, so its bytes do not depend on
+the BLAS thread count.
 
 Models produce logits. The sigmoid appears only inside the fused loss
 ``bce_with_logits``, which evaluates it without overflow for any finite logit.
 
 The forward ops that can turn finite inputs into inf or NaN (``add``,
-``mul``, ``matmul``, ``l1_distance``, ``layer_norm``, ``dropout``,
-``attention``, ``feed_forward`` and ``bce_with_logits``) verify their result
-is finite; overflow raises ``NumericError`` instead of propagating NaN/inf
-through the graph. The others (``reshape``, ``transpose``, ``concat`` and
-``gather_rows``) only move or select finite values, so they skip the sweep;
-a non-finite value they pass on is caught by the next checking op.
+``mul``, ``matmul``, ``l1_distance``, ``dropout``, ``attention``,
+``feed_forward`` and ``bce_with_logits``) verify their result is finite;
+overflow raises ``NumericError`` instead of propagating NaN/inf through the
+graph. An overflow inside a sublayer reaches its output as NaN through the
+layer norm, whose row mean and deviations an inf turns into NaN. The others
+(``reshape``, ``transpose``, ``concat`` and ``gather_rows``) only move or
+select finite values, so they skip the sweep; a non-finite value they pass
+on is caught by the next checking op.
 """
 
 import math
@@ -314,7 +323,14 @@ def concat(parts, axis=-1):
 
 
 def gather_rows(table, ids):
-    """Embedding lookup: table [N, D] indexed by an integer array of ids."""
+    """Embedding lookup: table [N, D] indexed by an integer array of ids.
+
+    The backward adds the output rows onto a zero table in occurrence
+    rounds: the first occurrence of every id, then every second one, and so
+    on. No id repeats within a round, so each round is one vectorized add,
+    and every table row sums its gradients in index order, as ``np.add.at``
+    would, bit for bit.
+    """
     table = as_tensor(table)
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
@@ -324,7 +340,19 @@ def gather_rows(table, ids):
 
     def grad(g):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
+        flat = ids.reshape(-1)
+        if not flat.size:
+            return gt
+        g = g.reshape(flat.shape + table.data.shape[1:])
+        order = np.argsort(flat, kind="stable")
+        ranked = flat[order]
+        first = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        occurrence = np.arange(flat.size) - np.repeat(
+            first, np.diff(np.append(first, flat.size)))
+        for r in range(occurrence.max() + 1):
+            pos = order[occurrence == r]
+            # An add, not an assignment, in the first round too: 0 + (-0) is +0.
+            gt[flat[pos]] += g[pos]
         return gt
     return _make(table.data[ids], (table,), "gather_rows", grad)
 
@@ -444,6 +472,36 @@ def _row_max(x):
     return x
 
 
+# Below this many columns NumPy's pairwise sum of a row is a plain loop from
+# +0.0, which column adds reproduce; from it on, 8 partial sums are kept.
+_PAIRWISE_BLOCK = 8
+
+
+def _sum_lastdim(x, dtype=None):
+    """``x.sum(axis=-1, keepdims=True, dtype=dtype)``, byte for byte. NumPy
+    reduces a last axis one row at a time, so a short axis is summed instead
+    as column adds from +0.0, in NumPy's own order."""
+    n = x.shape[-1]
+    if n >= _PAIRWISE_BLOCK:
+        return x.sum(axis=-1, keepdims=True, dtype=dtype)
+    out = np.zeros(x.shape[:-1] + (1,), dtype or x.dtype)
+    for i in range(n):
+        out += x[..., i:i + 1]
+    return out
+
+
+def _row_sum(a, b=None):
+    """Sum of ``a`` (or of a·b) over the last axis, keepdims, for a
+    backward: column adds on a short axis, ``np.einsum`` on a longer one.
+    Neither goes through BLAS, so the bytes do not depend on its thread
+    count."""
+    if a.shape[-1] < _PAIRWISE_BLOCK:
+        return _sum_lastdim(a if b is None else a * b)
+    if b is None:
+        return np.einsum("...j->...", a)[..., None]
+    return np.einsum("...j,...j->...", a, b)[..., None]
+
+
 def _softmax_into(out, x):
     """Row-stable softmax of ``x`` over its last axis, written into ``out``
     (which may be ``x``). The row max is ``_row_max``'s; exp(x − m) is the
@@ -451,14 +509,14 @@ def _softmax_into(out, x):
     is rounded once into ``out``'s dtype."""
     np.subtract(x, _row_max(x), out=out)
     np.exp(out, out=out)
-    np.divide(out, out.sum(axis=-1, keepdims=True, dtype=np.float64), out=out)
+    np.divide(out, _sum_lastdim(out, np.float64), out=out)
     return out
 
 
 def _softmax_grad(g, y):
     """y · (g - sum(g · y)) over the last axis, in a fresh array."""
     gx = g * y
-    inner = gx.sum(axis=-1, keepdims=True)
+    inner = _row_sum(gx)
     np.subtract(g, inner, out=gx)
     gx *= y
     return gx
@@ -468,41 +526,37 @@ def _softmax_grad(g, y):
 LAYER_NORM_EPS = 1e-5
 
 
-def layer_norm(x, gamma, beta):
-    """Normalize the last axis to zero mean / unit variance, then affine.
-
-    Moments are accumulated in float64.
-    """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    d = x.data.shape[-1]
-    if gamma.data.shape != (d,) or beta.data.shape != (d,):
-        raise ShapeError(
-            f"layer_norm affine shapes {gamma.data.shape}/{beta.data.shape} "
-            f"do not match feature dim {d}"
-        )
-    xc = x.data.astype(np.float64)
+def _layer_norm(z, gamma, beta):
+    """Layer norm of ``z`` over its last axis, then γ·x̂ + β: returns the
+    output, x̂ and 1/σ, the last two for the backward. The moments are taken
+    in float64 and x̂ is rounded once into ``z``'s dtype."""
+    xc = z.astype(np.float64)
     xc -= xc.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(np.square(xc).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xc *= inv
-    xhat = xc.astype(x.dtype, copy=False)
-    inv = inv.astype(x.dtype)
-    y = gamma.data * xhat
-    y += beta.data
-    y = y.astype(x.dtype, copy=False)
-    _finite_or_raise(y, "layer_norm")
+    xhat = xc.astype(z.dtype, copy=False)
+    y = gamma * xhat
+    y += beta
+    return y.astype(z.dtype, copy=False), xhat, inv.astype(z.dtype)
 
-    def grad_x(g):
-        gx = g * gamma.data
-        m1 = gx.mean(axis=-1, keepdims=True)
-        t = gx * xhat
-        m2 = t.mean(axis=-1, keepdims=True)
-        gx -= m1
-        gx -= np.multiply(xhat, m2, out=t)
-        gx *= inv
-        return gx
-    return _make(y, (x, gamma, beta), "layer_norm", grad_x,
-                 lambda g: (g * xhat).reshape(-1, d).sum(axis=0),
-                 lambda g: g.reshape(-1, d).sum(axis=0))
+
+def _layer_norm_grad(g, gamma, xhat, inv, need_gamma, need_beta):
+    """Gradients of ``_layer_norm``'s output for its input, γ and β (``None``
+    where not needed). The two row means and the γ/β column sums go through
+    ``_row_sum`` and ``np.einsum``, not BLAS."""
+    d = g.shape[-1]
+    g2, xhat2 = g.reshape(-1, d), xhat.reshape(-1, d)
+    dgamma = np.einsum("ij,ij->j", g2, xhat2) if need_gamma else None
+    dbeta = np.einsum("ij->j", g2) if need_beta else None
+    gx = g * gamma
+    m1 = _row_sum(gx)
+    m1 /= d
+    m2 = _row_sum(gx, xhat)
+    m2 /= d
+    gx -= m1
+    gx -= xhat * m2
+    gx *= inv
+    return gx, dgamma, dbeta
 
 
 def _check_rate(p):
@@ -543,25 +597,33 @@ def dropout(x, p, training, rng):
 # ---------------------------------------------------------------------------
 
 
-def attention(x_q, x_kv, wq, wk, wv, wo, heads, p_drop=0.0, training=False,
-              rng=None):
-    """Multi-head attention of queries ``x_q`` [..., nq, d] over keys and
-    values ``x_kv`` [..., nk, d], as one tape node.
+def _check_affine(op, gamma, beta, d):
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise ShapeError(f"{op}: layer-norm affine shapes {gamma.shape}/"
+                         f"{beta.shape} do not match feature dim {d}")
+
+
+def attention(x_q, x_kv, wq, wk, wv, wo, gamma, beta, heads, p_drop=0.0,
+              training=False, rng=None):
+    """Post-norm attention sublayer LN(x_q + MHA(x_q, x_kv)) of queries
+    ``x_q`` [..., nq, d] over keys and values ``x_kv`` [..., nk, d], as one
+    tape node; ``gamma`` and ``beta`` [d] are the layer norm's affine.
 
     With q = x_q·wq, k = x_kv·wk and v = x_kv·wv, each split into ``heads``
-    slices of d/heads, the output is
-    merge(dropout(softmax(q kᵀ / sqrt(d))) v)·wo: every head's scores are
-    scaled by the full width d, not by its slice's d/heads. The forward runs
-    the same numpy products on the same layouts as that composition of
-    ``matmul``, ``reshape``, ``transpose``, ``mul``, a row softmax and
-    ``dropout`` would, and draws the same dropout mask at the same point, so
-    its output is bit-identical to theirs. The backward is written by hand:
-    it reuses the projections, the probabilities and the mask, and gives
-    ``x_kv`` the sum of its key and value terms.
+    slices of d/heads, MHA is merge(dropout(softmax(q kᵀ / sqrt(d))) v)·wo:
+    every head's scores are scaled by the full width d, not by its slice's
+    d/heads. The forward runs the same numpy ops in the same order as that
+    composition of ``matmul``, ``reshape``, ``transpose``, ``mul``, a row
+    softmax, ``dropout``, ``add`` and a layer norm would, and draws the same
+    dropout mask at the same point, so its output is bit-identical to
+    theirs. The backward is written by hand: it reuses the projections, the
+    probabilities, the mask, x̂ and 1/σ, gives ``x_q`` its residual term
+    and ``x_kv`` the sum of its key and value terms.
     """
-    ins = tuple(as_tensor(t) for t in (x_q, x_kv, wq, wk, wv, wo))
+    ins = tuple(as_tensor(t) for t in (x_q, x_kv, wq, wk, wv, wo, gamma, beta))
     xq, xkv = ins[0].data, ins[1].data
-    ws = tuple(t.data for t in ins[2:])
+    ws = tuple(t.data for t in ins[2:6])
+    gd, bd = ins[6].data, ins[7].data
     d = xq.shape[-1]
     if (xq.ndim < 2 or xkv.ndim != xq.ndim or xkv.shape[:-2] != xq.shape[:-2]
             or xkv.shape[-1:] != (d,) or any(w.shape != (d, d) for w in ws)
@@ -569,6 +631,7 @@ def attention(x_q, x_kv, wq, wk, wv, wo, heads, p_drop=0.0, training=False,
         raise ShapeError(
             f"attention: queries {xq.shape}, keys/values {xkv.shape}, "
             f"projections {[w.shape for w in ws]}, {heads} heads")
+    _check_affine("attention", gd, bd, d)
     _check_rate(p_drop)
     wq, wk, wv, wo = ws
     lead, nq, nk, ds = xq.shape[:-2], xq.shape[-2], xkv.shape[-2], d // heads
@@ -591,11 +654,15 @@ def attention(x_q, x_kv, wq, wk, wv, wo, heads, p_drop=0.0, training=False,
     else:
         keep, dropped = None, probs
     ctx = merge(dropped @ v4)
-    data = (ctx @ wo).reshape(xq.shape)
+    z = (ctx @ wo).reshape(xq.shape) + xq
+    data, xhat, inv = _layer_norm(z, gd, bd)
     _finite_or_raise(data, "attention")
 
     def rule(g, need):
-        g2 = g.reshape(-1, d)
+        dz, dgamma, dbeta = _layer_norm_grad(g, gd, xhat, inv, need[6], need[7])
+        if not any(need[:6]):
+            return (None,) * 6 + (dgamma, dbeta)
+        g2 = dz.reshape(-1, d)
         dctx = split(g2 @ wo.T, nq)
         dprobs = dctx @ np.swapaxes(v4, -1, -2)
         dv = merge(np.swapaxes(dropped, -1, -2) @ dctx)
@@ -605,55 +672,78 @@ def attention(x_q, x_kv, wq, wk, wv, wo, heads, p_drop=0.0, training=False,
         dscores *= s
         dq = merge(dscores @ k4)
         dk = merge(np.swapaxes(np.swapaxes(q4, -1, -2) @ dscores, -1, -2))
-        dxkv = None
+        dxq = dxkv = None
+        if need[0]:
+            dxq = (dq @ wq.T).reshape(xq.shape)
+            dxq += dz
         if need[1]:
             dxkv = (dk @ wk.T).reshape(xkv.shape)
             dxkv += (dv @ wv.T).reshape(xkv.shape)
-        return ((dq @ wq.T).reshape(xq.shape) if need[0] else None, dxkv,
+        return (dxq, dxkv,
                 xq2.T @ dq if need[2] else None,
                 xkv2.T @ dk if need[3] else None,
                 xkv2.T @ dv if need[4] else None,
-                ctx.T @ g2 if need[5] else None)
+                ctx.T @ g2 if need[5] else None,
+                dgamma, dbeta)
     return _make(data, ins, "attention", rule=rule)
 
 
-def feed_forward(x, w1, b1, w2, b2):
-    """Position-wise feed-forward relu(x·w1 + b1)·w2 + b2 over the last axis
-    of ``x`` [..., d], as one tape node.
+def feed_forward(x, w1, b1, w2, b2, gamma, beta, p_drop=0.0, training=False,
+                 rng=None):
+    """Post-norm feed-forward sublayer LN(x + dropout(relu(x·w1 + b1)·w2 +
+    b2)) over the last axis of ``x`` [..., d], as one tape node; ``gamma``
+    and ``beta`` [d] are the layer norm's affine.
 
     The forward runs the same products and sums as ``matmul``, ``add``, a
-    relu, ``matmul`` and ``add`` would, so its output is bit-identical to
-    theirs; the backward keeps only the hidden activations.
+    relu, ``matmul``, ``add``, ``dropout``, ``add`` and a layer norm would,
+    and draws the same dropout mask, so its output is bit-identical to
+    theirs; the backward keeps only the hidden activations, the mask, x̂
+    and 1/σ, and gives ``x`` its residual term.
     """
-    ins = tuple(as_tensor(t) for t in (x, w1, b1, w2, b2))
-    xd, w1, b1, w2, b2 = (t.data for t in ins)
+    ins = tuple(as_tensor(t) for t in (x, w1, b1, w2, b2, gamma, beta))
+    xd, w1, b1, w2, b2, gd, bd = (t.data for t in ins)
     if (xd.ndim < 1 or w1.ndim != 2 or w2.ndim != 2 or xd.shape[-1] != w1.shape[0]
-            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1]
+            or b1.shape != w1.shape[1:] or w2.shape != w1.shape[::-1]
             or b2.shape != w2.shape[1:]):
         raise ShapeError(
             f"feed_forward: input {xd.shape}, w1 {w1.shape}, b1 {b1.shape}, "
             f"w2 {w2.shape}, b2 {b2.shape}")
-    lead, (d, f), n = xd.shape[:-1], w1.shape, w2.shape[1]
+    _check_affine("feed_forward", gd, bd, xd.shape[-1])
+    _check_rate(p_drop)
+    d = xd.shape[-1]
     x2 = xd.reshape(-1, d)
     h = x2 @ w1
     h += b1
     np.maximum(h, 0, out=h)
-    out = h @ w2
-    out += b2
-    data = out.reshape(lead + (n,))
+    f = h @ w2
+    f += b2
+    f = f.reshape(xd.shape)
+    if training and p_drop > 0.0:
+        keep, scale = _dropout_mask(f.shape, p_drop, f.dtype, rng)
+        f = _drop(f, keep, scale)
+    else:
+        keep = None
+    data, xhat, inv = _layer_norm(f + xd, gd, bd)
     _finite_or_raise(data, "feed_forward")
 
     def rule(g, need):
-        g2 = g.reshape(-1, n)
+        dz, dgamma, dbeta = _layer_norm_grad(g, gd, xhat, inv, need[5], need[6])
+        df = dz if keep is None else _drop(dz, keep, scale)
+        df = df.reshape(-1, d)
         dh = None
         if any(need[:3]):
-            dh = g2 @ w2.T
+            dh = df @ w2.T
             dh *= h > 0
-        return ((dh @ w1.T).reshape(xd.shape) if need[0] else None,
+        dx = None
+        if need[0]:
+            dx = (dh @ w1.T).reshape(xd.shape)
+            dx += dz
+        return (dx,
                 x2.T @ dh if need[1] else None,
-                _unbroadcast(dh.reshape(lead + (f,)), b1.shape) if need[2] else None,
-                h.T @ g2 if need[3] else None,
-                _unbroadcast(g, b2.shape) if need[4] else None)
+                np.einsum("ij->j", dh) if need[2] else None,
+                h.T @ df if need[3] else None,
+                np.einsum("ij->j", df) if need[4] else None,
+                dgamma, dbeta)
     return _make(data, ins, "feed_forward", rule=rule)
 
 

@@ -24,13 +24,13 @@ from pkge.params import glorot_uniform
 from pkge.segmentation import (build_frozen_basis, build_trainable_basis,
                                orthonormality_deviation, segment_folding,
                                segment_mapped, segment_none)
-from pkge.tensor import Tensor, layer_norm, matmul, mul
+from pkge.tensor import Tensor, matmul, mul
 from pkge.training import (Adam, TrainConfig, bce_smoothed_loss, restore_model,
                            run_experiment, save_checkpoint, seed_streams,
                            train_model)
 
 from gradcheck import check_gradients
-from reference_ops import reduce_sum, softmax_lastdim
+from reference_ops import layer_norm, reduce_sum, softmax_lastdim
 from test_evaluation import TableModel, oracle_ranks, random_store_and_table
 from test_gradients import model_loss_fn
 
@@ -93,8 +93,12 @@ def test_p01_gradient_accuracy(announce):
     prim(lambda t: bce_smoothed_loss(t, targets, 0.1), [logits])
     wq, wk, wv, wo = (rng.standard_normal((4, 4)) * 0.4 for _ in range(4))
     xs = rng.standard_normal((2, 3, 4))
+    # The attention sublayer ends in a layer norm, whose rows sum to
+    # sum(gamma · x̂): a gamma that is not constant keeps the sum from
+    # vanishing.
+    ln_gamma, ln_beta = Tensor(np.linspace(0.5, 1.5, 4)), Tensor(np.zeros(4))
     prim(lambda t, q, k, v, o: reduce_sum(
-        multi_head_attention(t, t, q, k, v, o, heads=2)),
+        multi_head_attention(t, t, q, k, v, o, ln_gamma, ln_beta, heads=2)),
         [xs, wq, wk, wv, wo])
 
     model = build_model("patreformer", small_config(d_e=8, d_r=8),

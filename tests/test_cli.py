@@ -1073,6 +1073,23 @@ class TestTrainCommand:
                     assert f"{key}={value}" in config, key
         capsys.readouterr()
 
+    def test_same_bytes_under_one_and_two_blas_threads(self, blocks_dir, tmp_path):
+        # At the default d_r = 200 no product in a step sums differently
+        # under 1 and 2 OpenBLAS threads, and every backward row or column
+        # sum stays off BLAS, so the run files match byte for byte.
+        def run(threads):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONPATH=os.path.dirname(os.path.dirname(pkge.__file__)))
+            proc = subprocess.run(
+                [sys.executable, "-m", "pkge", "train", "--data", blocks_dir,
+                 "--epochs", "2", "--eval-every", "2", "--out", str(out)],
+                capture_output=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            return {f: (out / f).read_bytes()
+                    for f in ("train_log.csv", "best.ckpt", "eval_test.csv")}
+        assert run(1) == run(2)
+
 
 class TestAblateCommand:
     def test_single_variant(self, memo_dir, tmp_path, capsys):

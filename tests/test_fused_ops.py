@@ -1,22 +1,24 @@
-"""The fused ``attention`` and ``feed_forward`` ops against their tape
+"""The fused ``attention`` and ``feed_forward`` sublayers against their tape
 compositions.
 
 The reference builds each sublayer from primitive ops, one node per step:
 attention as projections, split heads, scores, softmax, dropout, context,
-merge and output; the feed-forward as matmul, bias, relu, matmul and bias.
-The fused forward must equal the reference bit for bit, dropout included
-(same rng, same draws). The fused backward sums some terms in another order,
-so each input gradient must agree to 2e-6 relative to its largest entry.
+merge and output; the feed-forward as matmul, bias, relu, matmul, bias and
+dropout; each then adds its residual and applies ``layer_norm``. The fused
+forward must equal the reference bit for bit, dropout included (same rng,
+same draws). The fused backward sums some terms in another order, so each
+input gradient must agree to 2e-6 relative to its largest entry.
 """
 
 import numpy as np
 import pytest
 
-from pkge.errors import ShapeError
+from pkge import tensor
+from pkge.errors import NumericError, ShapeError
 from pkge.tensor import (Tensor, add, attention, dropout, feed_forward, matmul,
                          mul, reshape, transpose)
 
-from reference_ops import reduce_sum, relu, softmax_lastdim
+from reference_ops import layer_norm, reduce_sum, relu, softmax_lastdim
 
 GRAD_RTOL = 2e-6
 
@@ -51,17 +53,19 @@ def _merge_heads(x):
     return reshape(x, tuple(lead) + (n, heads * ds))
 
 
-def reference_attention(x_q, x_kv, wq, wk, wv, wo, heads, p_drop=0.0,
-                        training=False, rng=None):
+def reference_attention(x_q, x_kv, wq, wk, wv, wo, gamma, beta, heads,
+                        p_drop=0.0, training=False, rng=None):
     q = _split_heads(matmul(x_q, wq), heads)
     k = _split_heads(matmul(x_kv, wk), heads)
     v = _split_heads(matmul(x_kv, wv), heads)
     ctx = scaled_dot_attention(q, k, v, x_q.shape[-1], p_drop, training, rng)
-    return matmul(_merge_heads(ctx), wo)
+    return layer_norm(add(matmul(_merge_heads(ctx), wo), x_q), gamma, beta)
 
 
-def reference_feed_forward(x, w1, b1, w2, b2):
-    return add(matmul(relu(add(matmul(x, w1), b1)), w2), b2)
+def reference_feed_forward(x, w1, b1, w2, b2, gamma, beta, p_drop=0.0,
+                           training=False, rng=None):
+    f = add(matmul(relu(add(matmul(x, w1), b1)), w2), b2)
+    return layer_norm(add(dropout(f, p_drop, training, rng), x), gamma, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -70,33 +74,53 @@ def reference_feed_forward(x, w1, b1, w2, b2):
 
 D, HEADS = 6, 3
 
-# name: (query shape, key/value shape or None for self-attention)
+# name: (query shape, key/value shape or None for self-attention). Every
+# case but "wide" has fewer than 8 keys and features, so its softmax and
+# layer-norm sums are column adds; "wide" takes the longer-axis sums.
 ATTENTION_SHAPES = {
     "cross": ((4, 2, D), (4, 5, D)),
     "self": ((4, 3, D), None),
     "unbatched": ((2, D), (5, D)),
+    "wide": ((3, 4, 4 * D), (3, 9, 4 * D)),
 }
 
 
+def affine_leaves(d, dtype, rng):
+    return [Tensor(rng.uniform(0.5, 1.5, d).astype(dtype), requires_grad=True),
+            Tensor(rng.standard_normal(d).astype(dtype), requires_grad=True)]
+
+
 def attention_inputs(name, dtype=np.float32, seed=0):
-    """(x_q, x_kv, wq, wk, wv, wo) as requires-grad leaves; x_kv is x_q for
-    self-attention."""
+    """(x_q, x_kv, wq, wk, wv, wo, gamma, beta) as requires-grad leaves; x_kv
+    is x_q for self-attention."""
     rng = np.random.default_rng(seed)
     q_shape, kv_shape = ATTENTION_SHAPES[name]
+    d = q_shape[-1]
 
     def leaf(shape, scale=1.0):
         return Tensor((rng.standard_normal(shape) * scale).astype(dtype),
                       requires_grad=True)
     x_q = leaf(q_shape)
     x_kv = x_q if kv_shape is None else leaf(kv_shape)
-    return [x_q, x_kv] + [leaf((D, D), 0.5) for _ in range(4)]
+    weights = [leaf((d, d), 0.5) for _ in range(4)]
+    return [x_q, x_kv] + weights + affine_leaves(d, dtype, rng)
 
 
 def ffn_inputs(lead=(4, 3), dtype=np.float32, seed=0):
     rng = np.random.default_rng(seed)
     shapes = [lead + (D,), (D, 8), (8,), (8, D), (D,)]
-    return [Tensor((rng.standard_normal(s) * 0.7).astype(dtype), requires_grad=True)
-            for s in shapes]
+    return ([Tensor((rng.standard_normal(s) * 0.7).astype(dtype),
+                    requires_grad=True) for s in shapes]
+            + affine_leaves(D, dtype, rng))
+
+
+# name: (leading shape, dropout rate, training)
+FFN_CASES = {
+    "batched": ((4, 3), 0.0, False),
+    "rows": ((5,), 0.0, False),
+    "batched-train-dropout": ((4, 3), 0.3, True),
+    "rows-eval": ((5,), 0.3, False),
+}
 
 
 def distinct(inputs):
@@ -110,13 +134,13 @@ def distinct(inputs):
 
 def input_grads(build, inputs, seed=1):
     """Gradients of a weighted sum of ``build(*inputs)`` for each distinct
-    input, and the output."""
+    input that requires one, and the output."""
     for t in inputs:
         t.grad = None
     out = build(*inputs)
     w = np.random.default_rng(seed).standard_normal(out.shape).astype(out.dtype)
     reduce_sum(mul(out, w)).backward()
-    return [t.grad.copy() for t in distinct(inputs)], out.data
+    return [t.grad.copy() for t in distinct(inputs) if t.requires_grad], out.data
 
 
 def assert_grads_close(got, want):
@@ -126,18 +150,19 @@ def assert_grads_close(got, want):
         assert err <= GRAD_RTOL, err
 
 
-def fused_attention(p_drop, training, seed):
+def sublayer(op, *args, seed):
+    """``op(*inputs, *args, rng)`` with a fresh generator of ``seed``."""
     def build(*inputs):
-        return attention(*inputs, HEADS, p_drop, training,
-                         np.random.default_rng(seed))
+        return op(*inputs, *args, np.random.default_rng(seed))
     return build
+
+
+def fused_attention(p_drop, training, seed):
+    return sublayer(attention, HEADS, p_drop, training, seed=seed)
 
 
 def composed_attention(p_drop, training, seed):
-    def build(*inputs):
-        return reference_attention(*inputs, HEADS, p_drop, training,
-                                   np.random.default_rng(seed))
-    return build
+    return sublayer(reference_attention, HEADS, p_drop, training, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +199,7 @@ def test_attention_gradients_match_reference(name, p_drop, training):
     inputs = attention_inputs(name)
     got, _ = input_grads(fused_attention(p_drop, training, 5), inputs)
     want, _ = input_grads(composed_attention(p_drop, training, 5), inputs)
-    assert len(got) == (5 if name == "self" else 6)
+    assert len(got) == (7 if name == "self" else 8)
     assert_grads_close(got, want)
 
 
@@ -185,9 +210,10 @@ def test_attention_is_one_node():
     assert all(p is t for p, t in zip(out._prev, inputs))
 
 
-@pytest.mark.parametrize("bad", ["heads", "kv-width", "lead", "kv-1d", "weight"])
+@pytest.mark.parametrize("bad", ["heads", "kv-width", "lead", "kv-1d", "weight",
+                                 "affine"])
 def test_attention_shape_errors(bad):
-    x_q, x_kv, wq, wk, wv, wo = attention_inputs(
+    x_q, x_kv, wq, wk, wv, wo, gamma, beta = attention_inputs(
         "unbatched" if bad == "kv-1d" else "cross")
     heads = 4 if bad == "heads" else HEADS
     if bad == "kv-width":
@@ -198,8 +224,10 @@ def test_attention_shape_errors(bad):
         x_kv = Tensor(np.zeros((D,), np.float32))
     if bad == "weight":
         wo = Tensor(np.zeros((D, D + 1), np.float32))
+    if bad == "affine":
+        beta = Tensor(np.zeros(D + 1, np.float32))
     with pytest.raises(ShapeError):
-        attention(x_q, x_kv, wq, wk, wv, wo, heads)
+        attention(x_q, x_kv, wq, wk, wv, wo, gamma, beta, heads)
 
 
 # ---------------------------------------------------------------------------
@@ -207,22 +235,33 @@ def test_attention_shape_errors(bad):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("lead", [(4, 3), (5,)], ids=["batched", "rows"])
+@pytest.mark.parametrize("case", list(FFN_CASES))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_feed_forward_forward_bit_identical(lead, dtype):
+def test_feed_forward_forward_bit_identical(case, dtype):
+    lead, p_drop, training = FFN_CASES[case]
     inputs = ffn_inputs(lead, dtype)
-    fused = feed_forward(*inputs).data
-    ref = reference_feed_forward(*inputs).data
+    fused = sublayer(feed_forward, p_drop, training, seed=5)(*inputs).data
+    ref = sublayer(reference_feed_forward, p_drop, training, seed=5)(*inputs).data
     assert fused.dtype == ref.dtype and fused.shape == ref.shape
     assert np.array_equal(fused, ref)
 
 
-@pytest.mark.parametrize("lead", [(4, 3), (5,)], ids=["batched", "rows"])
-def test_feed_forward_gradients_match_reference(lead):
+@pytest.mark.parametrize("case", list(FFN_CASES))
+def test_feed_forward_gradients_match_reference(case):
+    lead, p_drop, training = FFN_CASES[case]
     inputs = ffn_inputs(lead)
-    got, _ = input_grads(feed_forward, inputs)
-    want, _ = input_grads(reference_feed_forward, inputs)
+    got, _ = input_grads(sublayer(feed_forward, p_drop, training, seed=5), inputs)
+    want, _ = input_grads(
+        sublayer(reference_feed_forward, p_drop, training, seed=5), inputs)
+    assert len(got) == 7
     assert_grads_close(got, want)
+
+
+def test_feed_forward_is_one_node():
+    inputs = ffn_inputs()
+    out = feed_forward(*inputs, 0.3, True, np.random.default_rng(0))
+    assert out.op == "feed_forward"
+    assert all(p is t for p, t in zip(out._prev, inputs))
 
 
 def test_feed_forward_relu_gate():
@@ -231,19 +270,122 @@ def test_feed_forward_relu_gate():
     x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
     w1 = Tensor(np.zeros((3, 2), np.float32), requires_grad=True)
     b1 = Tensor(np.array([1.0, -1.0], np.float32), requires_grad=True)
-    w2 = Tensor(np.ones((2, 1), np.float32), requires_grad=True)
-    b2 = Tensor(np.zeros(1, np.float32), requires_grad=True)
-    out = feed_forward(x, w1, b1, w2, b2)
-    np.testing.assert_array_equal(out.data, [[1.0], [1.0]])
-    reduce_sum(out).backward()
-    np.testing.assert_array_equal(b1.grad, [2.0, 0.0])
-    np.testing.assert_array_equal(w2.grad, [[2.0], [0.0]])
-    np.testing.assert_array_equal(w1.grad, [[2.0, 0.0]] * 3)
+    w2 = Tensor(np.array([[1.0, 2.0, 4.0], [1.0, 1.0, 1.0]], np.float32),
+                requires_grad=True)
+    b2 = Tensor(np.zeros(3, np.float32), requires_grad=True)
+    gamma = Tensor(np.ones(3, np.float32))
+    beta = Tensor(np.zeros(3, np.float32))
+    out = feed_forward(x, w1, b1, w2, b2, gamma, beta)
+    # Each row is LN(1 + (1, 2, 4)): mean 10/3, deviations (-4, -1, 5)/3.
+    dev = np.array([-4.0, -1.0, 5.0]) / 3
+    want = dev / np.sqrt(np.mean(dev ** 2) + tensor.LAYER_NORM_EPS)
+    np.testing.assert_allclose(out.data, [want, want], rtol=1e-6)
+    reduce_sum(mul(out, np.array([1.0, -2.0, 3.0], np.float32))).backward()
+    assert b1.grad[0] != 0.0 and b1.grad[1] == 0.0
+    assert np.all(w2.grad[0] != 0.0) and np.all(w2.grad[1] == 0.0)
+    assert np.all(w1.grad[:, 1] == 0.0)
 
 
 def test_feed_forward_shape_errors():
-    x, w1, b1, w2, b2 = ffn_inputs()
+    x, w1, b1, w2, b2, gamma, beta = ffn_inputs()
     with pytest.raises(ShapeError):
-        feed_forward(x, w1, Tensor(np.zeros(7, np.float32)), w2, b2)
+        feed_forward(x, w1, Tensor(np.zeros(7, np.float32)), w2, b2, gamma, beta)
     with pytest.raises(ShapeError):
-        feed_forward(x, w2, b1, w2, b2)
+        feed_forward(x, w2, b1, w2, b2, gamma, beta)
+    with pytest.raises(ShapeError):      # the output must be as wide as x
+        feed_forward(x, w1, b1, Tensor(np.zeros((8, D + 1), np.float32)),
+                     Tensor(np.zeros(D + 1, np.float32)), gamma, beta)
+    with pytest.raises(ShapeError):
+        feed_forward(x, w1, b1, w2, b2, Tensor(np.ones(D - 1, np.float32)), beta)
+
+
+# ---------------------------------------------------------------------------
+# both sublayers
+# ---------------------------------------------------------------------------
+
+
+def test_block_draws_both_masks_in_the_reference_order():
+    # Attention, then feed-forward, on one generator: the same outputs and
+    # the same generator state as the reference composition's.
+    x_q, x_kv, *attn = attention_inputs("cross")
+    _, *ffn = ffn_inputs()
+    rngs = [np.random.default_rng(11), np.random.default_rng(11)]
+    outs = []
+    for att, ff, rng in ((attention, feed_forward, rngs[0]),
+                         (reference_attention, reference_feed_forward, rngs[1])):
+        x = att(x_q, x_kv, *attn, HEADS, 0.3, True, rng)
+        outs.append(ff(x, *ffn, 0.3, True, rng).data)
+    assert np.array_equal(outs[0], outs[1])
+    assert rngs[0].random() == rngs[1].random()
+
+
+@pytest.mark.parametrize("op", ["attention", "feed_forward"])
+def test_only_the_affine_needs_a_gradient(op):
+    # Every input but gamma and beta is a constant: the backward skips the
+    # sublayer's own gradients and gives gamma and beta the same bytes.
+    inputs = attention_inputs("cross") if op == "attention" else ffn_inputs()
+    build = (fused_attention(0.3, True, 5) if op == "attention"
+             else sublayer(feed_forward, 0.3, True, seed=5))
+    want, _ = input_grads(build, inputs)
+    for t in inputs[:-2]:
+        t.requires_grad = False
+    got, _ = input_grads(build, inputs)
+    assert len(got) == 2
+    for g, w in zip(got, want[-2:]):
+        assert np.array_equal(g, w)
+
+
+def big(*shape, value=3e38):
+    return Tensor(np.full(shape, value, dtype=np.float32))
+
+
+# Finite float32 inputs on which a step inside the sublayer overflows; the
+# inf turns into NaN in the layer norm and reaches the output check.
+INNER_OVERFLOWS = {
+    "attention-output": lambda: attention(
+        big(1, 2, 2, value=1.0), big(1, 2, 2, value=1.0),
+        *(big(2, 2, value=1.0) for _ in range(3)), big(2, 2),
+        big(2, value=1.0), big(2, value=0.0), 1),
+    "attention-residual": lambda: attention(
+        big(1, 2, 2), big(1, 2, 2, value=1.0),
+        *(big(2, 2, value=0.0) for _ in range(2)), big(2, 2, value=1.0),
+        big(2, 2, value=5e37), big(2, value=1.0), big(2, value=0.0), 1),
+    "feed_forward-output": lambda: feed_forward(
+        big(3, 2, value=1.0), big(2, 2, value=1.0), big(2, value=0.0),
+        big(2, 2), big(2, value=0.0), big(2, value=1.0), big(2, value=0.0)),
+    "feed_forward-residual": lambda: feed_forward(
+        big(3, 2), big(2, 2, value=1e-30), big(2, value=0.0),
+        big(2, 2, value=1e29), big(2, value=0.0), big(2, value=1.0),
+        big(2, value=0.0)),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", list(INNER_OVERFLOWS))
+def test_inner_overflow_raises(case):
+    with pytest.raises(NumericError):
+        INNER_OVERFLOWS[case]()
+
+
+# ---------------------------------------------------------------------------
+# the short-axis sum
+# ---------------------------------------------------------------------------
+
+
+def wide_range(rng, shape):
+    """Values of both signs over about 90 binary orders of magnitude."""
+    return rng.standard_normal(shape) * np.exp2(rng.integers(-45, 45, shape))
+
+
+@pytest.mark.parametrize("dtype, acc", [(np.float32, None), (np.float32, np.float64),
+                                        (np.float64, None)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 13])
+def test_sum_lastdim_matches_numpy_bytes(n, dtype, acc):
+    rng = np.random.default_rng(n)
+    x = wide_range(rng, (6, 5, n)).astype(dtype)
+    x[0] = -0.0                       # all-(-0.0) rows sum to +0.0
+    x[1, :, 0] = -0.0
+    got = tensor._sum_lastdim(x, acc)
+    want = x.sum(axis=-1, keepdims=True, dtype=acc)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

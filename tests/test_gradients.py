@@ -11,11 +11,11 @@ from pkge import tensor
 from pkge.model import ModelConfig, build_model, multi_head_attention
 from pkge.tensor import (Tensor, add, attention, bce_with_logits, concat,
                          dropout, feed_forward, gather_rows, l1_distance,
-                         layer_norm, matmul, mul, reshape, transpose)
+                         matmul, mul, reshape, transpose)
 from pkge.training import bce_smoothed_loss, seed_streams
 
 from gradcheck import check_gradients, numeric_grad
-from reference_ops import reduce_sum, relu, softmax_lastdim
+from reference_ops import layer_norm, reduce_sum, relu, softmax_lastdim
 from test_tape import public_ops
 
 RNG = np.random.default_rng(42)
@@ -158,6 +158,12 @@ class TestNormalizationGrads:
         check(fn, [x])
 
 
+def affine(d, seed):
+    """A layer norm's (gamma, beta), drawn from their own generator."""
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(0.5, 1.5, d), rng.standard_normal(d)]
+
+
 class TestFusedGrads:
     @covers("attention")
     @pytest.mark.parametrize("case", ["cross", "self"])
@@ -174,7 +180,7 @@ class TestFusedGrads:
             out = attention(a, b, *ws, 3, 0.3, True, rng)
             return reduce_sum(mul(out, w))
 
-        check(fn, [xq] + ([] if case == "self" else [xkv]) + mats)
+        check(fn, [xq] + ([] if case == "self" else [xkv]) + mats + affine(d, 1))
 
     @covers("feed_forward")
     def test_feed_forward_away_from_kink(self):
@@ -185,21 +191,39 @@ class TestFusedGrads:
             b1 = rng.standard_normal(6)
         w2, b2 = rng.standard_normal((6, 4)), rng.standard_normal(4)
         w = rng.standard_normal((2, 3, 4))
-        check(lambda *t: reduce_sum(mul(feed_forward(*t), w)), [x, w1, b1, w2, b2])
+        check(lambda *t: reduce_sum(mul(feed_forward(*t), w)),
+              [x, w1, b1, w2, b2] + affine(4, 2))
+
+    def test_feed_forward_with_dropout(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((2, 3, 4))
+        w1, b1 = rng.standard_normal((4, 6)), rng.standard_normal(6)
+        while np.abs(x @ w1 + b1).min() < 0.05:
+            b1 = rng.standard_normal(6)
+        w2, b2 = rng.standard_normal((6, 4)), rng.standard_normal(4)
+        w = rng.standard_normal((2, 3, 4))
+
+        def fn(*t):
+            drop = np.random.default_rng(17)   # same mask every call
+            return reduce_sum(mul(feed_forward(*t, 0.4, True, drop), w))
+
+        check(fn, [x, w1, b1, w2, b2] + affine(4, 3))
 
 
 class TestCompositeGrads:
     def test_scaled_dot_attention(self):
         # One head with identity query and output projections is scaled
-        # dot-product attention; keys are x_kv and values x_kv·wv.
+        # dot-product attention, here under the residual norm; keys are x_kv
+        # and values x_kv·wv.
         q = RNG.standard_normal((3, 4))
         kv = RNG.standard_normal((5, 4))
         wv = RNG.standard_normal((4, 4))
         w = RNG.standard_normal((3, 4))
         eye = Tensor(np.eye(4))
+        gamma, beta = (Tensor(a) for a in affine(4, 4))
         check(lambda a, b, c: reduce_sum(mul(
-            multi_head_attention(a, b, eye, eye, c, eye, heads=1), w)),
-              [q, kv, wv])
+            multi_head_attention(a, b, eye, eye, c, eye, gamma, beta, heads=1),
+            w)), [q, kv, wv])
 
     def test_multi_head_attention(self):
         d = 6
@@ -208,11 +232,12 @@ class TestCompositeGrads:
         mats = [RNG.standard_normal((d, d)) * 0.5 for _ in range(4)]
         w = RNG.standard_normal((2, d))
 
-        def fn(a, b, wq, wk, wv, wo):
-            out = multi_head_attention(a, b, wq, wk, wv, wo, heads=2)
+        def fn(a, b, wq, wk, wv, wo, gamma, beta):
+            out = multi_head_attention(a, b, wq, wk, wv, wo, gamma, beta,
+                                       heads=2)
             return reduce_sum(mul(out, w))
 
-        check(fn, [xq, xkv] + mats)
+        check(fn, [xq, xkv] + mats + affine(d, 5))
 
     def test_bce_loss_grad(self):
         scores_logits = RNG.standard_normal((2, 7))

@@ -105,19 +105,32 @@ def np_softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def np_residual_norm(x, a):
+    """LN(x + a) over the last axis, with unit gamma and zero beta."""
+    z = (x + a).astype(np.float64)
+    z -= z.mean(axis=-1, keepdims=True)
+    return z / np.sqrt(np.square(z).mean(axis=-1, keepdims=True) + 1e-5)
+
+
+def unit_affine(d):
+    return Tensor(np.ones(d, np.float32)), Tensor(np.zeros(d, np.float32))
+
+
 class TestAttentionOps:
     def test_scaled_dot_matches_numpy(self):
         # One head with identity query, key and output projections is scaled
-        # dot-product attention of q over keys k and values k·wv.
+        # dot-product attention of q over keys k and values k·wv, here under
+        # the sublayer's residual norm.
         rng = np.random.default_rng(0)
         q = rng.standard_normal((2, 3, 4)).astype(np.float32)
         k = rng.standard_normal((2, 5, 4)).astype(np.float32)
         wv = rng.standard_normal((4, 4)).astype(np.float32)
         eye = Tensor(np.eye(4, dtype=np.float32))
         out = multi_head_attention(Tensor(q), Tensor(k), eye, eye, Tensor(wv),
-                                   eye, heads=1)
+                                   eye, *unit_affine(4), heads=1)
         want = np_softmax(q @ k.swapaxes(-1, -2) / 2.0) @ (k @ wv)
-        np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(out.data, np_residual_norm(q, want),
+                                   rtol=1e-5, atol=1e-6)
 
     def test_multi_head_matches_per_head_slices(self):
         rng = np.random.default_rng(1)
@@ -129,7 +142,7 @@ class TestAttentionOps:
         wq, wk, wv, wo = mats
         out = multi_head_attention(Tensor(xq), Tensor(xkv), Tensor(wq),
                                    Tensor(wk), Tensor(wv), Tensor(wo),
-                                   heads=heads)
+                                   *unit_affine(d), heads=heads)
         q, k, v = xq @ wq, xkv @ wk, xkv @ wv
         ctx = []
         for h in range(heads):
@@ -138,19 +151,22 @@ class TestAttentionOps:
                                / np.sqrt(d))
             ctx.append(probs @ v[..., s])
         want = np.concatenate(ctx, axis=-1) @ wo
-        np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(out.data, np_residual_norm(xq, want),
+                                   rtol=1e-5, atol=1e-6)
 
     def test_attention_rows_mix_values_only(self):
-        # with uniform scores (a zero query projection) every output row is
-        # the mean of the values
+        # with uniform scores (a zero query projection) every attention row
+        # is the mean of the values
         xq = Tensor(np.ones((1, 3, 4), dtype=np.float32))
         v = Tensor(np.random.default_rng(2)
                    .standard_normal((1, 5, 4)).astype(np.float32))
         zero = Tensor(np.zeros((4, 4), dtype=np.float32))
         eye = Tensor(np.eye(4, dtype=np.float32))
-        out = multi_head_attention(xq, v, zero, eye, eye, eye, heads=1)
+        out = multi_head_attention(xq, v, zero, eye, eye, eye, *unit_affine(4),
+                                   heads=1)
         want = np.broadcast_to(v.data.mean(axis=1, keepdims=True), (1, 3, 4))
-        np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(out.data, np_residual_norm(xq.data, want),
+                                   rtol=1e-5, atol=1e-6)
 
 
 class TestParamInventory:

@@ -17,11 +17,11 @@ from pkge.kg import load_dataset
 from pkge.model import ModelConfig, PatReFormer
 from pkge.tensor import (Tensor, add, attention, bce_with_logits, concat,
                          dropout, feed_forward, gather_rows, l1_distance,
-                         layer_norm, matmul, mul, no_grad, reshape, transpose)
+                         matmul, mul, no_grad, reshape, transpose)
 from pkge.training import TrainConfig, bce_smoothed_loss, train_model
 
 import reference_ops
-from reference_ops import reduce_sum, relu, softmax_lastdim
+from reference_ops import layer_norm, reduce_sum, relu, softmax_lastdim
 
 
 def leaf(*shape, lo=0.5, hi=1.5):
@@ -49,10 +49,12 @@ OP_CASES = {
     "bce_with_logits": lambda: bce_with_logits(leaf(2, 3, lo=-2.0, hi=2.0),
                                                np.eye(2, 3)),
     "attention": lambda: attention(leaf(2, 3, 4), leaf(2, 5, 4), leaf(4, 4),
-                                   leaf(4, 4), leaf(4, 4), leaf(4, 4), 2, 0.5,
-                                   True, np.random.default_rng(0)),
+                                   leaf(4, 4), leaf(4, 4), leaf(4, 4), leaf(4),
+                                   leaf(4), 2, 0.5, True,
+                                   np.random.default_rng(0)),
     "feed_forward": lambda: feed_forward(leaf(2, 3), leaf(3, 4), leaf(4),
-                                         leaf(4, 3), leaf(3)),
+                                         leaf(4, 3), leaf(3), leaf(3), leaf(3),
+                                         0.5, True, np.random.default_rng(0)),
 }
 
 
@@ -64,10 +66,12 @@ MULTI_INPUT_CASES = {
     "concat": ([(2, 3), (2, 2)], lambda a, b: concat([a, b], axis=-1)),
     "layer_norm": ([(2, 3), (3,), (3,)], layer_norm),
     "l1_distance": ([(2, 3), (4, 3)], l1_distance),
-    "attention": ([(2, 3, 4), (2, 5, 4)] + [(4, 4)] * 4,
+    "attention": ([(2, 3, 4), (2, 5, 4)] + [(4, 4)] * 4 + [(4,)] * 2,
                   lambda *t: attention(*t, 2, 0.5, True,
                                        np.random.default_rng(0))),
-    "feed_forward": ([(2, 3), (3, 4), (4,), (4, 3), (3,)], feed_forward),
+    "feed_forward": ([(2, 3), (3, 4), (4,), (4, 3), (3,), (3,), (3,)],
+                     lambda *t: feed_forward(*t, 0.5, True,
+                                             np.random.default_rng(0))),
 }
 
 
@@ -261,16 +265,19 @@ def attention_loss():
                requires_grad=True)
     ws = [Tensor(rng.standard_normal((6, 6)).astype(np.float32) * 0.5,
                  requires_grad=True) for _ in range(4)]
-    out = attention(x, x, *ws, 3, 0.3, True, np.random.default_rng(1))
+    gamma, beta = (Tensor(rng.uniform(0.5, 1.5, 6).astype(np.float32),
+                          requires_grad=True) for _ in range(2))
+    out = attention(x, x, *ws, gamma, beta, 3, 0.3, True,
+                    np.random.default_rng(1))
     return reduce_sum(mul(out, rng.standard_normal(out.shape).astype(np.float32)))
 
 
 def feed_forward_loss():
     rng = np.random.default_rng(0)
-    x, w1, b1, w2, b2 = (Tensor(rng.standard_normal(s).astype(np.float32),
-                                requires_grad=True)
-                         for s in ((3, 4, 6), (6, 8), (8,), (8, 6), (6,)))
-    out = feed_forward(x, w1, b1, w2, b2)
+    inputs = (Tensor(rng.standard_normal(s).astype(np.float32),
+                     requires_grad=True)
+              for s in ((3, 4, 6), (6, 8), (8,), (8, 6), (6,), (6,), (6,)))
+    out = feed_forward(*inputs, 0.3, True, np.random.default_rng(1))
     return reduce_sum(mul(out, rng.standard_normal(out.shape).astype(np.float32)))
 
 

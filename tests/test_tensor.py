@@ -8,10 +8,9 @@ from pkge import tensor
 from pkge.errors import ConfigError, GraphError, NumericError, ShapeError
 from pkge.tensor import (Tensor, add, as_tensor, attention, bce_with_logits,
                          concat, dropout, feed_forward, gather_rows,
-                         l1_distance, layer_norm, matmul, mul, reshape,
-                         transpose)
+                         l1_distance, matmul, mul, reshape, transpose)
 
-from reference_ops import reduce_sum, relu, softmax_lastdim
+from reference_ops import layer_norm, reduce_sum, relu, softmax_lastdim
 from test_tape import public_ops
 
 
@@ -206,6 +205,28 @@ class TestStructural:
         with pytest.raises(LookupError):
             gather_rows(Tensor(np.zeros((3, 2))), np.array([3]))
 
+    @given(st.integers(1, 6), st.sampled_from([np.float32, np.float64]),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_gather_rows_backward_bytes_equal_add_at(self, n_rows, dtype, data):
+        # Repeated, 2-D, empty and all-equal ids; gradients holding +0, -0
+        # and values across a wide range of exponents, so any other
+        # summation order or a first round that assigned would show.
+        ids = data.draw(hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2,
+                                                              min_side=0, max_side=9),
+                                   elements=st.integers(0, n_rows - 1)))
+        elements = (st.sampled_from([0.0, -0.0])
+                    | st.floats(-2.0 ** 100, 2.0 ** 100, width=32))
+        g = data.draw(hnp.arrays(dtype, ids.shape + (3,), elements=elements))
+        table = Tensor(np.ones((n_rows, 3), dtype), requires_grad=True)
+        out = gather_rows(table, ids)
+        out.grad = g
+        out._backward()
+        want = np.zeros((n_rows, 3), dtype)
+        np.add.at(want, ids, g)
+        assert table.grad.dtype == dtype
+        assert table.grad.tobytes() == want.tobytes()
+
     def test_concat_of_nothing(self):
         with pytest.raises(ShapeError, match="zero tensors"):
             concat([])
@@ -384,9 +405,10 @@ OVERFLOW_CASES = {
     "bce_with_logits": lambda: bce_with_logits(big(2), -np.ones(2)),
     "attention": lambda: attention(big(1, 2, 2), big(1, 2, 2),
                                    *(big(2, 2, value=1.0) for _ in range(4)),
-                                   1),
+                                   big(2, value=1.0), big(2, value=0.0), 1),
     "feed_forward": lambda: feed_forward(big(3, 2), big(2, 2, value=1.0),
                                          big(2, value=0.0), big(2, 2, value=1.0),
+                                         big(2, value=0.0), big(2, value=1.0),
                                          big(2, value=0.0)),
 }
 
