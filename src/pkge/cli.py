@@ -7,8 +7,8 @@ files are flat ``key=value`` lines ('#' starts a comment); keys are the
 model and training option names shown by ``--help``, and any other key is
 an error.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 data or checkpoint
-mismatch, 4 numeric failure.
+Exit codes: 0 success, 2 usage or configuration error or an output file
+that cannot be written, 3 data or checkpoint mismatch, 4 numeric failure.
 """
 
 import argparse
@@ -246,10 +246,7 @@ def cmd_sweep_dim(args):
 def cmd_stats(args):
     store = load_dataset(args.data)
     if args.json:
-        try:
-            dump_stats_json(store, args.json)
-        except OSError as exc:
-            raise ConfigError(f"cannot write --json file: {exc}") from None
+        dump_stats_json(store, args.json)
     for key, value in store.stats().items():
         print(f"{key}: {value}")
     return 0
@@ -349,6 +346,10 @@ def main(argv=None):
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # Reads are mapped where they happen: this is a file not written.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 The CLI maps these onto exit codes: configuration problems exit 2,
 data/checkpoint mismatches exit 3, numeric failures (NaN/overflow) exit 4.
+An ``OSError`` that reaches the CLI, a file it cannot write, exits 2 too.
 ShapeError and GraphError are mapped to none: validated input cannot raise
 them, so they signal a program fault and end the CLI with a traceback.
 """

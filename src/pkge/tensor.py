@@ -752,22 +752,26 @@ def feed_forward(x, w1, b1, w2, b2, gamma, beta, p_drop=0.0, training=False,
 # ---------------------------------------------------------------------------
 
 
-def bce_with_logits(z, y):
-    """Mean binary cross-entropy between targets ``y`` and sigmoid(``z``).
+def bce_with_logits(z, answers, lo, hi):
+    """Mean binary cross-entropy of sigmoid(``z``) against a target of
+    ``hi`` at the ``answers`` cells and ``lo`` at every other.
 
-    One node: each cell is max(z, 0) + log1p(exp(-|z|)) - y·z, finite for
-    every finite logit, and the cells are summed in float64. ``y`` is a
-    constant array of ``z``'s shape. The gradient is (sigmoid(z) - y) / count,
-    so a saturated but wrong logit still learns.
+    ``answers`` is an index tuple into ``z``, as ``QueryIndex.lookup`` and
+    ``np.nonzero`` return it. One node: each cell is max(z, 0) +
+    log1p(exp(-|z|)) - lo·z, or - hi·z at the answers, finite for every
+    finite logit, and the cells are summed in float64. The gradient is
+    (sigmoid(z) - lo) / count, or sigmoid(z) - hi at the answers, so a
+    saturated but wrong logit still learns. With ``lo`` and ``hi`` in
+    ``z``'s dtype, each cell runs the numpy ops of the formula against a
+    dense target array, so loss and gradient equal it bit for bit.
     """
     z = as_tensor(z)
-    y = np.asarray(y, dtype=z.dtype)
-    if y.shape != z.data.shape:
-        raise ShapeError(
-            f"bce_with_logits: targets {y.shape} do not match logits {z.data.shape}")
     x = z.data
+    lo, hi = x.dtype.type(lo), x.dtype.type(hi)
     e = np.exp(-np.abs(x))
-    cells = np.maximum(x, 0) + np.log1p(e) - y * x
+    softplus = np.maximum(x, 0) + np.log1p(e)
+    cells = softplus - lo * x
+    cells[answers] = softplus[answers] - hi * x[answers]
     count = x.size
     loss = np.asarray(cells.sum(dtype=np.float64) / count, dtype=z.dtype)
     _finite_or_raise(loss, "bce_with_logits")
@@ -776,5 +780,8 @@ def bce_with_logits(z, y):
         # sigmoid: 1/(1+e) for z >= 0 and e/(1+e) below; e <= 1, so
         # neither branch overflows, and the max picks the numerator.
         sig = np.maximum(e, (x >= 0).astype(x.dtype)) / (1.0 + e)
-        return (sig - y) * (g / count)
+        dz = sig - lo
+        dz[answers] = sig[answers] - hi
+        dz *= g / count
+        return dz
     return _make(loss, (z,), "bce_with_logits", grad)

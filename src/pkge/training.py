@@ -2,12 +2,14 @@
 Adam, and binary checkpoints that hold the model alone.
 
 Queries are the distinct (entity, relation) pairs of the training split in
-both directions; each is scored against every entity and pushed toward the
-smoothed multi-hot answer vector. Models return logits; the loss applies the
-sigmoid inside one fused op (``tensor.bce_with_logits``). Runs are
-bit-reproducible for a fixed seed: parameter init, batch shuffling, and
-dropout each draw from their own seeded stream, and nothing writes
-wall-clock time into logs or checkpoints.
+both directions; each is scored against every entity and pushed toward
+1-eps at its answers and eps at every other entity. A batch's answers are
+the (row, answer) pairs ``QueryIndex.lookup`` returns, the form ranking
+reads too, so no [batch, entities] target is built. Models return logits;
+the loss applies the sigmoid inside one fused op
+(``tensor.bce_with_logits``). Runs are bit-reproducible for a fixed seed:
+parameter init, batch shuffling, and dropout each draw from their own
+seeded stream, and nothing writes wall-clock time into logs or checkpoints.
 """
 
 import json
@@ -67,14 +69,14 @@ class TrainConfig(Config):
 # ---------------------------------------------------------------------------
 
 
-def bce_smoothed_loss(logits, targets, label_smoothing=0.1):
+def bce_smoothed_loss(logits, answers, label_smoothing=0.1):
     """Mean binary cross-entropy over every (query, entity) cell of the
-    ``logits`` a model returns, against {0,1} ``targets`` smoothed to exactly
-    the float32 values of eps and 1-eps; the sigmoid is applied only here,
-    inside ``bce_with_logits``."""
-    y = np.asarray(targets, dtype=np.float32)
-    hi, lo = np.float32(1.0 - label_smoothing), np.float32(label_smoothing)
-    return bce_with_logits(logits, y * hi + (1 - y) * lo)
+    ``logits`` a model returns, with the target 1-eps at the ``answers``
+    cells (the (rows, answers) pairs of ``QueryIndex.lookup``) and eps at
+    every other, each exactly its float32 value; the sigmoid is applied only
+    here, inside ``bce_with_logits``."""
+    return bce_with_logits(logits, answers, np.float32(label_smoothing),
+                           np.float32(1.0 - label_smoothing))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +276,6 @@ def train_model(store, model, cfg, out_dir=None, progress=None):
 
     queries = store.train_query_targets()
     n_queries = len(queries)
-    n_entities = store.num_entities
     adam = Adam(model.params, lr=cfg.lr)
 
     ckpt_path = os.path.join(out_dir, CKPT_NAME) if out_dir else None
@@ -294,11 +295,10 @@ def train_model(store, model, cfg, out_dir=None, progress=None):
         for start in range(0, n_queries, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             ents, rels = queries.entities[idx], queries.relations[idx]
-            batch_targets = np.zeros((len(idx), n_entities), dtype=np.float32)
-            batch_targets[queries.lookup(ents, rels)] = 1.0
             model.params.zero_grad()
             scores = model.score_all(ents, rels, training=True, rng=drop_rng)
-            loss = bce_smoothed_loss(scores, batch_targets, cfg.label_smoothing)
+            loss = bce_smoothed_loss(scores, queries.lookup(ents, rels),
+                                     cfg.label_smoothing)
             loss.backward()
             adam.step()
             loss_sum += loss.item() * len(idx)

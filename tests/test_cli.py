@@ -184,6 +184,31 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error:")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, blocked", [
+        ("train", "best.ckpt.tmp"), ("eval", "eval_test.csv"),
+        ("ablate", "ablation.csv"), ("sweep-dim", "sweep.csv")])
+    def test_unwritable_output_file(self, memo_dir, tmp_path, capsys, command,
+                                    blocked):
+        # A directory where the command writes its file; ablate and
+        # sweep-dim reach the write only after all their training.
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(ckpt, tiny_memo_model())
+        argv = {
+            "train": ["--out", str(out)] + TINY_MODEL + schedule(1),
+            "eval": ["--checkpoint", ckpt, "--out", str(out)],
+            "ablate": ["--variant", "sep-self-attn", "--out", str(out)]
+                      + TINY_MODEL + schedule(1),
+            "sweep-dim": ["--dims", "4", "--models", "distmult",
+                          "--out", str(out)] + SWEEP_MODEL + schedule(1),
+        }[command]
+        rc = main([command, "--data", memo_dir] + argv)
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert blocked in err[0]
+
     def test_invalid_hyperparameter(self, memo_dir, tmp_path):
         rc = main(["train", "--data", memo_dir, "--out", str(tmp_path),
                    "--d-e", "7"])

@@ -74,8 +74,8 @@ class TestElementwiseGrads:
     @covers("bce_with_logits")
     def test_bce_with_logits(self):
         z = RNG.standard_normal((3, 4)) * 3
-        y = RNG.uniform(0.0, 1.0, size=(3, 4))
-        check(lambda t: bce_with_logits(t, y), [z])
+        answers = np.nonzero(RNG.uniform(0.0, 1.0, size=(3, 4)) < 0.4)
+        check(lambda t: bce_with_logits(t, answers, 0.15, 0.8), [z])
 
 
 class TestStructuralGrads:
@@ -244,19 +244,21 @@ class TestCompositeGrads:
         targets = np.zeros((2, 7), dtype=np.float32)
         targets[0, 1] = 1.0
         targets[1, [2, 5]] = 1.0
-        check(lambda t: bce_smoothed_loss(t, targets, 0.1), [scores_logits])
+        check(lambda t: bce_smoothed_loss(t, np.nonzero(targets), 0.1),
+              [scores_logits])
 
 
 def model_loss_fn(model, ents, rels, targets, eps=0.1):
     """Loss of a model as a pure function of its parameter arrays."""
     names = model.params.names()
+    answers = np.nonzero(targets)
 
     def fn(*tensors):
         saved = dict(model.params._params)
         for n, t in zip(names, tensors):
             model.params._params[n] = t
         try:
-            return bce_smoothed_loss(model.score_all(ents, rels), targets, eps)
+            return bce_smoothed_loss(model.score_all(ents, rels), answers, eps)
         finally:
             model.params._params.update(saved)
 

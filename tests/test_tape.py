@@ -47,7 +47,8 @@ OP_CASES = {
     "dropout": lambda: dropout(leaf(4, 5), 0.5, True,
                                np.random.default_rng(0)),
     "bce_with_logits": lambda: bce_with_logits(leaf(2, 3, lo=-2.0, hi=2.0),
-                                               np.eye(2, 3)),
+                                               np.nonzero(np.eye(2, 3)), 0.0,
+                                               1.0),
     "attention": lambda: attention(leaf(2, 3, 4), leaf(2, 5, 4), leaf(4, 4),
                                    leaf(4, 4), leaf(4, 4), leaf(4, 4), leaf(4),
                                    leaf(4), 2, 0.5, True,
@@ -120,11 +121,9 @@ def test_patreformer_training_graph_freed_by_refcount(gc_off):
     cfg = ModelConfig(d_e=8, d_r=12, d=4, heads=2, layers=2, d_f=8,
                       p1=0.1, p2=0.1, p3=0.1)
     model = PatReFormer(cfg, 6, 8, np.random.default_rng(0))
-    targets = np.zeros((3, 6), dtype=np.float32)
-    targets[[0, 1, 2], [1, 4, 5]] = 1.0
     scores = model.score_all([0, 3, 5], [1, 2, 7], training=True,
                              rng=np.random.default_rng(1))
-    loss = bce_smoothed_loss(scores, targets)
+    loss = bce_smoothed_loss(scores, ([0, 1, 2], [1, 4, 5]))
     loss.backward()
     assert model.params["scorer.weight"].grad is not None
     refs = [weakref.ref(scores), weakref.ref(loss)]
@@ -250,11 +249,9 @@ def patreformer_loss():
     cfg = ModelConfig(d_e=8, d_r=12, d=4, heads=2, layers=2, d_f=8,
                       p1=0.1, p2=0.1, p3=0.1, segmentation="trainable")
     model = PatReFormer(cfg, 6, 8, np.random.default_rng(0))
-    targets = np.zeros((3, 6), dtype=np.float32)
-    targets[[0, 1, 2], [1, 4, 5]] = 1.0
     scores = model.score_all([0, 3, 5], [1, 2, 7], training=True,
                              rng=np.random.default_rng(1))
-    return bce_smoothed_loss(scores, targets)
+    return bce_smoothed_loss(scores, ([0, 1, 2], [1, 4, 5]))
 
 
 def attention_loss():
@@ -351,14 +348,13 @@ def test_paper_scale_training_step_memory_bounded(data_dir):
     queries = store.train_query_targets()
     batch = np.arange(TrainConfig().batch_size)
     ents, rels = queries.entities[batch], queries.relations[batch]
-    targets = np.zeros((len(batch), store.num_entities), dtype=np.float32)
-    targets[queries.lookup(ents, rels)] = 1.0
+    answers = queries.lookup(ents, rels)
 
     tracemalloc.start()
     try:
         scores = model.score_all(ents, rels, training=True,
                                  rng=np.random.default_rng(1))
-        bce_smoothed_loss(scores, targets).backward()
+        bce_smoothed_loss(scores, answers).backward()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -20,9 +20,11 @@ def scalar_loss(t):
 
 def sigmoid(z):
     """sigmoid(z) as ``bce_with_logits`` computes it: the gradient of
-    count·bce_with_logits(z, 0) is exactly its (sigmoid(z) - 0) term."""
+    count·bce_with_logits(z) with no answers and lo = 0 is exactly its
+    (sigmoid(z) - 0) term."""
     t = Tensor(z, requires_grad=True)
-    mul(bce_with_logits(t, np.zeros_like(t.data)), float(t.data.size)).backward()
+    no_answers = np.nonzero(np.zeros(t.shape))
+    mul(bce_with_logits(t, no_answers, 0.0, 1.0), float(t.data.size)).backward()
     return t.grad
 
 
@@ -402,7 +404,8 @@ OVERFLOW_CASES = {
     "layer_norm": lambda: layer_norm(Tensor(np.array([[1.0, 2.0]], np.float32)),
                                      big(2), big(2)),
     "dropout": lambda: dropout(big(8), 0.5, True, np.random.default_rng(0)),
-    "bce_with_logits": lambda: bce_with_logits(big(2), -np.ones(2)),
+    "bce_with_logits": lambda: bce_with_logits(big(2), np.nonzero(np.ones(2)),
+                                               0.0, -1.0),
     "attention": lambda: attention(big(1, 2, 2), big(1, 2, 2),
                                    *(big(2, 2, value=1.0) for _ in range(4)),
                                    big(2, value=1.0), big(2, value=0.0), 1),

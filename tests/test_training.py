@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pkge.errors import (CheckpointError, ConfigError, NumericError,
-                         ShapeError, VocabMismatchError)
+                         VocabMismatchError)
 from pkge.kg import build_store
 from pkge.model import ModelConfig, PatReFormer
 from pkge.params import ParamStore
@@ -52,36 +52,84 @@ def reference_bce(z, y):
     return loss, (sig - y) / z.size
 
 
+def dense_bce(z, targets, label_smoothing):
+    """The loss against a dense [B, N] target, op for op as the package
+    computed it before the answers became (row, answer) pairs: {0,1}
+    ``targets`` smoothed in float32 to y = t·(1-eps) + (1-t)·eps, cells
+    max(z, 0) + log1p(exp(-|z|)) - y·z summed in float64, and the gradient
+    (sigmoid(z) - y) · (1 / count). Returns the loss and gradient arrays."""
+    x = np.asarray(z)
+    t = np.asarray(targets, dtype=np.float32)
+    hi, lo = np.float32(1.0 - label_smoothing), np.float32(label_smoothing)
+    y = np.asarray(t * hi + (1 - t) * lo, dtype=x.dtype)
+    e = np.exp(-np.abs(x))
+    cells = np.maximum(x, 0) + np.log1p(e) - y * x
+    loss = np.asarray(cells.sum(dtype=np.float64) / x.size, dtype=x.dtype)
+    sig = np.maximum(e, (x >= 0).astype(x.dtype)) / (1.0 + e)
+    return loss, (sig - y) * (np.ones((), dtype=x.dtype) / x.size)
+
+
+def answer_grid(rng, n_rows=7, n_cols=40):
+    """{0,1} targets whose rows hold 0, 1, many, all and random answers."""
+    t = np.zeros((n_rows, n_cols), dtype=np.float32)
+    t[1, 17] = 1.0                                          # one answer
+    t[2, rng.choice(n_cols, 23, replace=False)] = 1.0       # many
+    t[3] = 1.0                                              # every entity
+    t[4:] = rng.random((n_rows - 4, n_cols)) < 0.2          # row 0 has none
+    return t
+
+
 class TestSmoothedLoss:
     def test_targets_take_exact_float32_values(self, monkeypatch):
         seen = []
         real = training.bce_with_logits
 
-        def spy(z, y):
-            seen.append(y)
-            return real(z, y)
+        def spy(z, answers, lo, hi):
+            seen.append((lo, hi))
+            return real(z, answers, lo, hi)
 
         monkeypatch.setattr(training, "bce_with_logits", spy)
-        y = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        answers = (np.array([0, 0, 1]), np.array([0, 2, 1]))
         logits = Tensor(np.zeros((2, 3), dtype=np.float32))
-        bce_smoothed_loss(logits, y, 0.1)
-        bce_smoothed_loss(logits, y, 0.0)
-        smoothed, plain = seen
-        assert smoothed.dtype == np.float32
-        assert set(np.unique(smoothed)) == {np.float32(0.1), np.float32(0.9)}
-        assert set(np.unique(plain)) == {np.float32(0.0), np.float32(1.0)}
+        bce_smoothed_loss(logits, answers, 0.1)
+        bce_smoothed_loss(logits, answers, 0.0)
+        (lo, hi), plain = seen
+        assert type(lo) is np.float32 and type(hi) is np.float32
+        assert (lo, hi) == (np.float32(0.1), np.float32(0.9))
+        assert all(type(v) is np.float32 for v in plain)
+        assert plain == (np.float32(0.0), np.float32(1.0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    def test_pairs_match_the_dense_target_bit_for_bit(self, dtype, smoothing):
+        rng = np.random.default_rng(11)
+        targets = answer_grid(rng)
+        z = rng.uniform(-20.0, 20.0, size=targets.shape).astype(dtype)
+        z[0, :3] = [0.0, -0.0, 80.0]
+        want_loss, want_grad = dense_bce(z, targets, smoothing)
+        logits = Tensor(z, requires_grad=True)
+        loss = bce_smoothed_loss(logits, np.nonzero(targets), smoothing)
+        loss.backward()
+        assert loss.data.dtype == logits.grad.dtype == dtype
+        assert loss.data.tobytes() == want_loss.tobytes()
+        assert logits.grad.tobytes() == want_grad.tobytes()
+        # The mean can hide a cell's last bits; a one-cell loss is that cell.
+        for i, j in np.ndindex(z.shape):
+            cell = (slice(i, i + 1), slice(j, j + 1))
+            one = bce_smoothed_loss(Tensor(z[cell]), np.nonzero(targets[cell]),
+                                    smoothing)
+            want_one, _ = dense_bce(z[cell], targets[cell], smoothing)
+            assert one.data.tobytes() == want_one.tobytes(), (i, j)
 
     def test_hand_value_no_smoothing(self):
         # sigmoid(ln 9) = 0.9 and sigmoid(-ln 9) = 0.1
         logits = Tensor(np.array([[np.log(9.0), -np.log(9.0)]], dtype=np.float32))
-        targets = np.array([[1.0, 0.0]])
-        loss = bce_smoothed_loss(logits, targets, 0.0)
+        loss = bce_smoothed_loss(logits, ([0], [0]), 0.0)
         assert loss.item() == pytest.approx(-np.log(0.9), rel=1e-6)
 
     def test_hand_value_with_smoothing(self):
         logits = Tensor(np.array([[np.log(9.0), -np.log(9.0)]], dtype=np.float32))
-        targets = np.array([[1.0, 0.0]])
-        loss = bce_smoothed_loss(logits, targets, 0.1)
+        loss = bce_smoothed_loss(logits, ([0], [0]), 0.1)
         want = -(0.9 * np.log(0.9) + 0.1 * np.log(0.1))
         assert loss.item() == pytest.approx(want, rel=1e-6)
 
@@ -90,7 +138,7 @@ class TestSmoothedLoss:
         z = np.array([[-100.0, 100.0], [100.0, -100.0]], dtype=np.float32)
         targets = np.array([[1.0, 0.0], [1.0, 0.0]])
         logits = Tensor(z, requires_grad=True)
-        loss = bce_smoothed_loss(logits, targets, 0.0)
+        loss = bce_smoothed_loss(logits, np.nonzero(targets), 0.0)
         loss.backward()
         softplus = np.logaddexp(0.0, z.astype(np.float64)) - targets * z
         assert np.isfinite(loss.item())
@@ -101,7 +149,7 @@ class TestSmoothedLoss:
 
     def test_mean_over_all_cells(self):
         logits = Tensor(np.zeros((2, 4), dtype=np.float32))
-        loss = bce_smoothed_loss(logits, np.zeros((2, 4)), 0.0)
+        loss = bce_smoothed_loss(logits, np.nonzero(np.zeros((2, 4))), 0.0)
         assert loss.item() == pytest.approx(np.log(2.0), rel=1e-6)
 
     @pytest.mark.parametrize("smoothing", [0.0, 0.1])
@@ -113,17 +161,14 @@ class TestSmoothedLoss:
                      np.float32(smoothing))
         want_loss, want_grad = reference_bce(z, y)
         logits = Tensor(z, requires_grad=True)
-        loss = bce_smoothed_loss(logits, targets, smoothing)
+        loss = bce_smoothed_loss(logits, np.nonzero(targets), smoothing)
         loss.backward()
         assert loss.item() == pytest.approx(want_loss, rel=1e-6)
         np.testing.assert_allclose(logits.grad, want_grad, rtol=1e-6, atol=1e-15)
         # float32 logits give the same loss to float32 accuracy
-        loss32 = bce_smoothed_loss(Tensor(z.astype(np.float32)), targets, smoothing)
+        loss32 = bce_smoothed_loss(Tensor(z.astype(np.float32)),
+                                   np.nonzero(targets), smoothing)
         assert loss32.item() == pytest.approx(want_loss, rel=1e-6)
-
-    def test_target_shape_must_match(self):
-        with pytest.raises(ShapeError):
-            bce_smoothed_loss(Tensor(np.zeros((2, 3))), np.zeros((2, 4)))
 
 
 class TestParamStore:
