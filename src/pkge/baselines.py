@@ -4,6 +4,7 @@ Each is one ``score_from_embeddings`` on ``params.Model``, which gives them
 the patch model's embedding tables (relations ``d_e`` wide), zero skeleton
 and ``score_all``, so they share its training and evaluation pipeline.
 Logits go against every entity; the sigmoid lives only in the training loss.
+Neither has dropout, so both ignore the dropout stream ``rng``.
 """
 
 from .params import Model
@@ -16,7 +17,7 @@ class TransE(Model):
     kind = "transe"
     GAMMA = 12.0
 
-    def score_from_embeddings(self, e_emb, r_emb, training=False, rng=None):
+    def score_from_embeddings(self, e_emb, r_emb, rng=None):
         return self.GAMMA - l1_distance(e_emb + r_emb, self.params["entity.embedding"])
 
 
@@ -25,5 +26,5 @@ class DistMult(Model):
 
     kind = "distmult"
 
-    def score_from_embeddings(self, e_emb, r_emb, training=False, rng=None):
+    def score_from_embeddings(self, e_emb, r_emb, rng=None):
         return matmul(mul(e_emb, r_emb), transpose(self.params["entity.embedding"]))

@@ -143,15 +143,15 @@ def sinusoidal_table(k, d):
 
 
 def multi_head_attention(x_q, x_kv, wq, wk, wv, wo, gamma, beta, heads,
-                         p_drop=0.0, training=False, rng=None):
+                         p_drop=0.0, rng=None):
     """Post-norm attention sublayer LN(x_q + MHA(x_q, x_kv)) with the layer
     norm's affine ``gamma``/``beta``, as one tape node (``tensor.attention``).
 
     Projections are single d-by-d matrices sliced into heads; scores are
-    scaled by 1/sqrt(d), d the model width.
+    scaled by 1/sqrt(d), d the model width. The probabilities are dropped
+    out at ``p_drop`` only when a dropout stream ``rng`` is given.
     """
-    return attention(x_q, x_kv, wq, wk, wv, wo, gamma, beta, heads, p_drop,
-                     training, rng)
+    return attention(x_q, x_kv, wq, wk, wv, wo, gamma, beta, heads, p_drop, rng)
 
 
 class PatReFormer(Model):
@@ -206,8 +206,9 @@ class PatReFormer(Model):
 
     # -- forward ------------------------------------------------------------
 
-    def _patches(self, side, emb, training, rng):
-        """Segment one side's embeddings, add its position signal, drop out."""
+    def _patches(self, side, emb, rng):
+        """Segment one side's embeddings, add its position signal, and drop
+        out at p1 when a dropout stream ``rng`` is given."""
         cfg = self.config
         if cfg.segmentation == "folding":
             x = segment_folding(emb, cfg.k_e if side == "entity" else cfg.k_r, cfg.d)
@@ -217,11 +218,12 @@ class PatReFormer(Model):
             x = segment_mapped(emb, self.params[f"seg.{side}.basis"])
         if cfg.pe != "none":
             x = x + self.params[f"pe.{side}"]
-        return dropout(x, cfg.p1, training, rng)
+        return dropout(x, cfg.p1, rng)
 
-    def _block(self, prefix, x_q, x_kv, training, rng):
+    def _block(self, prefix, x_q, x_kv, rng):
         """Post-norm residual block of two tape nodes: x = LN(x_q + attn),
-        then LN(x + dropout(ffn(x)))."""
+        then LN(x + dropout(ffn(x))), both dropping out at p2 only when a
+        dropout stream ``rng`` is given."""
         cfg = self.config
         p = self.params
         x = multi_head_attention(
@@ -229,22 +231,23 @@ class PatReFormer(Model):
             p[f"{prefix}.attn.wq"], p[f"{prefix}.attn.wk"],
             p[f"{prefix}.attn.wv"], p[f"{prefix}.attn.wo"],
             p[f"{prefix}.ln1.gamma"], p[f"{prefix}.ln1.beta"],
-            cfg.heads, cfg.p2, training, rng)
+            cfg.heads, cfg.p2, rng)
         return feed_forward(x, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"],
                             p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"],
                             p[f"{prefix}.ln2.gamma"], p[f"{prefix}.ln2.beta"],
-                            cfg.p2, training, rng)
+                            cfg.p2, rng)
 
-    def encode(self, e_emb, r_emb, training=False, rng=None):
-        """Refined patches [..., k_e + k_r, d]: entity, then relation patches."""
+    def encode(self, e_emb, r_emb, rng=None):
+        """Refined patches [..., k_e + k_r, d]: entity, then relation patches.
+        Dropout runs only when a dropout stream ``rng`` is given."""
         cfg = self.config
-        xe = self._patches("entity", e_emb, training, rng)
-        xr = self._patches("relation", r_emb, training, rng)
+        xe = self._patches("entity", e_emb, rng)
+        xr = self._patches("relation", r_emb, rng)
 
         if cfg.attention == "full_self":
             x = concat([xe, xr], axis=-2)
             for i in range(cfg.layers):
-                x = self._block(f"enc.joint.{i}", x, x, training, rng)
+                x = self._block(f"enc.joint.{i}", x, x, rng)
             return x
 
         # Keys/values per tower: its own patches (separate_self) or the other
@@ -252,17 +255,18 @@ class PatReFormer(Model):
         # the relation tower reads the entity patches updated in this layer.
         cross = cfg.attention == "cross"
         for i in range(cfg.layers):
-            xe_new = self._block(f"enc.entity.{i}", xe, xr if cross else xe, training, rng)
+            xe_new = self._block(f"enc.entity.{i}", xe, xr if cross else xe, rng)
             r_kv = (xe_new if cfg.update_order == "sequential" else xe) if cross else xr
-            xr = self._block(f"enc.relation.{i}", xr, r_kv, training, rng)
+            xr = self._block(f"enc.relation.{i}", xr, r_kv, rng)
             xe = xe_new
         return concat([xe, xr], axis=-2)
 
-    def score_from_embeddings(self, e_emb, r_emb, training=False, rng=None):
-        """Logits [B, n_entities] from explicit embedding tensors [B, d_e]/[B, d_r]."""
-        x = self.encode(e_emb, r_emb, training, rng)
+    def score_from_embeddings(self, e_emb, r_emb, rng=None):
+        """Logits [B, n_entities] from explicit embedding tensors [B, d_e]/[B, d_r];
+        a dropout stream ``rng`` turns on p1-p3 dropout, as in training."""
+        x = self.encode(e_emb, r_emb, rng)
         flat = reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
-        flat = dropout(flat, self.config.p3, training, rng)
+        flat = dropout(flat, self.config.p3, rng)
         out = matmul(flat, self.params["scorer.weight"]) + self.params["scorer.bias"]
         return matmul(out, transpose(self.params["entity.embedding"]))
 

@@ -26,9 +26,6 @@ class ParamStore:
     def __getitem__(self, name):
         return self._params[name]
 
-    def names(self):
-        return list(self._params)
-
     def items(self):
         return list(self._params.items())
 
@@ -79,8 +76,10 @@ class Model:
         data = np.zeros(shape, dtype=np.float32) if rng is None else draw(rng, shape)
         self.params.add(name, data, trainable)
 
-    def score_all(self, entities, relations, training=False, rng=None):
-        """Logits [B, n_entities] for query pairs given as integer id arrays."""
+    def score_all(self, entities, relations, rng=None):
+        """Logits [B, n_entities] for query pairs given as integer id arrays.
+        Training passes its dropout stream ``rng``, which turns dropout on;
+        inference passes none."""
         e_emb = gather_rows(self.params["entity.embedding"], np.asarray(entities))
         r_emb = gather_rows(self.params["relation.embedding"], np.asarray(relations))
-        return self.score_from_embeddings(e_emb, r_emb, training, rng)
+        return self.score_from_embeddings(e_emb, r_emb, rng)

@@ -1,8 +1,7 @@
 """Deterministic synthetic knowledge graphs for desk-scale experiments.
 
-Three generators:
+Two generators:
 
-* ``random_kg``      - unstructured uniform triples; ranking-protocol tests.
 * ``memorization_kg`` - small KG whose train/valid/test splits are identical;
   checks that the full pipeline can drive training MRR to ~1.
 * ``clustered_kg``   - block-structured KG (entities grouped into clusters,
@@ -49,12 +48,6 @@ def _distinct_triples(rng, n_entities, n_relations, n_triples):
             seen.add((h, r, t))
             triples.append((h, r, t))
     return triples
-
-
-def random_kg(rng, n_entities=20, n_relations=4, n_triples=120):
-    """Uniform random distinct triples split 80/10/10."""
-    triples = _distinct_triples(rng, n_entities, n_relations, n_triples)
-    return _split_triples(_name_triples(triples), rng)
 
 
 def memorization_kg(rng, n_entities=30, n_relations=4, n_triples=200):

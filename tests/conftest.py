@@ -7,7 +7,9 @@ import pytest
 
 from pkge.kg import build_store
 from pkge.model import ModelConfig
-from pkge.synth import memorization_kg, random_kg
+from pkge.synth import memorization_kg
+
+from random_graphs import random_kg
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
 

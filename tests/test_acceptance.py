@@ -379,8 +379,8 @@ def test_p12_checkpoint_fidelity(announce, memo_store, tmp_path):
     before = evaluate(memo_store, model, "test")
     restored, ck = restore_model(path)
     params_equal = all(
-        np.array_equal(restored.params[n].data, model.params[n].data)
-        for n in model.params.names())
+        np.array_equal(restored.params[n].data, t.data)
+        for n, t in model.params.items())
     after = evaluate(memo_store, restored, "test")
     ranks_equal = np.array_equal(before.ranks, after.ranks)
     ok = params_equal and ranks_equal and before.mrr == after.mrr

@@ -185,16 +185,29 @@ class TestCommon:
     tables."""
 
     @pytest.mark.parametrize("name", CONTRACT_MODELS)
-    @pytest.mark.parametrize("training", [False, True])
-    def test_score_all_is_the_fusion_of_the_gathered_rows(self, name, training):
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_score_all_is_the_fusion_of_the_gathered_rows(self, name, stream):
         m = contract_model(name, np.random.default_rng(5))
         ents, rels = np.array([0, 4, 4, 2]), np.array([6, 2, 0, 6])
         e = Tensor(m.params["entity.embedding"].data[ents])
         r = Tensor(m.params["relation.embedding"].data[rels])
-        got = m.score_all(ents, rels, training, np.random.default_rng(8)).data
-        want = m.score_from_embeddings(e, r, training, np.random.default_rng(8)).data
+        drop = (lambda: np.random.default_rng(8)) if stream else (lambda: None)
+        got = m.score_all(ents, rels, drop()).data
+        want = m.score_from_embeddings(e, r, drop()).data
         assert got.shape == (4, 5)
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", CONTRACT_MODELS)
+    def test_no_stream_scores_equal_no_grad_scores(self, name):
+        # Without a dropout stream, scores on the tape are the inference
+        # scores, dropout rates above zero included.
+        m = contract_model(name, np.random.default_rng(5))
+        ents, rels = np.array([0, 4, 4, 2]), np.array([6, 2, 0, 6])
+        got = m.score_all(ents, rels)
+        with no_grad():
+            want = m.score_all(ents, rels)
+        assert got.requires_grad and not want.requires_grad
+        assert got.data.tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("name", CONTRACT_MODELS)
     def test_skeleton_is_the_seeded_model_with_draws_zeroed(self, name):
@@ -202,7 +215,8 @@ class TestCommon:
         # stream: the skeleton holds zeros there, and the fixed value elsewhere.
         a, b = (contract_model(name, np.random.default_rng(s)) for s in (1, 2))
         blank = contract_model(name, None)
-        assert blank.params.names() == a.params.names()
+        assert ([n for n, _ in blank.params.items()]
+                == [n for n, _ in a.params.items()])
         drawn = 0
         for param, t in a.params.items():
             want = t.data

@@ -209,6 +209,26 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error:")
         assert blocked in err[0]
 
+    def test_checkpoint_tmp_directory_is_left_in_place(self, memo_dir, tmp_path,
+                                                       capsys, monkeypatch):
+        # The error line comes from the failed open of best.ckpt.tmp; the
+        # cleanup does not try to remove the directory that stands there.
+        tmp = tmp_path / "o" / "best.ckpt.tmp"
+        tmp.mkdir(parents=True)
+        remove, removed = os.remove, []
+
+        def spy(path, *args, **kwargs):
+            removed.append(str(path))
+            return remove(path, *args, **kwargs)
+        monkeypatch.setattr(os, "remove", spy)
+        rc = main(["train", "--data", memo_dir, "--out", str(tmp.parent)]
+                  + TINY_MODEL + schedule(1))
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "Is a directory" in err[0] and str(tmp) in err[0]
+        assert str(tmp) not in removed and tmp.is_dir()
+
     def test_invalid_hyperparameter(self, memo_dir, tmp_path):
         rc = main(["train", "--data", memo_dir, "--out", str(tmp_path),
                    "--d-e", "7"])

@@ -16,7 +16,8 @@ from pkge.evaluation import (EvalReport, evaluate, filtered_rank,
                              write_report_csv)
 from pkge.kg import build_store, category_counts, load_dataset
 from pkge.model import ModelConfig, PatReFormer, build_model
-from pkge.synth import random_kg
+
+from random_graphs import random_kg
 
 
 def rank_one(scores, target, known=()):
@@ -134,7 +135,7 @@ class TableModel:
     def __init__(self, table):
         self.table = table
 
-    def score_all(self, entities, relations, training=False, rng=None):
+    def score_all(self, entities, relations, rng=None):
         class _Out:
             pass
 
@@ -246,8 +247,8 @@ class RecordingModel:
     def __init__(self, model):
         self.model, self.logits = model, {}
 
-    def score_all(self, entities, relations, training=False, rng=None):
-        out = self.model.score_all(entities, relations, training, rng)
+    def score_all(self, entities, relations, rng=None):
+        out = self.model.score_all(entities, relations, rng)
         for key, row in zip(zip(entities.tolist(), relations.tolist()), out.data):
             self.logits.setdefault(key, []).append(row.copy())
         return out

@@ -7,14 +7,16 @@ merge and output; the feed-forward as matmul, bias, relu, matmul, bias and
 dropout; each then adds its residual and applies ``layer_norm``. The fused
 forward must equal the reference bit for bit, dropout included (same rng,
 same draws). The fused backward sums some terms in another order, so each
-input gradient must agree to 2e-6 relative to its largest entry.
+input gradient must agree to 2e-6 relative to its largest entry. With no
+dropout stream, ``dropout``, ``attention`` and ``feed_forward`` drop nothing
+and draw nothing at any valid rate.
 """
 
 import numpy as np
 import pytest
 
 from pkge import tensor
-from pkge.errors import NumericError, ShapeError
+from pkge.errors import ConfigError, NumericError, ShapeError
 from pkge.tensor import (Tensor, add, attention, dropout, feed_forward, matmul,
                          mul, reshape, transpose)
 
@@ -34,11 +36,11 @@ def _swap_axes(x, i, j):
     return transpose(x, tuple(axes))
 
 
-def scaled_dot_attention(q, k, v, denom, p_drop=0.0, training=False, rng=None):
+def scaled_dot_attention(q, k, v, denom, p_drop=0.0, rng=None):
     """softmax(q kᵀ / sqrt(denom)) v over the last two axes."""
     scores = mul(matmul(q, _swap_axes(k, -1, -2)), 1.0 / np.sqrt(denom))
     probs = softmax_lastdim(scores)
-    probs = dropout(probs, p_drop, training, rng)
+    probs = dropout(probs, p_drop, rng)
     return matmul(probs, v)
 
 
@@ -54,18 +56,18 @@ def _merge_heads(x):
 
 
 def reference_attention(x_q, x_kv, wq, wk, wv, wo, gamma, beta, heads,
-                        p_drop=0.0, training=False, rng=None):
+                        p_drop=0.0, rng=None):
     q = _split_heads(matmul(x_q, wq), heads)
     k = _split_heads(matmul(x_kv, wk), heads)
     v = _split_heads(matmul(x_kv, wv), heads)
-    ctx = scaled_dot_attention(q, k, v, x_q.shape[-1], p_drop, training, rng)
+    ctx = scaled_dot_attention(q, k, v, x_q.shape[-1], p_drop, rng)
     return layer_norm(add(matmul(_merge_heads(ctx), wo), x_q), gamma, beta)
 
 
 def reference_feed_forward(x, w1, b1, w2, b2, gamma, beta, p_drop=0.0,
-                           training=False, rng=None):
+                           rng=None):
     f = add(matmul(relu(add(matmul(x, w1), b1)), w2), b2)
-    return layer_norm(add(dropout(f, p_drop, training, rng), x), gamma, beta)
+    return layer_norm(add(dropout(f, p_drop, rng), x), gamma, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +116,12 @@ def ffn_inputs(lead=(4, 3), dtype=np.float32, seed=0):
             + affine_leaves(D, dtype, rng))
 
 
-# name: (leading shape, dropout rate, training)
+# name: (leading shape, dropout rate, dropout stream seed or None for none)
 FFN_CASES = {
-    "batched": ((4, 3), 0.0, False),
-    "rows": ((5,), 0.0, False),
-    "batched-train-dropout": ((4, 3), 0.3, True),
-    "rows-eval": ((5,), 0.3, False),
+    "batched": ((4, 3), 0.0, None),
+    "rows": ((5,), 0.0, None),
+    "batched-train-dropout": ((4, 3), 0.3, 5),
+    "rows-eval": ((5,), 0.3, None),
 }
 
 
@@ -151,18 +153,20 @@ def assert_grads_close(got, want):
 
 
 def sublayer(op, *args, seed):
-    """``op(*inputs, *args, rng)`` with a fresh generator of ``seed``."""
+    """``op(*inputs, *args, rng)`` with a fresh generator of ``seed`` as the
+    dropout stream, or with none when ``seed`` is None."""
     def build(*inputs):
-        return op(*inputs, *args, np.random.default_rng(seed))
+        rng = None if seed is None else np.random.default_rng(seed)
+        return op(*inputs, *args, rng)
     return build
 
 
-def fused_attention(p_drop, training, seed):
-    return sublayer(attention, HEADS, p_drop, training, seed=seed)
+def fused_attention(p_drop, seed):
+    return sublayer(attention, HEADS, p_drop, seed=seed)
 
 
-def composed_attention(p_drop, training, seed):
-    return sublayer(reference_attention, HEADS, p_drop, training, seed=seed)
+def composed_attention(p_drop, seed):
+    return sublayer(reference_attention, HEADS, p_drop, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +174,14 @@ def composed_attention(p_drop, training, seed):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p_drop, training", [(0.3, True), (0.3, False), (0.0, True)],
+@pytest.mark.parametrize("p_drop, seed", [(0.3, 5), (0.3, None), (0.0, 5)],
                          ids=["train-dropout", "eval", "no-dropout"])
 @pytest.mark.parametrize("name", list(ATTENTION_SHAPES))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_attention_forward_bit_identical(name, p_drop, training, dtype):
+def test_attention_forward_bit_identical(name, p_drop, seed, dtype):
     inputs = attention_inputs(name, dtype)
-    fused = fused_attention(p_drop, training, 5)(*inputs).data
-    ref = composed_attention(p_drop, training, 5)(*inputs).data
+    fused = fused_attention(p_drop, seed)(*inputs).data
+    ref = composed_attention(p_drop, seed)(*inputs).data
     assert fused.dtype == ref.dtype and fused.shape == ref.shape
     assert np.array_equal(fused, ref)
 
@@ -187,25 +191,25 @@ def test_attention_draws_the_reference_mask():
     # op drew exactly the reference's dropout values.
     inputs = attention_inputs("cross")
     rngs = [np.random.default_rng(9), np.random.default_rng(9)]
-    attention(*inputs, HEADS, 0.3, True, rngs[0])
-    reference_attention(*inputs, HEADS, 0.3, True, rngs[1])
+    attention(*inputs, HEADS, 0.3, rngs[0])
+    reference_attention(*inputs, HEADS, 0.3, rngs[1])
     assert rngs[0].random() == rngs[1].random()
 
 
-@pytest.mark.parametrize("p_drop, training", [(0.3, True), (0.0, False)],
+@pytest.mark.parametrize("p_drop, seed", [(0.3, 5), (0.0, None)],
                          ids=["train-dropout", "eval"])
 @pytest.mark.parametrize("name", list(ATTENTION_SHAPES))
-def test_attention_gradients_match_reference(name, p_drop, training):
+def test_attention_gradients_match_reference(name, p_drop, seed):
     inputs = attention_inputs(name)
-    got, _ = input_grads(fused_attention(p_drop, training, 5), inputs)
-    want, _ = input_grads(composed_attention(p_drop, training, 5), inputs)
+    got, _ = input_grads(fused_attention(p_drop, seed), inputs)
+    want, _ = input_grads(composed_attention(p_drop, seed), inputs)
     assert len(got) == (7 if name == "self" else 8)
     assert_grads_close(got, want)
 
 
 def test_attention_is_one_node():
     inputs = attention_inputs("cross")
-    out = attention(*inputs, HEADS, 0.3, True, np.random.default_rng(0))
+    out = attention(*inputs, HEADS, 0.3, np.random.default_rng(0))
     assert out.op == "attention"
     assert all(p is t for p, t in zip(out._prev, inputs))
 
@@ -238,28 +242,28 @@ def test_attention_shape_errors(bad):
 @pytest.mark.parametrize("case", list(FFN_CASES))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_feed_forward_forward_bit_identical(case, dtype):
-    lead, p_drop, training = FFN_CASES[case]
+    lead, p_drop, seed = FFN_CASES[case]
     inputs = ffn_inputs(lead, dtype)
-    fused = sublayer(feed_forward, p_drop, training, seed=5)(*inputs).data
-    ref = sublayer(reference_feed_forward, p_drop, training, seed=5)(*inputs).data
+    fused = sublayer(feed_forward, p_drop, seed=seed)(*inputs).data
+    ref = sublayer(reference_feed_forward, p_drop, seed=seed)(*inputs).data
     assert fused.dtype == ref.dtype and fused.shape == ref.shape
     assert np.array_equal(fused, ref)
 
 
 @pytest.mark.parametrize("case", list(FFN_CASES))
 def test_feed_forward_gradients_match_reference(case):
-    lead, p_drop, training = FFN_CASES[case]
+    lead, p_drop, seed = FFN_CASES[case]
     inputs = ffn_inputs(lead)
-    got, _ = input_grads(sublayer(feed_forward, p_drop, training, seed=5), inputs)
+    got, _ = input_grads(sublayer(feed_forward, p_drop, seed=seed), inputs)
     want, _ = input_grads(
-        sublayer(reference_feed_forward, p_drop, training, seed=5), inputs)
+        sublayer(reference_feed_forward, p_drop, seed=seed), inputs)
     assert len(got) == 7
     assert_grads_close(got, want)
 
 
 def test_feed_forward_is_one_node():
     inputs = ffn_inputs()
-    out = feed_forward(*inputs, 0.3, True, np.random.default_rng(0))
+    out = feed_forward(*inputs, 0.3, np.random.default_rng(0))
     assert out.op == "feed_forward"
     assert all(p is t for p, t in zip(out._prev, inputs))
 
@@ -313,8 +317,8 @@ def test_block_draws_both_masks_in_the_reference_order():
     outs = []
     for att, ff, rng in ((attention, feed_forward, rngs[0]),
                          (reference_attention, reference_feed_forward, rngs[1])):
-        x = att(x_q, x_kv, *attn, HEADS, 0.3, True, rng)
-        outs.append(ff(x, *ffn, 0.3, True, rng).data)
+        x = att(x_q, x_kv, *attn, HEADS, 0.3, rng)
+        outs.append(ff(x, *ffn, 0.3, rng).data)
     assert np.array_equal(outs[0], outs[1])
     assert rngs[0].random() == rngs[1].random()
 
@@ -324,8 +328,8 @@ def test_only_the_affine_needs_a_gradient(op):
     # Every input but gamma and beta is a constant: the backward skips the
     # sublayer's own gradients and gives gamma and beta the same bytes.
     inputs = attention_inputs("cross") if op == "attention" else ffn_inputs()
-    build = (fused_attention(0.3, True, 5) if op == "attention"
-             else sublayer(feed_forward, 0.3, True, seed=5))
+    build = (fused_attention(0.3, 5) if op == "attention"
+             else sublayer(feed_forward, 0.3, seed=5))
     want, _ = input_grads(build, inputs)
     for t in inputs[:-2]:
         t.requires_grad = False
@@ -333,6 +337,51 @@ def test_only_the_affine_needs_a_gradient(op):
     assert len(got) == 2
     for g, w in zip(got, want[-2:]):
         assert np.array_equal(g, w)
+
+
+# ---------------------------------------------------------------------------
+# the dropout switch
+# ---------------------------------------------------------------------------
+
+SWITCHED = ["dropout", "attention", "feed_forward"]
+
+
+def switched(name):
+    """``build(p_drop, rng)``: op ``name`` on fixed inputs, at rate
+    ``p_drop`` with dropout stream ``rng``."""
+    if name == "dropout":
+        x = Tensor(np.random.default_rng(0).standard_normal((4, D), np.float32))
+        return lambda p, rng: dropout(x, p, rng)
+    if name == "attention":
+        inputs = attention_inputs("cross")
+        return lambda p, rng: attention(*inputs, HEADS, p, rng)
+    inputs = ffn_inputs()
+    return lambda p, rng: feed_forward(*inputs, p, rng)
+
+
+@pytest.mark.parametrize("name", SWITCHED)
+def test_no_stream_means_no_dropout(name):
+    build = switched(name)
+    want = build(0.0, None).data.tobytes()
+    assert build(0.3, None).data.tobytes() == want
+    # A stream at the same rate does drop, so the comparison can fail.
+    assert build(0.3, np.random.default_rng(4)).data.tobytes() != want
+
+
+@pytest.mark.parametrize("name", SWITCHED)
+def test_stream_at_zero_rate_is_not_advanced(name):
+    build = switched(name)
+    rng = np.random.default_rng(4)
+    out = build(0.0, rng).data.tobytes()
+    assert rng.random() == np.random.default_rng(4).random()
+    assert out == build(0.0, None).data.tobytes()
+
+
+@pytest.mark.parametrize("p", [1.0, -0.1])
+@pytest.mark.parametrize("name", SWITCHED)
+def test_bad_rate_raises_without_a_stream(name, p):
+    with pytest.raises(ConfigError):
+        switched(name)(p, None)
 
 
 def big(*shape, value=3e38):

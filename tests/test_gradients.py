@@ -153,7 +153,7 @@ class TestNormalizationGrads:
 
         def fn(t):
             rng = np.random.default_rng(17)   # same mask every call
-            return reduce_sum(dropout(t, 0.4, training=True, rng=rng))
+            return reduce_sum(dropout(t, 0.4, rng))
 
         check(fn, [x])
 
@@ -177,7 +177,7 @@ class TestFusedGrads:
         def fn(a, *rest):
             b, ws = (a, rest) if case == "self" else (rest[0], rest[1:])
             rng = np.random.default_rng(17)   # same mask every call
-            out = attention(a, b, *ws, 3, 0.3, True, rng)
+            out = attention(a, b, *ws, 3, 0.3, rng)
             return reduce_sum(mul(out, w))
 
         check(fn, [xq] + ([] if case == "self" else [xkv]) + mats + affine(d, 1))
@@ -205,7 +205,7 @@ class TestFusedGrads:
 
         def fn(*t):
             drop = np.random.default_rng(17)   # same mask every call
-            return reduce_sum(mul(feed_forward(*t, 0.4, True, drop), w))
+            return reduce_sum(mul(feed_forward(*t, 0.4, drop), w))
 
         check(fn, [x, w1, b1, w2, b2] + affine(4, 3))
 
@@ -250,7 +250,7 @@ class TestCompositeGrads:
 
 def model_loss_fn(model, ents, rels, targets, eps=0.1):
     """Loss of a model as a pure function of its parameter arrays."""
-    names = model.params.names()
+    names = [n for n, _ in model.params.items()]
     answers = np.nonzero(targets)
 
     def fn(*tensors):

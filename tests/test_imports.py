@@ -5,7 +5,8 @@ dead-code checks. Every public op of ``pkge.tensor`` has a caller in the
 package, bar a named few that tests use. No package module reads the
 process environment, so every option is a flag or a config-file key, and no
 package module imports inside a function, so the module import graph is the
-whole of it."""
+whole of it. No package function takes a ``training`` flag: the dropout
+stream is the only dropout switch."""
 
 import ast
 import glob
@@ -241,3 +242,33 @@ def test_detects_function_imports():
 def test_package_imports_at_module_level(path):
     with open(path, encoding="utf-8") as fh:
         assert function_imports(fh.read()) == []
+
+
+def training_parameters(source):
+    """(line, function) of each function or lambda in ``source`` that takes a
+    parameter named ``training``: dropout runs exactly when a forward is
+    handed a dropout stream, so no flag may say it a second time."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
+            if any(p.arg == "training" for p in params):
+                found.append((node.lineno, getattr(node, "name", "<lambda>")))
+    return sorted(found)
+
+
+def test_detects_training_parameters():
+    source = ("def f(x, training):\n    pass\n\n"
+              "class C:\n    def m(self, *, training=False):\n        pass\n\n"
+              "    def ok(self, rng=None):\n        training = 1\n\n"
+              "g = lambda training=True: training\n")
+    assert training_parameters(source) == [(1, "f"), (5, "m"), (11, "<lambda>")]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[os.path.relpath(p, ROOT) for p in PACKAGE])
+def test_package_takes_no_training_flag(path):
+    with open(path, encoding="utf-8") as fh:
+        assert training_parameters(fh.read()) == []

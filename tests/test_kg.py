@@ -10,7 +10,9 @@ from pkge.errors import ConfigError, DataFormatError
 from pkge.kg import (CATEGORIES, THRESHOLD, build_store, categorize_relations,
                      category_counts, dump_stats_json, load_dataset, load_tsv,
                      triple_categories)
-from pkge.synth import random_kg, write_dataset
+from pkge.synth import write_dataset
+
+from random_graphs import random_kg
 
 
 class TestLoadTsv:

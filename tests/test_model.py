@@ -172,7 +172,7 @@ class TestAttentionOps:
 class TestParamInventory:
     def test_default_names_trainability(self):
         m = make(tiny_cfg())
-        names = set(m.params.names())
+        names = {n for n, _ in m.params.items()}
         assert "entity.embedding" in names and "relation.embedding" in names
         assert "seg.entity.basis" in names and "seg.relation.basis" in names
         assert not m.params["seg.entity.basis"].requires_grad
@@ -187,7 +187,7 @@ class TestParamInventory:
     def test_variant_params(self):
         m = make(tiny_cfg(attention="full_self", pe="trainable",
                           segmentation="trainable"))
-        names = set(m.params.names())
+        names = {n for n, _ in m.params.items()}
         assert any(n.startswith("enc.joint.") for n in names)
         assert not any(n.startswith("enc.entity.") for n in names)
         assert m.params["pe.entity"].requires_grad
@@ -206,16 +206,17 @@ class TestParamInventory:
         cfg = tiny_cfg()
         seeded = make(cfg)
         blank = PatReFormer(cfg, N_ENT, N_REL2, rng=None)
-        assert seeded.params.names() == blank.params.names()
-        for name in seeded.params.names():
+        assert ([n for n, _ in seeded.params.items()]
+                == [n for n, _ in blank.params.items()])
+        for name, _ in seeded.params.items():
             assert seeded.params[name].shape == blank.params[name].shape
         assert np.all(blank.params["entity.embedding"].data == 0)
         assert np.all(blank.params["enc.entity.0.ln1.gamma"].data == 1)
 
     def test_init_deterministic_per_seed(self):
         a, b, c = make(tiny_cfg(), 5), make(tiny_cfg(), 5), make(tiny_cfg(), 6)
-        for name in a.params.names():
-            assert np.array_equal(a.params[name].data, b.params[name].data)
+        for name, t in a.params.items():
+            assert np.array_equal(t.data, b.params[name].data)
         assert not np.array_equal(a.params["scorer.weight"].data,
                                   c.params["scorer.weight"].data)
 
@@ -226,8 +227,7 @@ def oracle_scores(model, ents, rels):
     """Recompute score_all's logits in plain float64 numpy, mirroring the
     layer algebra directly rather than going through the tensor graph."""
     cfg = model.config
-    P = {n: model.params[n].data.astype(np.float64)
-         for n in model.params.names()}
+    P = {n: t.data.astype(np.float64) for n, t in model.params.items()}
 
     def segment(side, x, k):
         if cfg.segmentation == "folding":
@@ -381,9 +381,9 @@ class TestVariantBehavior:
         models = [make(tiny_cfg(attention=attention, update_order=order,
                                 p1=0.1, p2=0.2, p3=0.3), seed=7)
                   for order in ("sequential", "simultaneous")]
-        for training in (False, True):
-            seq, sim = (m.score_all([0, 3, 5], [1, 2, 1], training=training,
-                                    rng=np.random.default_rng(11)).data
+        for stream in (False, True):
+            seq, sim = (m.score_all([0, 3, 5], [1, 2, 1],
+                                    np.random.default_rng(11) if stream else None).data
                         for m in models)
             np.testing.assert_array_equal(seq, sim)
 
@@ -411,9 +411,9 @@ class TestDropoutModes:
         np.testing.assert_array_equal(eval_a, eval_b)
 
         rng = np.random.default_rng(0)
-        train_a = model.score_all(ents, rels, training=True, rng=rng).data
+        train_a = model.score_all(ents, rels, rng).data
         rng = np.random.default_rng(0)
-        train_b = model.score_all(ents, rels, training=True, rng=rng).data
+        train_b = model.score_all(ents, rels, rng).data
         np.testing.assert_array_equal(train_a, train_b)
         assert not np.allclose(train_a, eval_a)
 

@@ -3,7 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from pkge.synth import clustered_kg, memorization_kg, random_kg, write_dataset
+from pkge.synth import clustered_kg, memorization_kg, write_dataset
+
+from random_graphs import random_kg
 
 DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "data")

@@ -330,16 +330,16 @@ class TestNonlinearities:
 class TestDropout:
     def test_eval_mode_is_identity(self):
         x = Tensor(np.ones(8))
-        assert dropout(x, 0.5, training=False, rng=None) is x
+        assert dropout(x, 0.5, None) is x
 
     def test_zero_rate_is_identity(self):
         x = Tensor(np.ones(8))
-        assert dropout(x, 0.0, training=True, rng=None) is x
+        assert dropout(x, 0.0, np.random.default_rng(0)) is x
 
     def test_survivors_scaled(self):
         rng = np.random.default_rng(0)
         x = Tensor(np.ones((100, 100), np.float32))
-        out = dropout(x, 0.25, training=True, rng=rng).data
+        out = dropout(x, 0.25, rng).data
         kept = out[out != 0]
         np.testing.assert_allclose(kept, np.full(kept.shape, 1.0 / 0.75),
                                    rtol=1e-6)
@@ -348,9 +348,9 @@ class TestDropout:
     def test_bad_rate_raises(self):
         x = Tensor(np.ones(3))
         with pytest.raises(ConfigError):
-            dropout(x, 1.0, training=True, rng=np.random.default_rng(0))
+            dropout(x, 1.0, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            dropout(x, -0.1, training=True, rng=np.random.default_rng(0))
+            dropout(x, -0.1, np.random.default_rng(0))
 
 
 class TestGraph:
@@ -403,7 +403,7 @@ OVERFLOW_CASES = {
     "l1_distance": lambda: l1_distance(big(1, 2), big(3, 2, value=-3e38)),
     "layer_norm": lambda: layer_norm(Tensor(np.array([[1.0, 2.0]], np.float32)),
                                      big(2), big(2)),
-    "dropout": lambda: dropout(big(8), 0.5, True, np.random.default_rng(0)),
+    "dropout": lambda: dropout(big(8), 0.5, np.random.default_rng(0)),
     "bce_with_logits": lambda: bce_with_logits(big(2), np.nonzero(np.ones(2)),
                                                0.0, -1.0),
     "attention": lambda: attention(big(1, 2, 2), big(1, 2, 2),
@@ -503,7 +503,7 @@ def in_place_case(name, x, dtype):
     if name == "layer_norm":
         return (lambda t, g, b: layer_norm(t, g, b),
                 lambda a, g, b: formula_layer_norm(a, g, b), [gamma, beta])
-    return (lambda t: dropout(t, 0.3, True, np.random.default_rng(8)),
+    return (lambda t: dropout(t, 0.3, np.random.default_rng(8)),
             lambda a: formula_dropout(a, 0.3, np.random.default_rng(8)), [])
 
 

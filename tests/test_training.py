@@ -310,6 +310,16 @@ class TestAtomicCheckpoint:
             assert np.array_equal(restored.params[name].data, arr)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt"]
 
+    def test_failed_open_leaves_the_tmp_path_alone(self, tmp_path):
+        # A directory where the temporary file goes: the open's error is the
+        # one raised, with no cleanup error over it, and the directory stays.
+        (tmp_path / "best.ckpt.tmp").mkdir()
+        with pytest.raises(IsADirectoryError) as err:
+            save_checkpoint(str(tmp_path / "best.ckpt"), tiny_model(seed=5))
+        assert err.value.__context__ is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt.tmp"]
+        assert (tmp_path / "best.ckpt.tmp").is_dir()
+
 
 class TestCheckpointValidation:
     @pytest.fixture
@@ -501,7 +511,8 @@ class TestTrainLoop:
         result = train_model(memo_store, model, tcfg, out_dir=str(tmp_path))
         assert result.best_epoch < tcfg.epochs
         restored, _ = restore_model(result.checkpoint_path)
-        assert restored.params.names() == model.params.names()
+        assert ([n for n, _ in restored.params.items()]
+                == [n for n, _ in model.params.items()])
         for name, t in model.params.items():
             assert np.array_equal(t.data, restored.params[name].data), name
         assert evaluate(memo_store, model, "valid").mrr == result.best_valid_mrr
