@@ -24,7 +24,10 @@ interquartile range as a share of its median, whether the change's median
 is worse than the parent's by more than the metric's bound, and whether a
 claim that the change improves the metric holds (``claim_met``): the change
 won at least 9 in 10 of the completed pairs, and its median beats the
-parent's by more than the parent's interquartile range. At the end one
+parent's by more than the parent's interquartile range. A metric is
+``unresolved`` when the parent's interquartile range, as a share of its
+median, exceeds the metric's bound and not every change run beats every
+parent run: its spread then hides a change as large as the bound. At the end one
 line per workload and metric prints the medians, the pairs won and these
 verdicts.
 """
@@ -180,6 +183,8 @@ def summarize(runs, workloads, metrics):
             worse_by = ((change_median - parent_median) if lower
                         else (parent_median - change_median))
             parent_iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+            beats_all = (max(values["change"]) < min(values["parent"]) if lower
+                         else min(values["change"]) > max(values["parent"]))
             entry["metrics"][name] = {
                 **stats,
                 "change_wins": wins,
@@ -192,6 +197,9 @@ def summarize(runs, workloads, metrics):
                                      and worse_by / parent_median > spec["bound"]),
                 "claim_met": (completed > 0 and 10 * wins >= 9 * completed
                               and -worse_by > parent_iqr),
+                "unresolved": (spec.get("bound") is not None
+                               and parent_iqr / parent_median > spec["bound"]
+                               and not beats_all),
             }
         for key in ("ru_minflt", "user_cpu_s", "sys_cpu_s", "wall_s"):
             entry["rusage"][key] = {
@@ -216,7 +224,7 @@ def summary_lines(summary):
                 f"{m['change']['median']:.6g} won {m['change_wins']}/{m['pairs']} "
                 f"parent_iqr_share {m['parent_iqr_share']:.3f} "
                 f"worse_than_bound {m['worse_than_bound']} "
-                f"claim_met {m['claim_met']}")
+                f"claim_met {m['claim_met']} unresolved {m['unresolved']}")
     return lines
 
 

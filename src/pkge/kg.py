@@ -2,6 +2,10 @@
 
 Datasets are directories with tab-separated ``train.txt`` / ``valid.txt`` /
 ``test.txt`` files, one ``head<TAB>relation<TAB>tail`` triple per line.
+Each file is read once as bytes. Line ends, tabs per line and empty fields
+come from numpy over the separators' positions, and names are interned by
+sorting their zero-padded bytes, so a load makes one ``str`` per distinct
+name and no Python object per line, field or triple.
 Every relation r gets a synthetic reverse r⁻¹ with id ``r + num_relations``,
 so head prediction becomes tail prediction over reversed queries.
 """
@@ -22,40 +26,12 @@ THRESHOLD = 1.5
 # The splits each categorization scope measures tph/hpt over.
 SCOPES = {"all": tuple(SPLIT_FILES), "train": ("train",)}
 
-
-def load_tsv(path, split="train"):
-    """Parse one split file into (head, relation, tail) string triples.
-
-    Order-preserving, no deduplication. A malformed line, one with an empty
-    field included, raises ``DataFormatError`` naming the line number; bytes
-    that are not UTF-8, or a file that cannot be read, raise it naming the
-    file.
-    """
-    triples = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n").rstrip("\r")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 3:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: expected 3 tab-separated fields "
-                        f"({split} split), got {len(fields)}"
-                    )
-                if not all(fields):
-                    raise DataFormatError(
-                        f"{path}:{lineno}: empty head, relation or tail "
-                        f"({split} split)")
-                triples.append((fields[0], fields[1], fields[2]))
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(
-            f"{path}: not valid UTF-8 ({split} split): {exc}") from None
-    except OSError as exc:
-        raise DataFormatError(
-            f"cannot read {path} ({split} split): {exc}") from None
-    return triples
+TAB, LF, CR = 9, 10, 13
+_SEPARATOR = np.isin(np.arange(CR + 1), (TAB, LF, CR))   # by byte value
+# _MASKS[m] keeps the first m bytes of a little-endian 8-byte word.
+_MASKS = np.array([(1 << 8 * m) - 1 for m in range(9)], dtype=np.uint64)
+# A byte order mark, refused at a name's edge as whitespace is.
+BOM = "\ufeff"
 
 
 class QueryIndex:
@@ -142,49 +118,178 @@ def load_dataset(directory):
     directory or split file is a ``ConfigError``."""
     if not os.path.isdir(directory):
         raise ConfigError(f"dataset directory not found: {directory}")
-    for fname in SPLIT_FILES.values():
-        if not os.path.isfile(os.path.join(directory, fname)):
-            raise ConfigError(f"dataset directory {directory} is missing {fname}")
-    raw = {split: load_tsv(os.path.join(directory, fname), split)
-           for split, fname in SPLIT_FILES.items()}
-    store = build_store(raw["train"], raw["valid"], raw["test"])
-    # Edge whitespace in a name is a format error, checked per distinct name.
-    for name in store.entity_names + store.relation_names:
-        if name != name.strip():
-            split = next(s for s in SPLIT_FILES if any(name in t for t in raw[s]))
-            raise DataFormatError(f"{SPLIT_FILES[split]}: name {name!r} has "
-                                  f"whitespace at its edge ({split} split)")
-    return store
+    paths = {split: os.path.join(directory, fname)
+             for split, fname in SPLIT_FILES.items()}
+    for split, path in paths.items():
+        if not os.path.isfile(path):
+            raise ConfigError(f"dataset directory {directory} is missing "
+                              f"{SPLIT_FILES[split]}")
+    return _store({split: _read_split(path, split)
+                   for split, path in paths.items()}, paths)
 
 
 def build_store(train, valid, test):
-    """Assign dense ids by first occurrence (train→valid→test), append
-    reverse relations, and build the all-splits filter index."""
-    if not train:
-        raise ConfigError("empty train split")
-    entity_ids, relation_ids = {}, {}
-    splits = {}
-    for split, raw in (("train", train), ("valid", valid), ("test", test)):
-        ids = np.empty((len(raw), 3), dtype=np.int64)
-        # heads before tails, row by row: ids by first occurrence
-        ids[:, [0, 2]] = np.array(
-            [entity_ids.setdefault(e, len(entity_ids))
-             for h, _, t in raw for e in (h, t)], dtype=np.int64).reshape(-1, 2)
-        ids[:, 1] = [relation_ids.setdefault(r, len(relation_ids))
-                     for _, r, _ in raw]
-        splits[split] = ids
+    """The store of in-memory (head, relation, tail) string triples, built
+    as ``load_dataset`` builds a dataset's: each split becomes the bytes of
+    its file, so names may hold no tab or line end."""
+    texts = {split: "".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples).encode()
+             for split, triples in zip(SPLIT_FILES, (train, valid, test))}
+    return _store(texts, SPLIT_FILES)
 
-    n_rel = len(relation_ids)
+
+def _read_split(path, split):
+    """The bytes of one split file, checked to be UTF-8."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataFormatError(
+            f"cannot read {path} ({split} split): {exc}") from None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[:exc.start]
+            line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise DataFormatError(f"{path}:{line}: not valid UTF-8 ({split} "
+                                  f"split): {exc.reason}") from None
+    return data
+
+
+def _store(texts, paths):
+    """Assign dense ids by first occurrence (train→valid→test, head before
+    tail), append reverse relations, and build the all-splits filter index.
+    ``texts`` maps each split to its file's bytes, ``paths`` to the file
+    its errors name."""
+    # One buffer: each file ends with an added line end, which at most adds
+    # a blank line, and 8 NUL bytes let every field start an 8-byte read.
+    joined = b"".join(text + b"\n" for text in texts.values()) + bytes(8)
+    buf = np.frombuffer(joined, np.uint8)
+    bounds, lo = [], 0
+    for split, text in texts.items():
+        bounds.append(_parse(buf, lo, lo + len(text) + 1, paths[split], split))
+        lo += len(text) + 1
+    if not len(bounds[0]):
+        raise ConfigError("empty train split")
+    starts, ends = (np.concatenate([b[..., i] for b in bounds]) for i in (0, 1))
+    words = np.ndarray((len(joined) - 7,), "<u8", joined, strides=(1,))
+    ent, entity_names = _intern(joined, words, starts[:, [0, 2]].ravel(),
+                                ends[:, [0, 2]].ravel())
+    rel, relation_names = _intern(joined, words, starts[:, 1], ends[:, 1])
+    ids = np.stack([ent[0::2], rel, ent[1::2]], axis=1)
+    cuts = np.cumsum([len(b) for b in bounds])[:-1]
+    splits = dict(zip(texts, np.split(ids, cuts)))
+    entity_ids = dict(zip(entity_names, range(len(entity_names))))
+    relation_ids = dict(zip(relation_names, range(len(relation_names))))
+    for name in entity_names + relation_names:
+        fault = ("whitespace" if name != name.strip() else
+                 "U+FEFF" if BOM in (name[0], name[-1]) else None)
+        if fault:
+            e, r = entity_ids.get(name, -1), relation_ids.get(name, -1)
+            split = next(s for s, i in splits.items()
+                         if (i[:, [0, 2]] == e).any() or (i[:, 1] == r).any())
+            raise DataFormatError(f"{SPLIT_FILES[split]}: name {name!r} has "
+                                  f"{fault} at its edge ({split} split)")
+    n_rel = len(relation_names)
     return TripleStore(
         entity_ids=entity_ids,
         relation_ids=relation_ids,
-        entity_names=list(entity_ids),
-        relation_names=list(relation_ids),
+        entity_names=entity_names,
+        relation_names=relation_names,
         splits=splits,
-        filter_index=QueryIndex(np.concatenate(list(splits.values())),
-                                len(entity_ids), n_rel),
+        filter_index=QueryIndex(ids, len(entity_names), n_rel),
         num_relations=n_rel,
     )
+
+
+def _parse(buf, lo, hi, path, split):
+    """Byte bounds of every field of the file at ``buf[lo:hi]``, which ends
+    in a line end: an int64 array [n, 3, 2] of (start, end) per triple. A
+    line is ended by LF, CR LF or a lone CR, as in Python's text mode;
+    blank lines are skipped but counted. The first malformed line, one with
+    an empty field included, raises ``DataFormatError`` naming its number."""
+    seps = lo + np.flatnonzero(buf[lo:hi] <= CR)
+    kinds = buf[seps]
+    keep = _SEPARATOR[kinds] & ~((kinds == LF) & (buf[seps - 1] == CR))
+    seps, kinds = seps[keep], kinds[keep]
+    end_at = np.flatnonzero(kinds != TAB)          # index in seps of each line end
+    ends = seps[end_at]                            # a CR LF line ends at its CR
+    starts = np.concatenate(([lo], ends[:-1] + 1 + ((buf[ends[:-1]] == CR)
+                                                   & (buf[ends[:-1] + 1] == LF))))
+    tabs = np.diff(end_at, prepend=-1) - 1
+    ok = tabs == 2
+    t1, t2 = seps[end_at[ok] - 2], seps[end_at[ok] - 1]
+    s, e = starts[ok], ends[ok]
+    bad = ~ok & (ends > starts)
+    bad[ok] = (t1 == s) | (t2 == t1 + 1) | (e == t2 + 1)
+    if bad.any():
+        line = int(np.argmax(bad))
+        if ok[line]:
+            raise DataFormatError(f"{path}:{line + 1}: empty head, relation "
+                                  f"or tail ({split} split)")
+        raise DataFormatError(f"{path}:{line + 1}: expected 3 tab-separated "
+                              f"fields ({split} split), got {tabs[line] + 1}")
+    return np.stack([np.stack([s, t1 + 1, t2 + 1], axis=1),
+                     np.stack([t1, t2, e], axis=1)], axis=2)
+
+
+def _intern(joined, words, starts, ends):
+    """(ids, names): the id of each name at byte bounds [starts, ends) of
+    ``joined``, numbered by first occurrence, and the distinct names in id
+    order. A name is keyed by its bytes, zero-padded to 8-byte words that
+    ``words[i]`` reads from offset i, and by its length when some name ends
+    in a NUL byte."""
+    lengths = ends - starts
+    last = len(words) - 1
+    cols = [words[np.minimum(starts + j, last)] & _MASKS[np.clip(lengths - j, 0, 8)]
+            for j in range(0, int(lengths.max()), 8)]
+    if (np.frombuffer(joined, np.uint8)[ends - 1] == 0).any():
+        cols.append(lengths.astype(np.uint64))
+    group, first = _group(cols)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    first = first[order]
+    names = [joined[s:e].decode("utf-8")
+             for s, e in zip(starts[first].tolist(), ends[first].tolist())]
+    return rank[group], names
+
+
+def _group(cols):
+    """(group, first): a group number per row, equal exactly where every
+    column is, and each group's first row. Several columns are sorted by
+    their fingerprint, and each row is checked against its group's first
+    row; the rows a fingerprint collision misplaced are grouped again on
+    their own."""
+    key = cols[0] if len(cols) == 1 else _fingerprint(cols)
+    order = np.argsort(key)
+    key = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[0] = True
+    new[1:] = key[1:] != key[:-1]
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    group = np.empty(len(key), dtype=np.int64)
+    group[order] = np.cumsum(new) - 1
+    if len(cols) > 1:
+        rep = first[group]
+        wrong = np.zeros(len(key), dtype=bool)
+        for col in cols:
+            wrong |= col != col[rep]
+        if wrong.any():
+            rows = np.flatnonzero(wrong)
+            sub_group, sub_first = _group([col[rows] for col in cols])
+            group[rows] = len(first) + sub_group
+            first = np.concatenate([first, rows[sub_first]])
+    return group, first
+
+
+def _fingerprint(cols):
+    """One uint64 per row of several uint64 columns, equal for equal rows."""
+    key = np.zeros(len(cols[0]), dtype=np.uint64)
+    for col in cols:
+        key = (key ^ col) * np.uint64(0x9E3779B97F4A7C15)
+        key ^= key >> np.uint64(29)
+    return key
 
 
 def categorize_relations(store, scope="all"):

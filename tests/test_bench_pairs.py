@@ -132,14 +132,14 @@ def test_summary_lines_printed_at_the_end(report, capsys):
     assert out[-5:-1] == bench_pairs.summary_lines(report["summary"])
     assert out[-5:-1] == [
         "w1 queries_per_s: parent 111 change 131 won 3/3 parent_iqr_share "
-        "0.018 worse_than_bound False claim_met True",
+        "0.018 worse_than_bound False claim_met True unresolved False",
         "w1 run_s: parent 1 change 1 won 1/3 parent_iqr_share 0.000 "
-        "worse_than_bound False claim_met False",
+        "worse_than_bound False claim_met False unresolved False",
         "w2 queries_per_s: parent 111 change 131 won 2/3 parent_iqr_share "
-        "0.027 worse_than_bound False claim_met True",
+        "0.027 worse_than_bound False claim_met True unresolved False",
         # The change's 0.9 s at seed 11 has no parent run to beat.
         "w2 run_s: parent 1 change 1 won 0/3 parent_iqr_share 0.000 "
-        "worse_than_bound False claim_met False"]
+        "worse_than_bound False claim_met False unresolved False"]
 
 
 def test_summary_line_for_a_metric_without_runs():
@@ -178,6 +178,24 @@ def test_claim_met_needs_nine_in_ten_wins_and_a_gain_past_the_iqr(change, met):
                                 spec)["w"]["metrics"]["queries_per_s"]
     assert qps["parent"]["q3"] - qps["parent"]["q1"] == pytest.approx(5.5)
     assert qps["claim_met"] is met
+
+
+WIDE_PARENT = [60.0, 80.0, 100.0, 120.0, 140.0] * 2     # IQR 40% of 100
+
+
+@pytest.mark.parametrize("parent, change, unresolved", [
+    (WIDE_PARENT, [v + 5 for v in WIDE_PARENT], True),    # spread past the bound
+    (WIDE_PARENT, [150.0] * 10, False),                   # every run beats every one
+    (PARENT_QPS, [v - 5 for v in PARENT_QPS], False),     # IQR 5% of the median
+])
+def test_unresolved_when_the_parent_spread_exceeds_the_bound(parent, change,
+                                                             unresolved):
+    spec = [{"name": "queries_per_s", "better": "higher", "bound": 0.25}]
+    qps = bench_pairs.summarize(synthetic_runs(parent, change), ["w"],
+                                spec)["w"]["metrics"]["queries_per_s"]
+    assert qps["unresolved"] is unresolved
+    assert f"unresolved {unresolved}" in bench_pairs.summary_lines(
+        {"w": {"metrics": {"queries_per_s": qps}}})[0]
 
 
 @pytest.mark.parametrize("change_qps, flagged", [("80", False), ("50", True)])

@@ -1,5 +1,6 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -7,44 +8,60 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pkge.errors import ConfigError, DataFormatError
-from pkge.kg import (CATEGORIES, THRESHOLD, build_store, categorize_relations,
-                     category_counts, dump_stats_json, load_dataset, load_tsv,
-                     triple_categories)
+from pkge import kg
+from pkge.kg import (CATEGORIES, SPLIT_FILES, THRESHOLD, build_store,
+                     categorize_relations, category_counts, dump_stats_json,
+                     load_dataset, triple_categories)
 from pkge.synth import write_dataset
 
+import reference_loader
 from random_graphs import random_kg
 
 
+def split_dir(tmp_path, split, data):
+    """A dataset directory whose ``split`` file holds the bytes ``data``;
+    train holds one triple when it is not that split, valid and test none."""
+    for s, fname in SPLIT_FILES.items():
+        text = data if s == split else b"a\tr\tb\n" if s == "train" else b""
+        (tmp_path / fname).write_bytes(text)
+    return str(tmp_path)
+
+
+def triples_of(store, split):
+    """The string triples of ``split``, from the store's ids and names."""
+    e, r = store.entity_names, store.relation_names
+    return [(e[h], r[rel], e[t]) for h, rel, t in store.splits[split].tolist()]
+
+
 class TestLoadTsv:
+    """The parse of one split file inside ``load_dataset``."""
+
     def test_reads_triples_in_order(self, tmp_path):
-        p = tmp_path / "train.txt"
-        p.write_text("a\tr1\tb\nb\tr2\tc\na\tr1\tb\n")
-        triples = load_tsv(str(p))
-        assert triples == [("a", "r1", "b"), ("b", "r2", "c"), ("a", "r1", "b")]
+        d = split_dir(tmp_path, "train", b"a\tr1\tb\nb\tr2\tc\na\tr1\tb\n")
+        assert triples_of(load_dataset(d), "train") == [
+            ("a", "r1", "b"), ("b", "r2", "c"), ("a", "r1", "b")]
 
     def test_blank_lines_skipped(self, tmp_path):
         # the line count still advances past a blank, CRLF ones included
-        p = tmp_path / "train.txt"
-        p.write_bytes(b"\na\tr1\tb\n\r\nb\tr2\tc\n\nwrong\n")
+        d = split_dir(tmp_path, "train", b"\na\tr1\tb\n\r\nb\tr2\tc\n\nwrong\n")
         with pytest.raises(DataFormatError, match=r"train\.txt:6"):
-            load_tsv(str(p))
-        p.write_bytes(b"\na\tr1\tb\n\r\nb\tr2\tc\n\n")
-        assert load_tsv(str(p)) == [("a", "r1", "b"), ("b", "r2", "c")]
+            load_dataset(d)
+        d = split_dir(tmp_path, "train", b"\na\tr1\tb\n\r\nb\tr2\tc\n\n")
+        assert triples_of(load_dataset(d), "train") == [("a", "r1", "b"),
+                                                        ("b", "r2", "c")]
 
     def test_malformed_line_reports_number(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text("a\tr\tb\nwrong line\n")
-        with pytest.raises(DataFormatError, match=r"bad\.txt:2"):
-            load_tsv(str(p))
+        d = split_dir(tmp_path, "train", b"a\tr\tb\nwrong line\n")
+        with pytest.raises(DataFormatError, match=r"train\.txt:2"):
+            load_dataset(d)
 
     @pytest.mark.parametrize("line", ["\t\t", "a\t\tb", "\tr\tb", "a\tr\t"],
                              ids=["all", "relation", "head", "tail"])
     def test_empty_field_reports_line_and_split(self, tmp_path, line):
-        p = tmp_path / "valid.txt"
-        p.write_text(f"a\tr\tb\n{line}\n")
+        d = split_dir(tmp_path, "valid", f"a\tr\tb\n{line}\n".encode())
         with pytest.raises(DataFormatError,
                            match=r"valid\.txt:2: empty .*\(valid split\)"):
-            load_tsv(str(p), split="valid")
+            load_dataset(d)
 
     def test_empty_field_fails_load_dataset(self, tmp_path):
         write_dataset(str(tmp_path), {"train": [("a", "r", "b")],
@@ -54,7 +71,6 @@ class TestLoadTsv:
             fh.write("a\t\tb\n")
         with pytest.raises(DataFormatError, match=r"test\.txt:2"):
             load_dataset(str(tmp_path))
-
 
     @pytest.mark.parametrize("line,name,split", [
         ("a\tr\tb ", "b ", "valid"),          # trailing space after a tail
@@ -72,6 +88,98 @@ class TestLoadTsv:
         assert repr(name) in str(exc.value)
         assert f"{split}.txt" in str(exc.value)
         assert f"({split} split)" in str(exc.value)
+
+    @pytest.mark.parametrize("text,name", [
+        ("\ufeffa\tr\tb\n", "\ufeffa"),       # a BOM at the file's start
+        ("a\tr\tb\ufeff\n", "b\ufeff"),
+    ], ids=["start", "end"])
+    def test_bom_at_edge_fails_load_dataset(self, tmp_path, text, name):
+        d = split_dir(tmp_path, "train", text.encode())
+        with pytest.raises(DataFormatError) as exc:
+            load_dataset(d)
+        assert str(exc.value) == (f"train.txt: name {name!r} has U+FEFF at "
+                                  f"its edge (train split)")
+
+    @pytest.mark.parametrize("end,line", [(b"\n", 2001), (b"\r\n", 1715),
+                                          (b"\r", 2001)], ids=["lf", "crlf", "cr"])
+    def test_non_utf8_names_its_line(self, tmp_path, end, line):
+        # the bad byte sits at offset 12,000, past the decoder's first 8 KB
+        text = (b"a\tr\tb" + end) * 2000
+        text = text[:12000] + b"\xff" + text[12001:12006]
+        d = split_dir(tmp_path, "train", text)
+        with pytest.raises(DataFormatError) as exc:
+            load_dataset(d)
+        assert str(exc.value).startswith(
+            f"{os.path.join(d, 'train.txt')}:{line}: not valid UTF-8 (train split)")
+
+
+# Names an 8-byte zero-padded key could confuse: over 8 bytes with a shared
+# prefix, and equal but for trailing NULs; multi-byte UTF-8; edge whitespace.
+NAMES = ["a", "b", "a\x00", "a\x00\x00", "abcdefgh", "abcdefgh\x00",
+         "abcdefghij", "abcdefghik", "abcdefghijklmnopq1", "abcdefghijklmnopq2",
+         "\u00e9", "\u540d\u524d", "\U0001d538x", "b ", "\u00a0c", ""]
+LINE = st.one_of(st.lists(st.sampled_from(NAMES), min_size=3, max_size=3),
+                 st.lists(st.sampled_from(NAMES), max_size=4)).map("\t".join)
+SPLIT_BYTES = st.builds(
+    lambda lines, cut: "".join(l + e for l, e in lines)[:None if cut else -1].encode(),
+    st.lists(st.tuples(LINE, st.sampled_from(["\n", "\r\n", "\r"])),
+             max_size=10),
+    st.booleans())
+
+
+def outcome(load, directory):
+    """The store ``load`` gives, or the type and message of its error."""
+    try:
+        return load(directory)
+    except (ConfigError, DataFormatError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_store(got, want):
+    assert got.entity_ids == want.entity_ids
+    assert got.relation_ids == want.relation_ids
+    assert got.entity_names == want.entity_names
+    assert got.relation_names == want.relation_names
+    for split in SPLIT_FILES:
+        assert got.splits[split].dtype == want.splits[split].dtype
+        assert np.array_equal(got.splits[split], want.splits[split])
+    for part in ("codes", "entities", "relations"):
+        assert np.array_equal(getattr(got.filter_index, part),
+                              getattr(want.filter_index, part))
+
+
+@given(st.tuples(SPLIT_BYTES, SPLIT_BYTES, SPLIT_BYTES))
+@settings(max_examples=300, deadline=None)
+def test_loader_matches_the_reference_loader(texts):
+    with tempfile.TemporaryDirectory() as d:
+        for fname, text in zip(SPLIT_FILES.values(), texts):
+            with open(os.path.join(d, fname), "wb") as fh:
+                fh.write(text)
+        got = outcome(load_dataset, d)
+        want = outcome(reference_loader.load_dataset, d)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_store(got, want)
+
+
+def test_fingerprint_collisions_regrouped(tmp_path, monkeypatch):
+    # every name over 8 bytes collides; rows are still grouped by their bytes
+    monkeypatch.setattr(kg, "_fingerprint",
+                        lambda cols: np.zeros(len(cols[0]), dtype=np.uint64))
+    long = [n for n in NAMES if len(n.encode()) > 8 and n.strip() == n]
+    splits = {s: [(long[i % len(long)], long[(i + k) % len(long)],
+                   long[(i * k + 1) % len(long)]) for i in range(12)]
+              for k, s in enumerate(SPLIT_FILES, 1)}
+    write_dataset(str(tmp_path), splits)
+    assert_same_store(load_dataset(str(tmp_path)),
+                      reference_loader.load_dataset(str(tmp_path)))
+
+
+@pytest.mark.parametrize("name", ["memo30", "blocks135"])
+def test_bundled_datasets_match_the_reference_loader(data_dir, name):
+    d = os.path.join(data_dir, name)
+    assert_same_store(load_dataset(d), reference_loader.load_dataset(d))
 
 
 def answers(index, entity, relation):
