@@ -115,7 +115,9 @@ class TripleStore:
 
 def load_dataset(directory):
     """Load the three split files from a dataset directory. A missing
-    directory or split file is a ``ConfigError``."""
+    directory or split file is a ``ConfigError``. Each file's bytes and
+    lines are checked in turn, train first, and the names' edges once all
+    three have passed: the first fault found is the one reported."""
     if not os.path.isdir(directory):
         raise ConfigError(f"dataset directory not found: {directory}")
     paths = {split: os.path.join(directory, fname)
@@ -124,17 +126,44 @@ def load_dataset(directory):
         if not os.path.isfile(path):
             raise ConfigError(f"dataset directory {directory} is missing "
                               f"{SPLIT_FILES[split]}")
-    return _store({split: _read_split(path, split)
-                   for split, path in paths.items()}, paths)
+    texts, bounds = {}, {}
+    for split, path in paths.items():
+        texts[split] = _read_split(path, split)
+        bounds[split] = _parse(texts[split], path, split)
+    store = _store(texts, bounds)
+    for name in store.entity_names + store.relation_names:
+        fault = ("whitespace" if name != name.strip() else
+                 "U+FEFF" if BOM in (name[0], name[-1]) else None)
+        if fault:
+            e = store.entity_ids.get(name, -1)
+            r = store.relation_ids.get(name, -1)
+            split = next(s for s, i in store.splits.items()
+                         if (i[:, [0, 2]] == e).any() or (i[:, 1] == r).any())
+            raise DataFormatError(f"{SPLIT_FILES[split]}: name {name!r} has "
+                                  f"{fault} at its edge ({split} split)")
+    return store
 
 
 def build_store(train, valid, test):
-    """The store of in-memory (head, relation, tail) string triples, built
-    as ``load_dataset`` builds a dataset's: each split becomes the bytes of
-    its file, so names may hold no tab or line end."""
-    texts = {split: "".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples).encode()
-             for split, triples in zip(SPLIT_FILES, (train, valid, test))}
-    return _store(texts, SPLIT_FILES)
+    """The store of in-memory (head, relation, tail) string triples, interned
+    as ``load_dataset`` interns a dataset's. A name must be a non-empty
+    string with no tab, LF or CR in it; the first triple that breaks this
+    is named in a ``ConfigError``. Edge whitespace is not checked here."""
+    texts, bounds = {}, {}
+    for split, triples in zip(SPLIT_FILES, (train, valid, test)):
+        text = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples)
+        # every triple adds 2 tabs and 1 LF, so any more is inside a name,
+        # and with none there an empty name is two separators side by side
+        if (text.count("\t") != 2 * len(triples)
+                or text.count("\n") != len(triples) or "\r" in text
+                or any(s in "\n" + text for s in ("\n\t", "\t\t", "\t\n"))):
+            bad = next(t for t in triples if not all(
+                n and not {"\t", "\n", "\r"} & set(n) for n in t))
+            raise ConfigError(f"{split} triple {bad!r} has an empty name or "
+                              "a tab or line end in a name")
+        texts[split] = text.encode()
+        bounds[split] = _parse(texts[split], SPLIT_FILES[split], split)
+    return _store(texts, bounds)
 
 
 def _read_split(path, split):
@@ -156,66 +185,23 @@ def _read_split(path, split):
     return data
 
 
-def _store(texts, paths):
-    """Assign dense ids by first occurrence (train→valid→test, head before
-    tail), append reverse relations, and build the all-splits filter index.
-    ``texts`` maps each split to its file's bytes, ``paths`` to the file
-    its errors name."""
-    # One buffer: each file ends with an added line end, which at most adds
-    # a blank line, and 8 NUL bytes let every field start an 8-byte read.
-    joined = b"".join(text + b"\n" for text in texts.values()) + bytes(8)
-    buf = np.frombuffer(joined, np.uint8)
-    bounds, lo = [], 0
-    for split, text in texts.items():
-        bounds.append(_parse(buf, lo, lo + len(text) + 1, paths[split], split))
-        lo += len(text) + 1
-    if not len(bounds[0]):
-        raise ConfigError("empty train split")
-    starts, ends = (np.concatenate([b[..., i] for b in bounds]) for i in (0, 1))
-    words = np.ndarray((len(joined) - 7,), "<u8", joined, strides=(1,))
-    ent, entity_names = _intern(joined, words, starts[:, [0, 2]].ravel(),
-                                ends[:, [0, 2]].ravel())
-    rel, relation_names = _intern(joined, words, starts[:, 1], ends[:, 1])
-    ids = np.stack([ent[0::2], rel, ent[1::2]], axis=1)
-    cuts = np.cumsum([len(b) for b in bounds])[:-1]
-    splits = dict(zip(texts, np.split(ids, cuts)))
-    entity_ids = dict(zip(entity_names, range(len(entity_names))))
-    relation_ids = dict(zip(relation_names, range(len(relation_names))))
-    for name in entity_names + relation_names:
-        fault = ("whitespace" if name != name.strip() else
-                 "U+FEFF" if BOM in (name[0], name[-1]) else None)
-        if fault:
-            e, r = entity_ids.get(name, -1), relation_ids.get(name, -1)
-            split = next(s for s, i in splits.items()
-                         if (i[:, [0, 2]] == e).any() or (i[:, 1] == r).any())
-            raise DataFormatError(f"{SPLIT_FILES[split]}: name {name!r} has "
-                                  f"{fault} at its edge ({split} split)")
-    n_rel = len(relation_names)
-    return TripleStore(
-        entity_ids=entity_ids,
-        relation_ids=relation_ids,
-        entity_names=entity_names,
-        relation_names=relation_names,
-        splits=splits,
-        filter_index=QueryIndex(ids, len(entity_names), n_rel),
-        num_relations=n_rel,
-    )
-
-
-def _parse(buf, lo, hi, path, split):
-    """Byte bounds of every field of the file at ``buf[lo:hi]``, which ends
-    in a line end: an int64 array [n, 3, 2] of (start, end) per triple. A
-    line is ended by LF, CR LF or a lone CR, as in Python's text mode;
-    blank lines are skipped but counted. The first malformed line, one with
-    an empty field included, raises ``DataFormatError`` naming its number."""
-    seps = lo + np.flatnonzero(buf[lo:hi] <= CR)
+def _parse(text, path, split):
+    """Byte bounds in ``text`` of every field of one split file, an int64
+    array [n, 6]: per triple, the start of its head and of its tail, the end
+    of each, and the start and end of its relation. A line is ended by LF,
+    CR LF or a lone CR, as in Python's text mode, and the end of the text
+    ends a last line that has none; blank lines are skipped but counted.
+    The first malformed line, one with an empty field included, raises
+    ``DataFormatError`` naming ``path`` and its number."""
+    buf = np.frombuffer(text + b"\n", np.uint8)
+    seps = np.flatnonzero(buf <= CR)
     kinds = buf[seps]
     keep = _SEPARATOR[kinds] & ~((kinds == LF) & (buf[seps - 1] == CR))
     seps, kinds = seps[keep], kinds[keep]
     end_at = np.flatnonzero(kinds != TAB)          # index in seps of each line end
     ends = seps[end_at]                            # a CR LF line ends at its CR
-    starts = np.concatenate(([lo], ends[:-1] + 1 + ((buf[ends[:-1]] == CR)
-                                                   & (buf[ends[:-1] + 1] == LF))))
+    starts = np.concatenate(([0], ends[:-1] + 1 + ((buf[ends[:-1]] == CR)
+                                                  & (buf[ends[:-1] + 1] == LF))))
     tabs = np.diff(end_at, prepend=-1) - 1
     ok = tabs == 2
     t1, t2 = seps[end_at[ok] - 2], seps[end_at[ok] - 1]
@@ -229,23 +215,73 @@ def _parse(buf, lo, hi, path, split):
                                   f"or tail ({split} split)")
         raise DataFormatError(f"{path}:{line + 1}: expected 3 tab-separated "
                               f"fields ({split} split), got {tabs[line] + 1}")
-    return np.stack([np.stack([s, t1 + 1, t2 + 1], axis=1),
-                     np.stack([t1, t2, e], axis=1)], axis=2)
+    return np.stack([s, t2 + 1, t1, e, t1 + 1, t2], axis=1)
 
 
-def _intern(joined, words, starts, ends):
+def _store(texts, bounds):
+    """Assign dense ids by first occurrence (train→valid→test, head before
+    tail), append reverse relations, and build the all-splits filter index.
+    ``texts`` maps each split to its file's bytes, ``bounds`` to the field
+    bounds ``_parse`` found in them."""
+    if not len(bounds["train"]):
+        raise ConfigError("empty train split")
+    # 8 NUL bytes after the last file let every field start an 8-byte read
+    joined = b"".join(texts.values()) + bytes(8)
+    fields = np.concatenate(list(bounds.values()))
+    cuts = np.cumsum([len(b) for b in bounds.values()])[:-1]
+    offset = 0
+    for text, part in zip(texts.values(), np.split(fields, cuts)):
+        part += offset                    # to offsets in ``joined``
+        offset += len(text)
+    ent, entity_names = _intern(joined, fields[:, 0:2].ravel(),
+                                fields[:, 2:4].ravel())
+    rel, relation_names = _intern(joined, fields[:, 4], fields[:, 5])
+    ids = np.stack([ent[0::2], rel, ent[1::2]], axis=1)
+    n_rel = len(relation_names)
+    return TripleStore(
+        entity_ids=dict(zip(entity_names, range(len(entity_names)))),
+        relation_ids=dict(zip(relation_names, range(n_rel))),
+        entity_names=entity_names,
+        relation_names=relation_names,
+        splits=dict(zip(texts, np.split(ids, cuts))),
+        filter_index=QueryIndex(ids, len(entity_names), n_rel),
+        num_relations=n_rel,
+    )
+
+
+def _intern(joined, starts, ends):
     """(ids, names): the id of each name at byte bounds [starts, ends) of
     ``joined``, numbered by first occurrence, and the distinct names in id
-    order. A name is keyed by its bytes, zero-padded to 8-byte words that
-    ``words[i]`` reads from offset i, and by its length when some name ends
-    in a NUL byte."""
+    order. Names are grouped exactly on their bytes: those that span the
+    same number k of 8-byte words are sorted together on their k
+    zero-padded words, and on their length too when one ends in a NUL
+    byte, so the work grows with the names' total bytes."""
+    words = np.ndarray((len(joined) - 7,), "<u8", joined, strides=(1,))
     lengths = ends - starts
-    last = len(words) - 1
-    cols = [words[np.minimum(starts + j, last)] & _MASKS[np.clip(lengths - j, 0, 8)]
-            for j in range(0, int(lengths.max()), 8)]
-    if (np.frombuffer(joined, np.uint8)[ends - 1] == 0).any():
-        cols.append(lengths.astype(np.uint64))
-    group, first = _group(cols)
+    spans = (lengths + 7) // 8
+    nul = np.frombuffer(joined, np.uint8)[ends - 1] == 0
+    if spans.max() == 1:
+        buckets = [np.arange(len(starts))]
+    else:
+        by_span = np.argsort(spans, kind="stable")
+        buckets = np.split(by_span, np.flatnonzero(np.diff(spans[by_span])) + 1)
+    group = np.empty(len(starts), dtype=np.int64)
+    firsts, count = [], 0
+    for rows in buckets:                  # rows ascending, one span each
+        k = int(spans[rows[0]])
+        keys = words[starts[rows, None] + 8 * np.arange(k)]
+        keys[:, -1] &= _MASKS[lengths[rows] - 8 * (k - 1)]
+        if nul[rows].any():
+            keys = np.column_stack([keys, lengths[rows].astype(np.uint64)])
+        order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T)
+        keys = keys[order]
+        new = np.empty(len(rows), dtype=bool)
+        new[0] = True
+        new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        group[rows[order]] = count + np.cumsum(new) - 1
+        firsts.append(rows[np.minimum.reduceat(order, np.flatnonzero(new))])
+        count += len(firsts[-1])
+    first = np.concatenate(firsts)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
@@ -253,43 +289,6 @@ def _intern(joined, words, starts, ends):
     names = [joined[s:e].decode("utf-8")
              for s, e in zip(starts[first].tolist(), ends[first].tolist())]
     return rank[group], names
-
-
-def _group(cols):
-    """(group, first): a group number per row, equal exactly where every
-    column is, and each group's first row. Several columns are sorted by
-    their fingerprint, and each row is checked against its group's first
-    row; the rows a fingerprint collision misplaced are grouped again on
-    their own."""
-    key = cols[0] if len(cols) == 1 else _fingerprint(cols)
-    order = np.argsort(key)
-    key = key[order]
-    new = np.empty(len(key), dtype=bool)
-    new[0] = True
-    new[1:] = key[1:] != key[:-1]
-    first = np.minimum.reduceat(order, np.flatnonzero(new))
-    group = np.empty(len(key), dtype=np.int64)
-    group[order] = np.cumsum(new) - 1
-    if len(cols) > 1:
-        rep = first[group]
-        wrong = np.zeros(len(key), dtype=bool)
-        for col in cols:
-            wrong |= col != col[rep]
-        if wrong.any():
-            rows = np.flatnonzero(wrong)
-            sub_group, sub_first = _group([col[rows] for col in cols])
-            group[rows] = len(first) + sub_group
-            first = np.concatenate([first, rows[sub_first]])
-    return group, first
-
-
-def _fingerprint(cols):
-    """One uint64 per row of several uint64 columns, equal for equal rows."""
-    key = np.zeros(len(cols[0]), dtype=np.uint64)
-    for col in cols:
-        key = (key ^ col) * np.uint64(0x9E3779B97F4A7C15)
-        key ^= key >> np.uint64(29)
-    return key
 
 
 def categorize_relations(store, scope="all"):

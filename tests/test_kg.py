@@ -1,6 +1,8 @@
 import json
 import os
+import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pkge.errors import ConfigError, DataFormatError
-from pkge import kg
 from pkge.kg import (CATEGORIES, SPLIT_FILES, THRESHOLD, build_store,
                      categorize_relations, category_counts, dump_stats_json,
                      load_dataset, triple_categories)
@@ -117,22 +118,31 @@ class TestLoadTsv:
 # prefix, and equal but for trailing NULs; multi-byte UTF-8; edge whitespace.
 NAMES = ["a", "b", "a\x00", "a\x00\x00", "abcdefgh", "abcdefgh\x00",
          "abcdefghij", "abcdefghik", "abcdefghijklmnopq1", "abcdefghijklmnopq2",
-         "\u00e9", "\u540d\u524d", "\U0001d538x", "b ", "\u00a0c", ""]
+         "abcdefghijklmnop", "abcdefghij\x00", "\u00e9", "\u540d\u524d",
+         "\U0001d538x", "b ", "\u00a0c", ""]
 LINE = st.one_of(st.lists(st.sampled_from(NAMES), min_size=3, max_size=3),
                  st.lists(st.sampled_from(NAMES), max_size=4)).map("\t".join)
+# Bytes that are not UTF-8, inserted somewhere in a file now and then; each
+# is refused where it stands (see test_file_refused_before_its_lines).
+NOT_UTF8 = st.sampled_from([b""] * 6 + [b"\xff", b"\xe5\x90a", b"\xc3("])
 SPLIT_BYTES = st.builds(
-    lambda lines, cut: "".join(l + e for l, e in lines)[:None if cut else -1].encode(),
+    lambda lines, cut, bad, at: (lambda text: text[:at] + bad + text[at:])(
+        "".join(l + e for l, e in lines)[:None if cut else -1].encode()),
     st.lists(st.tuples(LINE, st.sampled_from(["\n", "\r\n", "\r"])),
              max_size=10),
-    st.booleans())
+    st.booleans(), NOT_UTF8, st.integers(0, 200))
 
 
 def outcome(load, directory):
-    """The store ``load`` gives, or the type and message of its error."""
+    """The store ``load`` gives, or the type and message of its error. The
+    message of a file that is not UTF-8 keeps only its path and split: the
+    reference loader gives a position where the package gives a line."""
     try:
         return load(directory)
     except (ConfigError, DataFormatError) as exc:
-        return type(exc), str(exc)
+        msg = re.sub(r"^(.*?)(:\d+)?: not valid UTF-8 \((\w+) split\).*",
+                     r"\1: not valid UTF-8 (\3 split)", str(exc), flags=re.S)
+        return type(exc), msg
 
 
 def assert_same_store(got, want):
@@ -163,17 +173,40 @@ def test_loader_matches_the_reference_loader(texts):
         assert_same_store(got, want)
 
 
-def test_fingerprint_collisions_regrouped(tmp_path, monkeypatch):
-    # every name over 8 bytes collides; rows are still grouped by their bytes
-    monkeypatch.setattr(kg, "_fingerprint",
-                        lambda cols: np.zeros(len(cols[0]), dtype=np.uint64))
-    long = [n for n in NAMES if len(n.encode()) > 8 and n.strip() == n]
-    splits = {s: [(long[i % len(long)], long[(i + k) % len(long)],
-                   long[(i * k + 1) % len(long)]) for i in range(12)]
-              for k, s in enumerate(SPLIT_FILES, 1)}
-    write_dataset(str(tmp_path), splits)
-    assert_same_store(load_dataset(str(tmp_path)),
-                      reference_loader.load_dataset(str(tmp_path)))
+def test_files_checked_in_split_order(tmp_path):
+    # train's malformed line is reported, not the later file's bad byte
+    write_dataset(str(tmp_path), {s: [("a", "r", "b")] for s in SPLIT_FILES})
+    (tmp_path / "train.txt").write_bytes(b"a\tr\tb\nwrong\n")
+    (tmp_path / "valid.txt").write_bytes(b"a\tr\t\xff\n")
+    with pytest.raises(DataFormatError, match=r"train\.txt:2: expected 3"):
+        load_dataset(str(tmp_path))
+
+
+def test_file_refused_before_its_lines(tmp_path):
+    # the reference's text decoder reports a sequence cut short at the end
+    # of the file only after the lines before it, so this one reports line 2
+    d = split_dir(tmp_path, "train", b"a\tr\tb\nwrong\n\xe5\x90")
+    with pytest.raises(DataFormatError) as exc:
+        load_dataset(d)
+    assert str(exc.value).startswith(
+        f"{os.path.join(d, 'train.txt')}:3: not valid UTF-8 (train split)")
+
+
+def test_long_name_costs_its_bytes(tmp_path):
+    # one 20 KB name beside 10,000 short ones: keying every name on the
+    # longest name's 2,500 words would trace ~190 MiB
+    lines = [("x" * 20000, "r", "e0")] + [
+        (f"e{i}", f"r{i % 7}", f"e{i + 1}") for i in range(5000)]
+    write_dataset(str(tmp_path), {"train": lines, "valid": lines[:2],
+                                  "test": lines[-2:]})
+    tracemalloc.start()
+    try:
+        store = load_dataset(str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert_same_store(store, reference_loader.load_dataset(str(tmp_path)))
 
 
 @pytest.mark.parametrize("name", ["memo30", "blocks135"])
@@ -222,6 +255,20 @@ class TestBuildStore:
     def test_empty_train_rejected(self):
         with pytest.raises(ConfigError):
             build_store([], [("a", "r", "b")], [])
+
+    @pytest.mark.parametrize("bad", [("a\tb", "r", "c"), ("a", "r\n", "c"),
+                                     ("a", "r", "c\rd"), ("a", "", "c")],
+                             ids=["tab", "lf", "cr", "empty"])
+    def test_name_with_separator_rejected(self, bad):
+        with pytest.raises(ConfigError) as exc:
+            build_store([("a", "r", "b")], [], [("x", "y", "z"), bad])
+        assert str(exc.value).startswith(f"test triple {bad!r} ")
+
+    def test_edge_whitespace_kept(self):
+        # only load_dataset refuses a name's edge whitespace or U+FEFF
+        store = build_store([(" a", "r\ufeff", "b ")], [], [])
+        assert store.entity_names == [" a", "b "]
+        assert store.relation_names == ["r\ufeff"]
 
     def test_reverse_relation_ids(self):
         store = build_store([("a", "r", "b"), ("a", "s", "b")], [], [])
