@@ -17,8 +17,12 @@ taken before the first run (``tree_sha256``), which an exported tree has too.
 
 Each run records its return code, wall time, the benchmark's result line
 (the last line of stdout), its ``env`` line, and the child-process rusage
-around it: minor page faults and user and system CPU seconds. The summary
-gives, per workload and end-to-end metric, each side's median and quartiles,
+around it: minor page faults and user and system CPU seconds. Right before
+each run the harness times two fixed calibration kernels, a pure-Python
+loop and a seeded numpy product, and records both times with the run, so a
+reader can tell a slow host phase from a slow change. The summary gives
+each side's median of the rusage figures and of the calibration times,
+and, per workload and end-to-end metric, each side's median and quartiles,
 the pairs the change won (ties count for neither side), the parent's
 interquartile range as a share of its median, whether the change's median
 is worse than the parent's by more than the metric's bound, and whether a
@@ -43,6 +47,8 @@ import subprocess
 import sys
 import tempfile
 import time
+
+import numpy as np
 
 SIDES = ("parent", "change")
 # Left out of each fresh copy: version control and what runs leave behind.
@@ -86,14 +92,39 @@ def tree_digest(checkout):
     return digest.hexdigest()
 
 
+def calibrate():
+    """Seconds taken by two fixed kernels in this process, each the median
+    of three timings: a pure-Python loop of 200,000 steps and the product
+    of a seeded 512 x 512 float64 matrix with itself."""
+    def median_time(kernel):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            kernel()
+            times.append(time.perf_counter() - start)
+        return round(statistics.median(times), 6)
+
+    def python_loop():
+        total = 0
+        for i in range(200_000):
+            total += i % 7
+        return total
+
+    a = np.random.default_rng(0).standard_normal((512, 512))
+    return {"python_s": median_time(python_loop),
+            "numpy_s": median_time(lambda: a @ a)}
+
+
 def run_once(checkout, command, workload, seed, seconds, work_root):
-    """One benchmark run in a fresh copy of ``checkout``; returns its record."""
+    """One benchmark run in a fresh copy of ``checkout``, calibrated right
+    before it; returns its record."""
     copy = tempfile.mkdtemp(prefix="run-", dir=work_root)
     try:
         tree = os.path.join(copy, "tree")
         shutil.copytree(checkout, tree, ignore=SKIP)
         argv = list(command) + ["--workload", workload, "--seed", str(seed),
                                 "--seconds", str(seconds), "--trace", "0"]
+        calibration = calibrate()
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         start = time.perf_counter()
         proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
@@ -111,6 +142,7 @@ def run_once(checkout, command, workload, seed, seconds, work_root):
         "ru_minflt": after.ru_minflt - before.ru_minflt,
         "user_cpu_s": round(after.ru_utime - before.ru_utime, 3),
         "sys_cpu_s": round(after.ru_stime - before.ru_stime, 3),
+        "calibration": calibration,
         "result": result,
         "env": env,
         "stderr_tail": proc.stderr.splitlines()[-5:] if proc.returncode else [],
@@ -142,8 +174,16 @@ def metric_value(run, name):
     return None if metric is None else metric["value"]
 
 
+def side_medians(runs, value):
+    """{side: median of ``value(run)`` over that side's ``runs``}, for each
+    side with a run."""
+    return {side: statistics.median(value(r) for r in runs if r["side"] == side)
+            for side in SIDES if any(r["side"] == side for r in runs)}
+
+
 def summarize(runs, workloads, metrics):
-    """{workload: {"runs", "failed", "metrics": {name: ...}, "rusage": ...}}."""
+    """{workload: {"runs", "failed", "metrics": {name: ...}, "rusage": ...,
+    "calibration": ...}}."""
     summary = {}
     for workload in workloads:
         mine = [r for r in runs if r["workload"] == workload]
@@ -156,7 +196,6 @@ def summarize(runs, workloads, metrics):
                                  if r["side"] == side and not succeeded(r))
                        for side in SIDES},
             "metrics": {},
-            "rusage": {},
         }
         for spec in metrics:
             name, lower = spec["name"], spec["better"] == "lower"
@@ -201,10 +240,12 @@ def summarize(runs, workloads, metrics):
                                and parent_iqr / parent_median > spec["bound"]
                                and not beats_all),
             }
-        for key in ("ru_minflt", "user_cpu_s", "sys_cpu_s", "wall_s"):
-            entry["rusage"][key] = {
-                side: statistics.median(r[key] for r in mine if r["side"] == side)
-                for side in SIDES if any(r["side"] == side for r in mine)}
+        entry["rusage"] = {
+            key: side_medians(mine, lambda r: r[key])
+            for key in ("ru_minflt", "user_cpu_s", "sys_cpu_s", "wall_s")}
+        entry["calibration"] = {
+            key: side_medians(mine, lambda r: r["calibration"][key])
+            for key in ("python_s", "numpy_s")}
         summary[workload] = entry
     return summary
 

@@ -12,6 +12,7 @@ so head prediction becomes tail prediction over reversed queries.
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,9 @@ _SEPARATOR = np.isin(np.arange(CR + 1), (TAB, LF, CR))   # by byte value
 _MASKS = np.array([(1 << 8 * m) - 1 for m in range(9)], dtype=np.uint64)
 # A byte order mark, refused at a name's edge as whitespace is.
 BOM = "\ufeff"
+# What no name that ``build_store`` takes may hold: a separator, or a lone
+# surrogate, which UTF-8 cannot encode.
+_NOT_IN_NAME = re.compile("[\t\n\r\ud800-\udfff]")
 
 
 class QueryIndex:
@@ -146,24 +150,26 @@ def load_dataset(directory):
 
 def build_store(train, valid, test):
     """The store of in-memory (head, relation, tail) string triples, interned
-    as ``load_dataset`` interns a dataset's. A name must be a non-empty
-    string with no tab, LF or CR in it; the first triple that breaks this
-    is named in a ``ConfigError``. Edge whitespace is not checked here."""
+    as ``load_dataset`` interns a dataset's. A triple must be a tuple or list
+    of three names, and a name a non-empty string with no tab, LF, CR or
+    lone surrogate in it (UTF-8 cannot encode one); the first triple that
+    breaks this is named in a ``ConfigError``. Edge whitespace is not
+    checked here."""
     texts, bounds = {}, {}
     for split, triples in zip(SPLIT_FILES, (train, valid, test)):
-        text = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples)
-        # every triple adds 2 tabs and 1 LF, so any more is inside a name,
-        # and with none there an empty name is two separators side by side
-        if (text.count("\t") != 2 * len(triples)
-                or text.count("\n") != len(triples) or "\r" in text
-                or any(s in "\n" + text for s in ("\n\t", "\t\t", "\t\n"))):
-            bad = next(t for t in triples if not all(
-                n and not {"\t", "\n", "\r"} & set(n) for n in t))
-            raise ConfigError(f"{split} triple {bad!r} has an empty name or "
-                              "a tab or line end in a name")
-        texts[split] = text.encode()
+        bad = next((t for t in triples if not _is_triple(t)), None)
+        if bad is not None:
+            raise ConfigError(f"{split} triple {bad!r} is not three non-empty "
+                              "names free of tabs, line ends and lone surrogates")
+        texts[split] = "".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples).encode()
         bounds[split] = _parse(texts[split], SPLIT_FILES[split], split)
     return _store(texts, bounds)
+
+
+def _is_triple(triple):
+    return (isinstance(triple, (tuple, list)) and len(triple) == 3
+            and all(isinstance(name, str) and name and not _NOT_IN_NAME.search(name)
+                    for name in triple))
 
 
 def _read_split(path, split):

@@ -98,6 +98,41 @@ def test_each_run_records_result_env_and_rusage(report):
     assert failed[0]["result"] is None and failed[0]["stderr_tail"]
 
 
+def test_each_run_records_both_calibration_times(report):
+    for r in report["runs"]:
+        assert set(r["calibration"]) == {"python_s", "numpy_s"}
+        assert all(t > 0 for t in r["calibration"].values())
+
+
+def test_calibration_runs_right_before_each_run(tmp_path, monkeypatch):
+    parent = checkout(tmp_path / "parent", "parent")
+    change = checkout(tmp_path / "change", "change")
+    events, real_run = [], bench_pairs.subprocess.run
+
+    def calibrate():
+        events.append("calibrate")
+        return {"python_s": len(events), "numpy_s": 0.5}
+
+    def run(argv, **kwargs):
+        if "--workload" in argv:          # not the harness's git queries
+            events.append("run")
+        return real_run(argv, **kwargs)
+
+    monkeypatch.setattr(bench_pairs, "calibrate", calibrate)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    out = tmp_path / "pairs.json"
+    bench_pairs.main(["--parent", parent, "--change", change, "--pr", "1",
+                      "--seed", "1", "--pairs", "2", "--workloads", "w1",
+                      "--out", str(out)])
+    assert events == ["calibrate", "run"] * 4
+    report = json.loads(out.read_text())
+    assert [r["calibration"]["python_s"] for r in report["runs"]] == [1, 3, 5, 7]
+    # pair 0 runs the parent first (1, 3), pair 1 the change first (5, 7)
+    assert report["summary"]["w1"]["calibration"] == {
+        "python_s": {"parent": 4, "change": 4},
+        "numpy_s": {"parent": 0.5, "change": 0.5}}
+
+
 def test_summary_medians_quartiles_and_wins(report):
     w1 = report["summary"]["w1"]
     assert w1["runs"] == 6 and w1["failed"] == {"parent": 0, "change": 0}
@@ -158,7 +193,8 @@ def synthetic_runs(parent, change):
                          "result": {"correct": True, "metrics": {
                              "queries_per_s": {"value": value}}},
                          "ru_minflt": 0, "user_cpu_s": 0.0, "sys_cpu_s": 0.0,
-                         "wall_s": 1.0})
+                         "wall_s": 1.0,
+                         "calibration": {"python_s": 0.01, "numpy_s": 0.01}})
     return runs
 
 

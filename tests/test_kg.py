@@ -264,6 +264,22 @@ class TestBuildStore:
             build_store([("a", "r", "b")], [], [("x", "y", "z"), bad])
         assert str(exc.value).startswith(f"test triple {bad!r} ")
 
+    @pytest.mark.parametrize("bad", [(1, "r", 2), ("a\ud800", "r", "b"),
+                                     ("a", "r"), ("a", "r", "b", "c"), "abc",
+                                     ("a", "r", "\ud83d\ude00")],
+                             ids=["ints", "lone-surrogate", "pair", "four",
+                                  "string", "surrogate-pair"])
+    def test_non_triple_or_unencodable_name_rejected(self, bad):
+        # ints were loaded as their decimal names, a surrogate escaped as a
+        # UnicodeEncodeError and a short tuple as an unpacking ValueError
+        with pytest.raises(ConfigError) as exc:
+            build_store([("a", "r", "b")], [bad], [])
+        assert str(exc.value).startswith(f"valid triple {bad!r} ")
+
+    def test_list_triples_accepted(self):
+        store = build_store([["a", "r", "b"]], [], [])
+        assert store.entity_names == ["a", "b"]
+
     def test_edge_whitespace_kept(self):
         # only load_dataset refuses a name's edge whitespace or U+FEFF
         store = build_store([(" a", "r\ufeff", "b ")], [], [])
